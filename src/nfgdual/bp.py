@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Alphabet, build_incidence
 from .nfg import DUAL, PRIMAL, DualNFG, MarginalVector, PrimalNFG
 
 
@@ -69,47 +68,29 @@ class BpResult:
         return MarginalVector(self.vertex_values[v], ("vertex", v), self.domain)
 
 
-class _KernelFactor:
-    __slots__ = ("table", "vars", "signs", "site")
+def _factor_scopes(nfg) -> tuple:
+    """(variables, signs) of every factor plus the variable count.
 
-    def __init__(self, table, vars_, signs, site):
-        self.table = np.asarray(table, dtype=np.complex128)
-        self.vars = list(vars_)
-        self.signs = list(signs)
-        self.site = site
-
-
-def _build_factors(nfg):
-    """Kernel-factor list plus variable count for either domain."""
+    Factor e is edge e and factor |E| + v is vertex v, in both domains.
+    """
     g = nfg.graph
     if isinstance(nfg, PrimalNFG):
-        factors = [
-            _KernelFactor(nfg.edge_tables[e], [t, h], [1, -1], ("edge", e))
-            for e, (t, h) in enumerate(g.edges)
-        ]
-        factors += [
-            _KernelFactor(nfg.vertex_tables[v], [v], [1], ("vertex", v))
-            for v in range(g.num_vertices)
-        ]
-        return factors, g.num_vertices
+        scopes = [((t, h), (1, -1)) for t, h in g.edges]
+        scopes += [((v,), (1,)) for v in range(g.num_vertices)]
+        return scopes, g.num_vertices
     if isinstance(nfg, DualNFG):
-        m = build_incidence(g)
-        factors = [
-            _KernelFactor(nfg.edge_tables[e], [e], [1], ("edge", e))
-            for e in range(g.num_edges)
-        ]
-        for v in range(g.num_vertices):
-            incident = g.incident_edges(v)
-            signs = [int(m[e, v]) for e in incident]
-            factors.append(
-                _KernelFactor(nfg.vertex_tables[v], incident, signs, ("vertex", v))
-            )
-        return factors, g.num_edges
+        incident = [[] for _ in range(g.num_vertices)]
+        for e, (t, h) in enumerate(g.edges):  # tail sees +y~_e, head sees -y~_e
+            incident[t].append((e, 1))
+            incident[h].append((e, -1))
+        scopes = [((e,), (1,)) for e in range(g.num_edges)]
+        scopes += [(tuple(e for e, _ in inc), tuple(s for _, s in inc)) for inc in incident]
+        return scopes, g.num_edges
     raise TypeError(f"expected PrimalNFG or DualNFG, got {type(nfg).__name__}")
 
 
-def _normalize(msg: np.ndarray, where: str, real_mode: bool = False) -> np.ndarray:
-    """L1-of-abs normalization, plus gauge fixing.
+def _normalize(msgs: np.ndarray, name, real_mode: bool = False) -> np.ndarray:
+    """Row-wise L1-of-abs normalization, plus gauge fixing; name(i) names row i.
 
     Messages carry a multiplicative gauge freedom (m and c*m are equivalent);
     left unfixed, perturbations along it grow even when the projective
@@ -118,129 +99,155 @@ def _normalize(msg: np.ndarray, where: str, real_mode: bool = False) -> np.ndarr
     messages are real) and by rotating the leading entry of genuinely complex
     messages onto the positive real axis.
     """
-    norm = np.abs(msg).sum()
-    if norm == 0.0 or not np.isfinite(norm):
-        raise DegenerateMessageError(f"message at {where} cancelled to zero")
-    msg = msg / norm
+    norms = np.abs(msgs).sum(axis=1)
+    bad = (norms == 0.0) | ~np.isfinite(norms)
+    if bad.any():
+        raise DegenerateMessageError(f"message at {name(int(np.argmax(bad)))} cancelled to zero")
+    msgs = msgs / norms[:, None]
     if real_mode:
-        return msg.real + 0.0j
-    lead = msg[int(np.argmax(np.abs(msg)))]
-    return msg * np.conj(lead / abs(lead))
+        return msgs.real + 0.0j
+    lead = msgs[np.arange(len(msgs)), np.argmax(np.abs(msgs), axis=1)]
+    return msgs * np.conj(lead / np.abs(lead))[:, None]
+
+
+class _Group:
+    """Factors of one degree d, updated together: their slots (k, d) and tables."""
+
+    def __init__(self, engine, factors):
+        self.factors = np.asarray(factors, dtype=np.intp)
+        k, d, q = len(factors), int(engine.degrees[factors[0]]), engine.q
+        self.slots = engine.offsets[self.factors][:, None] + np.arange(d)
+        self.flat = self.slots.ravel()
+        self.others = engine.others[self.slots]  # (k, d, largest variable degree)
+        # flat index of s*t mod q in row j of a (k*d, q) array: the sign reindex
+        self.sign_index = (np.arange(k * d)[:, None] * q + engine.slot_perm[self.flat]).ravel()
+        self.table = engine.tables[self.factors]
+        self.table_hat = self.table @ engine.w.T
+        self.const = None
+        if d == 1:  # unary factors send their sign-reindexed table, whatever comes in
+            self.const = _normalize(self.table.ravel()[self.sign_index].reshape(k, q),
+                                    lambda i: engine.site(factors[i]), engine.real_mode)
+
+    def reindex(self, msgs: np.ndarray) -> np.ndarray:
+        """Row j of the (k*d, q) result is msgs row j at s*t mod q, s the slot's sign."""
+        return msgs.reshape(-1)[self.sign_index].reshape(msgs.shape)
 
 
 class _Engine:
-    """Message store and update rules; factor-to-variable messages are the state."""
+    """Message arrays and the batched update rules; factor-to-variable messages are the state.
+
+    Slots are (factor, position) pairs, numbered factor by factor.  Row s of
+    `msgs`, shape (n_slots + 1, q), is the message from slot s's factor to its
+    variable.  The last row is all ones; it pads `others[s]`, the other slots
+    of s's variable, to the largest variable degree, and the product of the
+    rows in `others[s]` is the variable-to-factor message into slot s.
+    """
 
     def __init__(self, nfg, cfg: BpConfig):
         self.cfg = cfg
-        self.alphabet: Alphabet = nfg.alphabet
-        q = self.alphabet.q
-        self.real_mode = bool(
-            np.abs(nfg.edge_tables.imag).max(initial=0.0) < 1e-12
-            and np.abs(nfg.vertex_tables.imag).max(initial=0.0) < 1e-12
-        )
-        self.w = self.alphabet.dft_matrix()
+        self.q = q = nfg.alphabet.q
+        self.num_edges = nfg.graph.num_edges
+        self.tables = np.concatenate([nfg.edge_tables, nfg.vertex_tables])
+        self.real_mode = bool(np.abs(self.tables.imag).max(initial=0.0) < 1e-12)
+        self.w = nfg.alphabet.dft_matrix()
         self.winv = np.conj(self.w) / q
-        self.factors, self.num_vars = _build_factors(nfg)
-        # sign-reindex lookup: perm[s][t] = index of s*t mod q, s in {-1,+1}
-        idx = np.arange(q)
-        self.perm = {1: idx, -1: (-idx) % q}
-        self.var_factors = [[] for _ in range(self.num_vars)]
-        for fi, f in enumerate(self.factors):
-            for slot, var in enumerate(f.vars):
-                self.var_factors[var].append((fi, slot))
-        self.msgs = {
-            (fi, slot): np.full(q, 1.0 / q, dtype=np.complex128)
-            for fi, f in enumerate(self.factors)
-            for slot in range(len(f.vars))
-        }
+        self.neg = (-np.arange(q)) % q
+        scopes, num_vars = _factor_scopes(nfg)
+        self.degrees = np.array([len(vs) for vs, _ in scopes], dtype=np.intp)
+        self.offsets = np.concatenate([[0], np.cumsum(self.degrees)[:-1]]).astype(np.intp)
+        n_slots = int(self.degrees.sum())
+        self.slot_factor = np.repeat(np.arange(len(scopes)), self.degrees)
+        self.slot_var = np.array([v for vs, _ in scopes for v in vs], dtype=np.intp)
+        signs = np.array([s for _, ss in scopes for s in ss], dtype=np.intp)
+        self.slot_perm = (signs[:, None] * np.arange(q)) % q  # t -> s*t mod q
+        var_slots = [[] for _ in range(num_vars)]
+        for slot, var in enumerate(self.slot_var):
+            var_slots[var].append(slot)
+        padded = np.full((num_vars, max(map(len, var_slots), default=0)), n_slots, dtype=np.intp)
+        for var, slots in enumerate(var_slots):
+            padded[var, : len(slots)] = slots
+        mine = padded[self.slot_var]
+        self.others = np.where(mine == np.arange(n_slots)[:, None], n_slots, mine)
+        self.msgs = np.full((n_slots + 1, q), 1.0 / q, dtype=np.complex128)
+        self.msgs[n_slots] = 1.0
+        self.groups = self._by_degree(range(len(scopes)))
+        if cfg.schedule == "flooding":
+            runs = [range(len(scopes))]
+        else:
+            # Sequential order, batched exactly: an update changes only the
+            # slots of its own variables, so a run of consecutive factors with
+            # disjoint scopes reads the same messages one by one or at once.
+            runs, seen = [[]], set()
+            for fi, (vs, _) in enumerate(scopes):
+                if seen.intersection(vs):
+                    runs.append([])
+                    seen = set()
+                runs[-1].append(fi)
+                seen.update(vs)
+        self.batches = []
+        for run in runs:
+            groups = self._by_degree(run)
+            self.batches.append((groups, np.concatenate([grp.flat for grp in groups])))
 
-    def _var_to_factor(self, var: int, exclude_fi: int) -> np.ndarray:
-        out = np.ones(self.alphabet.q, dtype=np.complex128)
-        for fi, slot in self.var_factors[var]:
-            if fi == exclude_fi:
-                continue
-            out *= self.msgs[(fi, slot)]
-        return _normalize(out, f"variable {var}", self.real_mode)
+    def _by_degree(self, factors) -> list:
+        by_degree = {}
+        for fi in factors:
+            by_degree.setdefault(int(self.degrees[fi]), []).append(fi)
+        return [_Group(self, fis) for fis in by_degree.values()]
 
-    def _factor_updates(self, fi: int) -> list:
-        """New outgoing messages of factor fi, one per slot, via DFT convolution."""
-        f = self.factors[fi]
-        d = len(f.vars)
-        q = self.alphabet.q
-        if d == 1:
-            msg = f.table[self.perm[f.signs[0]]]
-            return [_normalize(msg, str(f.site), self.real_mode)]
-        # incoming messages reindexed to t = s*z, then DFT for prefix/suffix products
-        hats = []
-        for slot in range(d):
-            inc = self._var_to_factor(f.vars[slot], fi)
-            hats.append(self.w @ inc[self.perm[f.signs[slot]]])
-        prefix = [np.ones(q, dtype=np.complex128)]
-        for h in hats[:-1]:
-            prefix.append(prefix[-1] * h)
-        suffix = [np.ones(q, dtype=np.complex128)]
-        for h in reversed(hats[1:]):
-            suffix.append(suffix[-1] * h)
-        suffix.reverse()
-        table_hat = self.w @ f.table
-        out = []
-        for slot in range(d):
-            others_hat = prefix[slot] * suffix[slot]
-            # g(u) = sum_w f(u + w) C(w) has DFT f^(k) * C^(-k)
-            corr_hat = table_hat * others_hat[(-np.arange(q)) % q]
-            g = self.winv @ corr_hat
-            msg = g[self.perm[f.signs[slot]]]
-            out.append(_normalize(msg, str(f.site), self.real_mode))
-        return out
+    def site(self, fi) -> str:
+        return f"edge {fi}" if fi < self.num_edges else f"vertex {fi - self.num_edges}"
+
+    def _incoming(self, grp: _Group) -> np.ndarray:
+        """Variable-to-factor messages into the group's slots, sign-reindexed: (k, d, q)."""
+        inc = self.msgs[grp.others].prod(axis=2).reshape(-1, self.q)
+        inc = _normalize(inc, lambda i: f"variable {self.slot_var[grp.flat[i]]}", self.real_mode)
+        return grp.reindex(inc).reshape(grp.slots.shape + (self.q,))
+
+    def _outgoing(self, grp: _Group) -> np.ndarray:
+        """New messages out of the group's slots, (k*d, q), via DFT convolution."""
+        if grp.const is not None:
+            return grp.const
+        hats = self._incoming(grp) @ self.w.T
+        ones = np.ones_like(hats[:, :1])
+        prefix = np.cumprod(np.concatenate([ones, hats[:, :-1]], axis=1), axis=1)
+        suffix = np.cumprod(np.concatenate([ones, hats[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+        # g(u) = sum_w f(u + w) C(w) has DFT f^(k) * C^(-k)
+        corr_hat = grp.table_hat[:, None, :] * (prefix * suffix)[:, :, self.neg]
+        msgs = grp.reindex((corr_hat @ self.winv.T).reshape(-1, self.q))
+        return _normalize(msgs, lambda i: self.site(self.slot_factor[grp.flat[i]]), self.real_mode)
 
     def iterate(self) -> float:
-        cfg = self.cfg
+        """One sweep; each batch's new messages are computed from those before it."""
+        keep = self.cfg.damping
         residual = 0.0
-        if cfg.schedule == "flooding":
-            new = {}
-            for fi in range(len(self.factors)):
-                for slot, msg in enumerate(self._factor_updates(fi)):
-                    new[(fi, slot)] = msg
-            for key, msg in new.items():
-                blended = (1 - cfg.damping) * msg + cfg.damping * self.msgs[key]
-                blended = _normalize(blended, f"factor slot {key}", self.real_mode)
-                residual = max(residual, float(np.abs(blended - self.msgs[key]).max()))
-                self.msgs[key] = blended
-        else:
-            for fi in range(len(self.factors)):
-                for slot, msg in enumerate(self._factor_updates(fi)):
-                    key = (fi, slot)
-                    blended = (1 - cfg.damping) * msg + cfg.damping * self.msgs[key]
-                    blended = _normalize(blended, f"factor slot {key}", self.real_mode)
-                    residual = max(residual, float(np.abs(blended - self.msgs[key]).max()))
-                    self.msgs[key] = blended
+        for groups, slots in self.batches:
+            new = np.concatenate([self._outgoing(grp) for grp in groups])
+            old = self.msgs[slots]
+            blended = _normalize((1 - keep) * new + keep * old,
+                                 lambda i: self.site(self.slot_factor[slots[i]]), self.real_mode)
+            residual = max(residual, float(np.abs(blended - old).max(initial=0.0)))
+            self.msgs[slots] = blended
         return residual
 
-    def beliefs(self):
-        """Kernel-argument beliefs: B(u) proportional to f(u) * conv of inputs at u."""
-        q = self.alphabet.q
-        edge_beliefs, vertex_beliefs = {}, {}
-        for fi, f in enumerate(self.factors):
-            if len(f.vars) == 1:
-                inc = self._var_to_factor(f.vars[0], fi)
-                conv = inc[self.perm[f.signs[0]]]
+    def beliefs(self) -> np.ndarray:
+        """Kernel-argument beliefs per factor: B(u) proportional to f(u) * conv of inputs at u."""
+        out = np.empty_like(self.tables)
+        for grp in self.groups:
+            inc = self._incoming(grp)
+            if inc.shape[1] == 1:
+                conv = inc[:, 0]
             else:
-                hat = np.ones(q, dtype=np.complex128)
-                for slot in range(len(f.vars)):
-                    inc = self._var_to_factor(f.vars[slot], fi)
-                    hat *= self.w @ inc[self.perm[f.signs[slot]]]
-                conv = self.winv @ hat
-            b = f.table * conv
-            total = b.sum()
-            if abs(total) == 0.0 or not np.isfinite(abs(total)):
-                raise DegenerateMessageError(f"belief at {f.site} cancelled to zero")
-            b = b / total
-            if self.real_mode:
-                b = b.real + 0.0j
-            kind, idx = f.site
-            (edge_beliefs if kind == "edge" else vertex_beliefs)[idx] = b
-        return edge_beliefs, vertex_beliefs
+                conv = np.prod(inc @ self.w.T, axis=1) @ self.winv.T
+            b = grp.table * conv
+            total = b.sum(axis=1)
+            bad = (np.abs(total) == 0.0) | ~np.isfinite(np.abs(total))
+            if bad.any():
+                fi = grp.factors[int(np.argmax(bad))]
+                raise DegenerateMessageError(f"belief at {self.site(fi)} cancelled to zero")
+            b = b / total[:, None]
+            out[grp.factors] = b.real + 0.0j if self.real_mode else b
+        return out
 
 
 def run_bp(nfg, cfg: BpConfig | None = None) -> BpResult:
@@ -261,17 +268,10 @@ def run_bp(nfg, cfg: BpConfig | None = None) -> BpResult:
         if residual < cfg.tol:
             converged = True
             break
-    edge_b, vertex_b = engine.beliefs()
-    g = nfg.graph
-    q = nfg.alphabet.q
-    edge_values = np.zeros((g.num_edges, q), dtype=np.complex128)
-    vertex_values = np.zeros((g.num_vertices, q), dtype=np.complex128)
-    for e, b in edge_b.items():
-        edge_values[e] = b
-    for v, b in vertex_b.items():
-        vertex_values[v] = b
+    beliefs = engine.beliefs()
+    edges = nfg.graph.num_edges
     domain = PRIMAL if isinstance(nfg, PrimalNFG) else DUAL
-    return BpResult(edge_values, vertex_values, domain, converged, iterations, residual)
+    return BpResult(beliefs[:edges], beliefs[edges:], domain, converged, iterations, residual)
 
 
 def relative_error(estimate, exact, mode: str = "first") -> float:

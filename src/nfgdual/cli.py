@@ -2,8 +2,9 @@
 
 Subcommands: model | exact | bp | gibbs | swp | map | gaussian | experiment |
 validate.  Exit codes: 0 success, 2 validation failure, 3 enumeration-budget
-refusal, 4 spec error.  The environment variable NFG_DUAL_BUDGET overrides
-the enumeration budget.
+refusal, 4 spec error, 5 BP failure (a sum-product message cancelled to
+zero).  The environment variable NFG_DUAL_BUDGET overrides the enumeration
+budget.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bp import BpConfig, run_bp
+from .bp import BpConfig, DegenerateMessageError, run_bp
 from .gaussian import (
     GmrfModel,
     exact_dual_vertex_variances,
@@ -50,6 +51,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_SPEC = 4
+EXIT_BP = 5
 
 
 def _fmt(value: complex) -> str:
@@ -277,6 +279,9 @@ def main(argv=None) -> int:
     except EnumerationBudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except DegenerateMessageError as exc:
+        print(f"BP failure: {exc}", file=sys.stderr)
+        return EXIT_BP
     except (SpecError, SamplerError, SingularMapError, FileNotFoundError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ meant to be orientation-invariant is tested as such.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +34,16 @@ class Alphabet:
         return np.exp(-2j * np.pi / self.q)
 
     def dft_matrix(self) -> np.ndarray:
-        """q x q Vandermonde matrix W[k, l] = omega**(k*l)."""
-        k = np.arange(self.q)
-        return self.omega ** np.outer(k, k)
+        """q x q Vandermonde matrix W[k, l] = omega**(k*l); built once per q, read-only."""
+        return _dft_matrix(self.q)
+
+
+@functools.lru_cache(maxsize=64)
+def _dft_matrix(q: int) -> np.ndarray:
+    k = np.arange(q)
+    w = Alphabet(q).omega ** np.outer(k, k)
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)

@@ -48,13 +48,35 @@ def _marginal_values(mv) -> tuple:
     return np.asarray(mv, dtype=np.complex128), ("edge", -1)
 
 
-def _require_nonzero(table: np.ndarray, role: str) -> None:
-    mags = np.abs(table)
-    if mags.size and mags.min() < _ZERO_REL_FLOOR * max(1.0, mags.max()):
+def _require_nonzero(tables: np.ndarray, role: str) -> None:
+    """Refuse any row with an entry below 1e-12 of that row's scale."""
+    mags = np.abs(tables)
+    if not mags.size:
+        return
+    bad = mags.min(axis=1) < _ZERO_REL_FLOOR * np.maximum(1.0, mags.max(axis=1))
+    if bad.any():
+        where = "" if len(tables) == 1 else f" {int(np.argmax(bad))}"
         raise SingularMapError(
-            f"{role} table has a zero entry; the local map is singular "
+            f"{role} table{where} has a zero entry; the local map is singular "
             "(zero-coupling edges must be perturbed by >= 1e-9)"
         )
+
+
+def _map_rows(values, source, target, role: str, inverse: bool = False) -> np.ndarray:
+    """Local map of every row at once: target * DFT(values / source).
+
+    The forward DFT carries dual marginals to primal ones; inverse=True
+    applies the inverse DFT, with its 1/q, for the way back.  All three
+    arguments are (n, q) arrays; every row of `source` must be nonsingular.
+    """
+    if not (values.shape == source.shape == target.shape):
+        raise ValueError("marginal and factor tables must share one alphabet size")
+    _require_nonzero(source, role)
+    q = values.shape[1]
+    w = Alphabet(q).dft_matrix()
+    if inverse:
+        return _truncate_imag(target * ((values / source) @ np.conj(w).T) / q)
+    return _truncate_imag(target * ((values / source) @ w.T))
 
 
 def map_dual_to_primal(mv, primal_table, dual_table) -> MarginalVector:
@@ -65,13 +87,8 @@ def map_dual_to_primal(mv, primal_table, dual_table) -> MarginalVector:
     """
     values, site = _marginal_values(mv)
     psi, psit = _table(primal_table), _table(dual_table)
-    q = len(values)
-    if not (len(psi) == len(psit) == q):
-        raise ValueError("marginal and factor tables must share one alphabet size")
-    _require_nonzero(psit, "dual factor")
-    w = Alphabet(q).dft_matrix()
-    out = psi * (w @ (values / psit))
-    return MarginalVector(_truncate_imag(out), site, PRIMAL)
+    out = _map_rows(values[None], psit[None], psi[None], "dual factor")
+    return MarginalVector(out[0], site, PRIMAL)
 
 
 def map_primal_to_dual(mv, primal_table, dual_table) -> MarginalVector:
@@ -81,13 +98,8 @@ def map_primal_to_dual(mv, primal_table, dual_table) -> MarginalVector:
     """
     values, site = _marginal_values(mv)
     psi, psit = _table(primal_table), _table(dual_table)
-    q = len(values)
-    if not (len(psi) == len(psit) == q):
-        raise ValueError("marginal and factor tables must share one alphabet size")
-    _require_nonzero(psi, "primal factor")
-    w = np.conj(Alphabet(q).dft_matrix())
-    out = psit * (w @ (values / psi)) / q
-    return MarginalVector(_truncate_imag(out), site, DUAL)
+    out = _map_rows(values[None], psi[None], psit[None], "primal factor", inverse=True)
+    return MarginalVector(out[0], site, DUAL)
 
 
 def fixed_point(primal_table, dual_table) -> MarginalVector:

@@ -164,13 +164,12 @@ class DualNFG(_BaseNFG):
 
 def dualize(p: PrimalNFG) -> DualNFG:
     """Replace every factor table by its forward DFT; the graph is unchanged."""
-    a = p.alphabet
+    w = p.alphabet.dft_matrix()
     return DualNFG(
         p.graph,
-        a,
-        np.stack([dft_table(t, a) for t in p.edge_tables]) if p.graph.num_edges else
-        np.zeros((0, a.q), dtype=np.complex128),
-        np.stack([dft_table(t, a) for t in p.vertex_tables]),
+        p.alphabet,
+        _truncate_imag(p.edge_tables @ w.T),
+        _truncate_imag(p.vertex_tables @ w.T),
     )
 
 

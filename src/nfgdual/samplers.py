@@ -16,7 +16,7 @@ import numpy as np
 
 from .bp import BpConfig, run_bp
 from .graphs import betti
-from .mapping import SingularMapError, map_dual_to_primal
+from .mapping import SingularMapError, _map_rows
 from .nfg import DUAL, PRIMAL, DualNFG, MarginalVector, PrimalNFG, dualize, is_nonnegative
 
 
@@ -42,6 +42,8 @@ class SamplerConfig:
             raise ValueError("samples must be >= 1")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if self.sweep not in ("systematic", "random"):
             raise ValueError(f"unknown sweep strategy {self.sweep!r}")
 
@@ -79,15 +81,22 @@ def _site_order(n: int, sweep: str, rng) -> list:
     return [int(i) for i in rng.integers(0, n, size=n)]
 
 
-def _draw(weights: list, rng) -> int:
+def _draw(weights: list, rng, kind: str, site: int) -> int:
+    """Heat-bath draw of a state with probability proportional to its weight."""
     total = sum(weights)
+    if total <= 0.0:
+        raise SamplerError(
+            f"every state of {kind} {site} has zero weight given its neighbors "
+            "(a hard constraint the current configuration violates)"
+        )
     u = rng.random() * total
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w
         if u < acc:
             return i
-    return len(weights) - 1
+    # u can round up to total itself; the draw then belongs to the last weighted state
+    return max(i for i, w in enumerate(weights) if w > 0.0)
 
 
 def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> SampleEstimates:
@@ -122,7 +131,7 @@ def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> SampleEstimates:
                     y = (a - x[other]) % q if is_tail else (x[other] - a) % q
                     w *= table[y]
                 weights.append(w)
-            x[v] = _draw(weights, rng)
+            x[v] = _draw(weights, rng, "vertex", v)
         if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
             retained += 1
             for v in range(g.num_vertices):
@@ -178,7 +187,7 @@ def gibbs_dual(d: DualNFG, cfg: SamplerConfig) -> SampleEstimates:
                 psit[e][a] * phit[t][(base_t + a) % q] * phit[h][(base_h - a) % q]
                 for a in range(q)
             ]
-            new = _draw(weights, rng)
+            new = _draw(weights, rng, "edge", e)
             if new != cur:
                 y[e] = new
                 xt[t] = (base_t + new) % q
@@ -398,18 +407,11 @@ def estimate_primal_via_dual(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    q = p.alphabet.q
-    edge_values = np.zeros((p.graph.num_edges, q), dtype=np.complex128)
-    for e in range(p.graph.num_edges):
-        edge_values[e] = map_dual_to_primal(
-            dual_est.edge(e), p.edge_tables[e], d.edge_tables[e]
-        ).values
-    vertex_values = np.zeros((p.graph.num_vertices, q), dtype=np.complex128)
+    edge_values = _map_rows(dual_est.edge_values, d.edge_tables, p.edge_tables, "dual edge")
     try:
-        for v in range(p.graph.num_vertices):
-            vertex_values[v] = map_dual_to_primal(
-                dual_est.vertex(v), p.vertex_tables[v], d.vertex_tables[v]
-            ).values
+        vertex_values = _map_rows(
+            dual_est.vertex_values, d.vertex_tables, p.vertex_tables, "dual vertex"
+        )
     except SingularMapError:
         vertex_values = None
     return PrimalEstimates(edge_values, vertex_values, dual_est, converged)

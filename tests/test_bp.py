@@ -6,7 +6,7 @@ import pytest
 from nfgdual.bp import BpConfig, BpResult, DegenerateMessageError, relative_error, run_bp
 from nfgdual.graphs import Graph, grid_graph, path_graph, ring_graph
 from nfgdual.mapping import map_dual_to_primal, map_primal_to_dual
-from nfgdual.nfg import DualNFG, dualize, ising_model, potts_model
+from nfgdual.nfg import DualNFG, PrimalNFG, clock_model, dualize, ising_model, potts_model
 from nfgdual.oracle import marginals_dual, marginals_primal
 
 
@@ -41,6 +41,85 @@ def factor_graph_diameter(nfg, domain):
     return diameter
 
 
+def reference_bp(nfg, cfg):
+    """Sum-product one message at a time, with the engine's update rules.
+
+    The batched engine must reproduce this loop: the same iteration count and
+    beliefs to 1e-12 (the products and DFTs are grouped differently, so the
+    two can differ in the last bits).
+    """
+    g, q = nfg.graph, nfg.alphabet.q
+    if isinstance(nfg, PrimalNFG):
+        scopes = [((t, h), (1, -1)) for t, h in g.edges] + [((v,), (1,)) for v in range(g.num_vertices)]
+    else:
+        scopes = [((e,), (1,)) for e in range(g.num_edges)] + [
+            (tuple(g.incident_edges(v)), tuple(1 if g.edges[e][0] == v else -1
+                                               for e in g.incident_edges(v)))
+            for v in range(g.num_vertices)
+        ]
+    tables = np.concatenate([nfg.edge_tables, nfg.vertex_tables])
+    real = np.abs(tables.imag).max() < 1e-12
+    w = np.exp(-2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q)
+    perm = {1: np.arange(q), -1: (-np.arange(q)) % q}
+
+    def normalize(m):
+        m = m / np.abs(m).sum()
+        if real:
+            return m.real + 0j
+        lead = m[np.argmax(np.abs(m))]
+        return m * np.conj(lead / abs(lead))
+
+    msgs = {(f, j): np.full(q, 1 / q, dtype=complex) for f, (vs, _) in enumerate(scopes)
+            for j in range(len(vs))}
+
+    def incoming(f):
+        out = []
+        for var, sign in zip(*scopes[f]):
+            m = np.ones(q, dtype=complex)
+            for (f2, j2), msg in msgs.items():
+                if f2 != f and scopes[f2][0][j2] == var:
+                    m = m * msg
+            out.append(normalize(m)[perm[sign]])
+        return out
+
+    def updates(f):
+        vs, signs = scopes[f]
+        if len(vs) == 1:
+            return [normalize(tables[f][perm[signs[0]]])]
+        hats = [w @ m for m in incoming(f)]
+        out = []
+        for j, sign in enumerate(signs):
+            others = np.prod([h for i, h in enumerate(hats) if i != j], axis=0)
+            g_ = np.conj(w) @ ((w @ tables[f]) * others[(-np.arange(q)) % q]) / q
+            out.append(normalize(g_[perm[sign]]))
+        return out
+
+    def store(new):
+        res = 0.0
+        for key, m in new.items():
+            b = normalize((1 - cfg.damping) * m + cfg.damping * msgs[key])
+            res = max(res, float(np.abs(b - msgs[key]).max()))
+            msgs[key] = b
+        return res
+
+    for it in range(1, cfg.max_iters + 1):
+        if cfg.schedule == "flooding":
+            residual = store({(f, j): m for f in range(len(scopes))
+                              for j, m in enumerate(updates(f))})
+        else:
+            residual = max(store({(f, j): m for j, m in enumerate(updates(f))})
+                           for f in range(len(scopes)))
+        if residual < cfg.tol:
+            break
+    beliefs = []
+    for f in range(len(scopes)):
+        inc = incoming(f)
+        conv = inc[0] if len(inc) == 1 else np.conj(w) @ np.prod([w @ m for m in inc], axis=0) / q
+        b = tables[f] * conv
+        beliefs.append(b / b.sum())
+    return it, np.array(beliefs)
+
+
 class TestTreeExactness:
     @pytest.mark.parametrize("domain", ["primal", "dual"])
     def test_chain_matches_oracle_within_diameter(self, domain):
@@ -66,6 +145,40 @@ class TestTreeExactness:
         d = dualize(p)
         oracle = marginals_dual(d)
         res = run_bp(d, BpConfig(damping=0.0))
+        assert res.converged
+        assert np.abs(res.edge_values - oracle.edge_values).max() < 1e-10
+        assert np.abs(res.vertex_values - oracle.vertex_values).max() < 1e-10
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("schedule", ["flooding", "sequential"])
+    @pytest.mark.parametrize("make", [
+        lambda: ising_model(grid_graph(3, 4, periodic=True), 0.45, 0.1),
+        lambda: dualize(ising_model(grid_graph(3, 3, periodic=True), 0.4, 0.2)),
+        lambda: dualize(potts_model(grid_graph(2, 3), 3, [0.4, -0.3, 0.5, -0.2, 0.3, 0.6, -0.4], -0.2)),
+        lambda: dualize(clock_model(Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), 4, -0.5)),
+        lambda: DualNFG(Graph(3, [(0, 1), (1, 2), (2, 0)]), potts_model(path_graph(2), 3, 0.1).alphabet,
+                        [[1, 0.5j, -0.2], [0.7, 1j, 0.3], [1 + 1j, 0.2, 0.4]],
+                        np.exp(1j * np.arange(9).reshape(3, 3))),
+    ], ids=["primal-torus", "dual-torus", "signed-potts-dual", "clock-dual", "complex-dual"])
+    def test_matches_message_by_message_loop(self, make, schedule):
+        nfg = make()
+        cfg = BpConfig(damping=0.3, tol=1e-10, max_iters=500, schedule=schedule)
+        res = run_bp(nfg, cfg)
+        iterations, beliefs = reference_bp(nfg, cfg)
+        assert res.iterations == iterations
+        got = np.concatenate([res.edge_values, res.vertex_values])
+        assert np.abs(got - beliefs).max() < 1e-12
+
+    @pytest.mark.parametrize("schedule", ["flooding", "sequential"])
+    def test_tree_with_factor_degrees_one_to_four(self, schedule):
+        # dual vertex factors of degree 4, 3, 2 and 1 run as separate groups
+        g = Graph(8, [(0, 1), (0, 2), (0, 3), (4, 0), (1, 5), (6, 1), (2, 7)])
+        p = potts_model(g, 3, [0.7, -0.4, 0.3, 0.9, -0.6, 0.5, 0.2], 0.25)
+        d = dualize(p)
+        assert sorted({g.degree(v) for v in range(8)}) == [1, 2, 3, 4]
+        res = run_bp(d, BpConfig(damping=0.0, schedule=schedule))
+        oracle = marginals_dual(d)
         assert res.converged
         assert np.abs(res.edge_values - oracle.edge_values).max() < 1e-10
         assert np.abs(res.vertex_values - oracle.vertex_values).max() < 1e-10
@@ -108,6 +221,17 @@ class TestLoopyBehavior:
         assert res.iterations == 40
         assert np.isfinite(res.residual)
 
+    def test_schedules_share_fixed_point_on_torus(self):
+        rng = np.random.default_rng(3)
+        g = grid_graph(6, 6, periodic=True)
+        p = ising_model(g, rng.uniform(0.2, 0.3, g.num_edges), rng.uniform(0.1, 0.2, 36))
+        cfg = BpConfig(tol=1e-12)
+        rf = run_bp(p, cfg)
+        rs = run_bp(p, BpConfig(tol=1e-12, schedule="sequential"))
+        assert rf.converged and rs.converged
+        assert np.abs(rf.edge_values - rs.edge_values).max() < 1e-10
+        assert np.abs(rf.vertex_values - rs.vertex_values).max() < 1e-10
+
     def test_primal_and_dual_fixed_points_correspond(self):
         # the local map carries one domain's BP fixed point onto the other's
         p = ising_model(grid_graph(3, 3, periodic=True), 0.6, 0.15)
@@ -147,6 +271,15 @@ class TestSignedDual:
         )
         with pytest.raises(DegenerateMessageError, match="edge"):
             run_bp(d)
+
+    def test_zero_message_out_of_a_multi_variable_factor(self):
+        # vertex 1 is a degree-2 factor whose table vanishes
+        g = path_graph(3)
+        d = DualNFG(g, ising_model(g, 0.5).alphabet, np.ones((2, 2)),
+                    [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        for schedule in ("flooding", "sequential"):
+            with pytest.raises(DegenerateMessageError, match="message at vertex 1 "):
+                run_bp(d, BpConfig(schedule=schedule))
 
 
 class TestRelativeError:

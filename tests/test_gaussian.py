@@ -153,6 +153,12 @@ class TestGibbs:
         mapped = map_variance_dual_to_primal(5.0, res.derived_trajectory[-1])
         assert abs(mapped - exact) / exact < 5e-3
 
+    def test_negative_burn_in_refused(self):
+        # it used to leave the tail of the trajectory uninitialised
+        m = GmrfModel(grid_graph(4, 4, periodic=True), s=2.0, sigma=1.0)
+        with pytest.raises(ValueError, match="burn_in"):
+            gmrf_dual_gibbs(m, SamplerConfig(seed=1, samples=10, burn_in=-4))
+
     def test_random_scan_not_supported(self):
         m = GmrfModel(path_graph(2), 1.0, 1.0)
         with pytest.raises(ValueError, match="systematic"):

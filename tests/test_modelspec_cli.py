@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from nfgdual import cli
+from nfgdual.bp import DegenerateMessageError
 from nfgdual.cli import main
 from nfgdual.gaussian import GmrfModel
 from nfgdual.modelspec import (
@@ -175,6 +177,15 @@ class TestCli:
                                                  "topology": {"type": "ring", "n": 3}})
         assert main(["model", "--spec", spec]) == 4
         assert main(["model", "--spec", str(tmp_path / "missing.json")]) == 4
+
+    def test_bp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        def degenerate(nfg, cfg):
+            raise DegenerateMessageError("message at vertex 0 cancelled to zero")
+
+        monkeypatch.setattr(cli, "run_bp", degenerate)
+        spec = write_spec(tmp_path, "m.json", TRIANGLE_SPEC)
+        assert main(["bp", "--spec", spec]) == 5
+        assert "vertex 0" in capsys.readouterr().err
 
     def test_env_budget_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NFG_DUAL_BUDGET", "4")

@@ -5,8 +5,9 @@ seeds chosen with comfortable z-margins."""
 import numpy as np
 import pytest
 
-from nfgdual.graphs import Graph, betti, grid_graph, path_graph, ring_graph
-from nfgdual.nfg import DualNFG, dualize, ising_model, potts_model
+from nfgdual.graphs import Alphabet, Graph, betti, grid_graph, path_graph, ring_graph
+from nfgdual.mapping import SingularMapError, map_dual_to_primal
+from nfgdual.nfg import DualNFG, PrimalNFG, dualize, ising_model, potts_model
 from nfgdual.oracle import chain_ising_marginals, marginals_dual, marginals_primal
 from nfgdual.samplers import (
     PrimalEstimates,
@@ -40,6 +41,12 @@ class TestConfig:
             SamplerConfig(seed=1, thinning=0)
         with pytest.raises(ValueError):
             SamplerConfig(seed=1, sweep="zigzag")
+
+    def test_negative_burn_in_refused(self):
+        # it used to shorten the retained run, down to 0/0 = NaN marginals
+        with pytest.raises(ValueError, match="burn_in"):
+            gibbs_primal(ising_model(triangle(), 0.5, 0.1),
+                         SamplerConfig(seed=1, samples=5, burn_in=-10))
 
     def test_default_burn_in_scales_with_variables(self):
         cfg = SamplerConfig(seed=1)
@@ -89,6 +96,15 @@ class TestGibbsPrimal:
         est = gibbs_primal(p, SamplerConfig(seed=5, samples=20_000, sweep="random"))
         exact = np.exp(0.8) / (2 * np.cosh(0.8))
         assert abs(est.edge_values[0, 0] - exact) < 4 * binomial_sigma(exact, 20_000)
+
+    def test_zero_weight_conditional_refused(self):
+        # hard equality on every edge and x_0 forced to 1: the all-zero start
+        # state has zero weight, and vertex 0 has no state to move to
+        g = path_graph(3)
+        p = PrimalNFG(g, Alphabet(2), [[1.0, 0.0], [1.0, 0.0]],
+                      [[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(SamplerError, match="vertex 0"):
+            gibbs_primal(p, SamplerConfig(seed=1, samples=10))
 
     def test_signed_model_refused(self):
         p = ising_model(triangle(), 0.5)
@@ -237,6 +253,24 @@ class TestEstimateViaDual:
         est = estimate_primal_via_dual(p, "bp_dual")
         assert est.converged
         assert np.abs(est.edge_values - om.edge_values).max() < 0.05
+
+    def test_batched_maps_match_per_site_maps(self):
+        p = potts_model(grid_graph(3, 3, periodic=True), 3, 0.3, 0.2)
+        d = dualize(p)
+        est = estimate_primal_via_dual(p, "bp_dual")
+        dual = est.dual_estimates
+        for e in range(p.graph.num_edges):
+            one = map_dual_to_primal(dual.edge(e), p.edge_tables[e], d.edge_tables[e])
+            assert np.abs(one.values - est.edge_values[e]).max() < 1e-14
+        for v in range(p.graph.num_vertices):
+            one = map_dual_to_primal(dual.vertex(v), p.vertex_tables[v], d.vertex_tables[v])
+            assert np.abs(one.values - est.vertex_values[v]).max() < 1e-14
+
+    def test_singular_edge_map_raises(self):
+        # bJ = 0 makes psi~_1 = 2 sinh 0 vanish at edge 1
+        p = ising_model(ring_graph(4), [0.5, 0.0, 0.4, 0.3], 0.2)
+        with pytest.raises(SingularMapError, match="dual edge table 1 "):
+            estimate_primal_via_dual(p, "bp_dual")
 
     def test_estimates_stay_normalized(self):
         p = ising_model(grid_graph(2, 2, periodic=True), 0.6, 0.3)
