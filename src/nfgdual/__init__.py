@@ -19,14 +19,11 @@ from .graphs import (
 )
 from .nfg import (
     DualNFG,
-    Factor,
     MarginalVector,
     PrimalNFG,
     clock_model,
-    dft,
     dft_table,
     dualize,
-    idft,
     idft_table,
     ising_model,
     is_nonnegative,
@@ -36,16 +33,12 @@ from .oracle import (
     EnumerationBudgetError,
     chain_ising_marginals,
     duality_check,
-    edge_marginals_dual,
-    edge_marginals_primal,
     enumeration_budget,
     marginals_dual,
     marginals_primal,
     partition_dual,
     partition_primal,
     ring_potts_marginals,
-    vertex_marginals_dual,
-    vertex_marginals_primal,
 )
 from .mapping import (
     CLOCK4_CRITICAL,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nfg import DUAL, PRIMAL, DualNFG, MarginalVector, PrimalNFG
+from .nfg import DUAL, PRIMAL, MarginalVector, PrimalNFG, _factor_view
 
 
 class DegenerateMessageError(RuntimeError):
@@ -66,27 +66,6 @@ class BpResult:
 
     def vertex(self, v: int) -> MarginalVector:
         return MarginalVector(self.vertex_values[v], ("vertex", v), self.domain)
-
-
-def _factor_scopes(nfg) -> tuple:
-    """(variables, signs) of every factor plus the variable count.
-
-    Factor e is edge e and factor |E| + v is vertex v, in both domains.
-    """
-    g = nfg.graph
-    if isinstance(nfg, PrimalNFG):
-        scopes = [((t, h), (1, -1)) for t, h in g.edges]
-        scopes += [((v,), (1,)) for v in range(g.num_vertices)]
-        return scopes, g.num_vertices
-    if isinstance(nfg, DualNFG):
-        incident = [[] for _ in range(g.num_vertices)]
-        for e, (t, h) in enumerate(g.edges):  # tail sees +y~_e, head sees -y~_e
-            incident[t].append((e, 1))
-            incident[h].append((e, -1))
-        scopes = [((e,), (1,)) for e in range(g.num_edges)]
-        scopes += [(tuple(e for e, _ in inc), tuple(s for _, s in inc)) for inc in incident]
-        return scopes, g.num_edges
-    raise TypeError(f"expected PrimalNFG or DualNFG, got {type(nfg).__name__}")
 
 
 def _normalize(msgs: np.ndarray, name, real_mode: bool = False) -> np.ndarray:
@@ -147,12 +126,11 @@ class _Engine:
         self.cfg = cfg
         self.q = q = nfg.alphabet.q
         self.num_edges = nfg.graph.num_edges
-        self.tables = np.concatenate([nfg.edge_tables, nfg.vertex_tables])
+        scopes, num_vars, self.tables = _factor_view(nfg)
         self.real_mode = bool(np.abs(self.tables.imag).max(initial=0.0) < 1e-12)
         self.w = nfg.alphabet.dft_matrix()
         self.winv = np.conj(self.w) / q
         self.neg = (-np.arange(q)) % q
-        scopes, num_vars = _factor_scopes(nfg)
         self.degrees = np.array([len(vs) for vs, _ in scopes], dtype=np.intp)
         self.offsets = np.concatenate([[0], np.cumsum(self.degrees)[:-1]]).astype(np.intp)
         n_slots = int(self.degrees.sum())

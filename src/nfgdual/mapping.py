@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Alphabet
-from .nfg import DUAL, PRIMAL, Factor, MarginalVector, _truncate_imag
+from .nfg import DUAL, PRIMAL, MarginalVector, _truncate_imag
 
 _ZERO_REL_FLOOR = 1e-12
 
@@ -37,8 +37,6 @@ class SingularMapError(ValueError):
 
 
 def _table(obj) -> np.ndarray:
-    if isinstance(obj, Factor):
-        return obj.values
     return np.asarray(obj, dtype=np.complex128)
 
 

@@ -6,7 +6,8 @@ y_e = x_tail - x_head (mod q) for every edge with a vertex table phi_v
 evaluated at x_v for every vertex.  Dualization replaces every table by its
 unnormalized forward DFT and flips the role of vertex and edge configurations:
 in the dual domain the free variables are the edge values y~ and the vertex
-values are derived as x~ = M^T y~.
+values are derived as x~ = M^T y~.  `_factor_view` states both domains in the
+one shape that BP, the enumeration oracle and the Gibbs samplers read.
 """
 
 from __future__ import annotations
@@ -24,27 +25,6 @@ DUAL = "dual"
 
 
 @dataclass(frozen=True)
-class Factor:
-    """A length-q complex table located at one edge or one vertex."""
-
-    values: np.ndarray
-    site: tuple  # ("edge", index) or ("vertex", index)
-    domain: str = PRIMAL
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))
-        kind = self.site[0]
-        if kind not in ("edge", "vertex"):
-            raise ValueError(f"factor site kind must be 'edge' or 'vertex', got {kind!r}")
-        if self.domain not in (PRIMAL, DUAL):
-            raise ValueError(f"unknown domain tag {self.domain!r}")
-
-    @property
-    def q(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class MarginalVector:
     """Length-q marginal over one edge or vertex, tagged with its domain.
 
@@ -59,14 +39,6 @@ class MarginalVector:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))
-
-    def real_values(self, tol: float = 1e-9) -> np.ndarray:
-        """Real parts, refusing if a significant imaginary residue is present."""
-        imag = np.abs(self.values.imag).max() if len(self.values) else 0.0
-        scale = max(1.0, np.abs(self.values).max()) if len(self.values) else 1.0
-        if imag > tol * scale:
-            raise ValueError(f"marginal at {self.site} has imaginary residue {imag:.3e}")
-        return self.values.real.copy()
 
 
 def _truncate_imag(values: np.ndarray, tol: float = IMAG_TRUNCATION) -> np.ndarray:
@@ -90,20 +62,6 @@ def idft_table(values: np.ndarray, a: Alphabet) -> np.ndarray:
     if values.shape != (a.q,):
         raise ValueError(f"table length {values.shape} != alphabet size {a.q}")
     return _truncate_imag(np.conj(a.dft_matrix()) @ values / a.q)
-
-
-def _flip(domain: str) -> str:
-    return DUAL if domain == PRIMAL else PRIMAL
-
-
-def dft(f: Factor, a: Alphabet) -> Factor:
-    """Forward DFT of a factor; the domain tag flips."""
-    return Factor(dft_table(f.values, a), f.site, _flip(f.domain))
-
-
-def idft(f: Factor, a: Alphabet) -> Factor:
-    """Inverse DFT of a factor; idft(dft(f)) == f up to round-off."""
-    return Factor(idft_table(f.values, a), f.site, _flip(f.domain))
 
 
 class _BaseNFG:
@@ -131,12 +89,6 @@ class _BaseNFG:
                 f"expected {(graph.num_vertices, q)}"
             )
 
-    def edge_factor(self, e: int) -> Factor:
-        return Factor(self.edge_tables[e], ("edge", e), self.domain)
-
-    def vertex_factor(self, v: int) -> Factor:
-        return Factor(self.vertex_tables[v], ("vertex", v), self.domain)
-
 
 class PrimalNFG(_BaseNFG):
     """Primal model: pi_p(x) proportional to prod_e psi_e(y_e(x)) * prod_v phi_v(x_v)."""
@@ -160,6 +112,34 @@ class DualNFG(_BaseNFG):
     """
 
     domain = DUAL
+
+
+def _factor_view(model) -> tuple:
+    """(scopes, variable count, stacked tables) of a model in either domain.
+
+    Both domains are one shape: factor i is tables[i] evaluated at the signed
+    sum of its scope's variables, s_1 z_1 + ... + s_d z_d mod q.  Factor e is
+    edge e and factor |E| + v is vertex v; scopes[i] is (variables, signs).
+    Primal: the variables are the vertex values, edge e sees x_tail - x_head
+    and vertex v sees x_v.  Dual: the variables are the edge values, edge e
+    sees y~_e and vertex v sees (M^T y~)_v, where the tail of an edge sees
+    +y~_e and its head -y~_e.
+    """
+    g = model.graph
+    tables = np.concatenate([model.edge_tables, model.vertex_tables])
+    if isinstance(model, PrimalNFG):
+        scopes = [((t, h), (1, -1)) for t, h in g.edges]
+        scopes += [((v,), (1,)) for v in range(g.num_vertices)]
+        return scopes, g.num_vertices, tables
+    if isinstance(model, DualNFG):
+        incident = [[] for _ in range(g.num_vertices)]
+        for e, (t, h) in enumerate(g.edges):
+            incident[t].append((e, 1))
+            incident[h].append((e, -1))
+        scopes = [((e,), (1,)) for e in range(g.num_edges)]
+        scopes += [(tuple(e for e, _ in inc), tuple(s for _, s in inc)) for inc in incident]
+        return scopes, g.num_edges, tables
+    raise TypeError(f"expected PrimalNFG or DualNFG, got {type(model).__name__}")
 
 
 def dualize(p: PrimalNFG) -> DualNFG:

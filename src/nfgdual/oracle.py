@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Alphabet, Graph, build_incidence, scale_factor
-from .nfg import DualNFG, MarginalVector, PrimalNFG, dft_table, dualize
+from .graphs import Alphabet, Graph, scale_factor
+from .nfg import DualNFG, MarginalVector, PrimalNFG, _factor_view, dft_table, dualize
 
 DEFAULT_BUDGET = 2 ** 26
 BUDGET_ENV_VAR = "NFG_DUAL_BUDGET"
@@ -44,15 +44,6 @@ def _check_budget(num_states: int, budget: int | None, what: str) -> None:
         )
 
 
-def _digit_chunks(n_digits: int, q: int):
-    """Yield (m, n_digits) int64 arrays covering all q**n_digits configurations."""
-    total = q ** n_digits
-    powers = q ** np.arange(n_digits, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        yield (idx[:, None] // powers[None, :]) % q
-
-
 @dataclass
 class OracleMarginals:
     """Partition function plus every edge and vertex marginal of one domain."""
@@ -69,58 +60,52 @@ class OracleMarginals:
         return MarginalVector(self.vertex_values[v], ("vertex", v), self.domain)
 
 
-def _enumerate_primal(p: PrimalNFG, budget=None, skip_edge: int | None = None):
-    """One pass over all vertex configs: returns (Z, edge sums, vertex sums).
+def _enumerate(model, budget=None, skip_factor: int | None = None):
+    """One pass over every configuration of the model's free variables.
 
-    With skip_edge set, that edge's table is struck from the product, so the
-    edge-sum row for it is the extrinsic vector S_e.
+    Returns (Z, sums), where row i of sums accumulates the weight of each
+    configuration at factor i's argument (factor numbering of _factor_view:
+    edge rows first, then vertex rows).  With skip_factor set, that factor's
+    table is struck from the product, so for an edge e its row is the
+    extrinsic vector S_e.
     """
-    g, q = p.graph, p.alphabet.q
-    _check_budget(q ** g.num_vertices, budget, "primal enumeration")
-    m = build_incidence(g).astype(np.int64)
-    edge_acc = np.zeros((g.num_edges, q), dtype=np.complex128)
-    vertex_acc = np.zeros((g.num_vertices, q), dtype=np.complex128)
+    scopes, num_vars, tables = _factor_view(model)
+    q = model.alphabet.q
+    total = q ** num_vars
+    _check_budget(total, budget, f"{model.domain} enumeration")
+    # A factor reading one variable with sign +1 takes that variable's digit
+    # row as it is; the others get their signed sums from one matmul.
+    direct = [vs[0] if ss == (1,) else None for vs, ss in scopes]
+    summed = [i for i, var in enumerate(direct) if var is None]
+    signs = np.zeros((len(summed), num_vars), dtype=np.int64)
+    for row, i in enumerate(summed):
+        for var, sign in zip(*scopes[i]):
+            signs[row, var] += sign
+    powers = q ** np.arange(num_vars, dtype=np.int64)
+    sums = np.zeros((len(scopes), q), dtype=np.complex128)
     z = 0.0 + 0.0j
-    for x in _digit_chunks(g.num_vertices, q):
-        y = (x @ m.T) % q
-        w = np.ones(x.shape[0], dtype=np.complex128)
-        for e in range(g.num_edges):
-            if e == skip_edge:
-                continue
-            w *= p.edge_tables[e][y[:, e]]
-        for v in range(g.num_vertices):
-            w *= p.vertex_tables[v][x[:, v]]
+    for lo in range(0, total, _CHUNK):
+        digits = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64) // powers[:, None]
+        digits %= q
+        rows = signs @ digits
+        rows %= q
+        args = [None if var is None else digits[var] for var in direct]
+        for row, i in enumerate(summed):
+            args[i] = rows[row]
+        w = np.ones(digits.shape[1], dtype=np.complex128)
+        for i, arg in enumerate(args):
+            if i != skip_factor:
+                w *= tables[i][arg]
         z += w.sum()
-        for e in range(g.num_edges):
-            np.add.at(edge_acc[e], y[:, e], w)
-        for v in range(g.num_vertices):
-            np.add.at(vertex_acc[v], x[:, v], w)
-    return z, edge_acc, vertex_acc
+        for i, arg in enumerate(args):
+            np.add.at(sums[i], arg, w)
+    return z, sums
 
 
-def _enumerate_dual(d: DualNFG, budget=None, skip_edge: int | None = None):
-    """One pass over all edge configs y~; vertex statistics use x~ = M^T y~."""
-    g, q = d.graph, d.alphabet.q
-    _check_budget(q ** g.num_edges, budget, "dual enumeration")
-    m = build_incidence(g).astype(np.int64)
-    edge_acc = np.zeros((g.num_edges, q), dtype=np.complex128)
-    vertex_acc = np.zeros((g.num_vertices, q), dtype=np.complex128)
-    z = 0.0 + 0.0j
-    for yt in _digit_chunks(g.num_edges, q):
-        xt = (yt @ m) % q
-        w = np.ones(yt.shape[0], dtype=np.complex128)
-        for e in range(g.num_edges):
-            if e == skip_edge:
-                continue
-            w *= d.edge_tables[e][yt[:, e]]
-        for v in range(g.num_vertices):
-            w *= d.vertex_tables[v][xt[:, v]]
-        z += w.sum()
-        for e in range(g.num_edges):
-            np.add.at(edge_acc[e], yt[:, e], w)
-        for v in range(g.num_vertices):
-            np.add.at(vertex_acc[v], xt[:, v], w)
-    return z, edge_acc, vertex_acc
+def _marginals(model, budget, norm: float = 1.0) -> OracleMarginals:
+    z, sums = _enumerate(model, budget)
+    e = model.graph.num_edges
+    return OracleMarginals(z * norm, sums[:e] / z, sums[e:] / z, model.domain)
 
 
 def _dual_indicator_norm(g: Graph, a: Alphabet) -> float:
@@ -136,8 +121,7 @@ def _dual_indicator_norm(g: Graph, a: Alphabet) -> float:
 
 def partition_primal(p: PrimalNFG, budget: int | None = None) -> complex:
     """Exact primal partition function by enumeration over A^|V|."""
-    z, _, _ = _enumerate_primal(p, budget)
-    return z
+    return _enumerate(p, budget)[0]
 
 
 def partition_dual(d: DualNFG, budget: int | None = None) -> complex:
@@ -147,8 +131,7 @@ def partition_dual(d: DualNFG, budget: int | None = None) -> complex:
     _dual_indicator_norm), so partition_dual(dualize(p)) equals
     scale_factor(g, a) * partition_primal(p) for symmetric factor tables.
     """
-    z, _, _ = _enumerate_dual(d, budget)
-    return z * _dual_indicator_norm(d.graph, d.alphabet)
+    return _enumerate(d, budget)[0] * _dual_indicator_norm(d.graph, d.alphabet)
 
 
 def duality_check(p: PrimalNFG, budget: int | None = None) -> float:
@@ -161,31 +144,12 @@ def duality_check(p: PrimalNFG, budget: int | None = None) -> float:
 
 def marginals_primal(p: PrimalNFG, budget: int | None = None) -> OracleMarginals:
     """All primal edge and vertex marginals in a single enumeration pass."""
-    z, edge_acc, vertex_acc = _enumerate_primal(p, budget)
-    return OracleMarginals(z, edge_acc / z, vertex_acc / z, "primal")
+    return _marginals(p, budget)
 
 
 def marginals_dual(d: DualNFG, budget: int | None = None) -> OracleMarginals:
     """All dual edge and vertex marginals (marginal functions if d is signed)."""
-    z, edge_acc, vertex_acc = _enumerate_dual(d, budget)
-    norm = _dual_indicator_norm(d.graph, d.alphabet)
-    return OracleMarginals(z * norm, edge_acc / z, vertex_acc / z, "dual")
-
-
-def edge_marginals_primal(p: PrimalNFG, e: int, budget=None) -> MarginalVector:
-    return marginals_primal(p, budget).edge(e)
-
-
-def vertex_marginals_primal(p: PrimalNFG, v: int, budget=None) -> MarginalVector:
-    return marginals_primal(p, budget).vertex(v)
-
-
-def edge_marginals_dual(d: DualNFG, e: int, budget=None) -> MarginalVector:
-    return marginals_dual(d, budget).edge(e)
-
-
-def vertex_marginals_dual(d: DualNFG, v: int, budget=None) -> MarginalVector:
-    return marginals_dual(d, budget).vertex(v)
+    return _marginals(d, budget, _dual_indicator_norm(d.graph, d.alphabet))
 
 
 def extrinsic_vector(p: PrimalNFG, e: int, budget: int | None = None) -> np.ndarray:
@@ -193,8 +157,7 @@ def extrinsic_vector(p: PrimalNFG, e: int, budget: int | None = None) -> np.ndar
 
     The sum-product rule Z_p = sum_a S_e(a) psi_e(a) holds at every edge.
     """
-    _, edge_acc, _ = _enumerate_primal(p, budget, skip_edge=e)
-    return edge_acc[e]
+    return _enumerate(p, budget, skip_factor=e)[1][e]
 
 
 def intermediate_dual_partition(p: PrimalNFG, e: int, budget: int | None = None) -> np.ndarray:

@@ -5,7 +5,10 @@ All chains are driven by numpy's PCG64 generator (stable across versions, so
 seeded estimates can serve as golden fixtures) and use a systematic sweep by
 default: sites are updated in ascending index order, one full pass per sweep.
 `samples` counts retained sweeps; the default burn-in is ten times the number
-of variables in the sampled domain.
+of variables in the sampled domain.  Both Gibbs samplers run one heat bath on
+the factor view of their domain, and draw a sweep's uniforms at once, after
+its site order: one `rng.random(n)` gives the same PCG64 stream as n scalar
+draws.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import numpy as np
 from .bp import BpConfig, run_bp
 from .graphs import betti
 from .mapping import SingularMapError, _map_rows
-from .nfg import DUAL, PRIMAL, DualNFG, MarginalVector, PrimalNFG, dualize, is_nonnegative
+from .nfg import (
+    DUAL, PRIMAL, DualNFG, MarginalVector, PrimalNFG, _factor_view, dualize, is_nonnegative,
+)
 
 
 class SamplerError(ValueError):
@@ -66,13 +71,11 @@ class SampleEstimates:
         return MarginalVector(self.vertex_values[v], ("vertex", v), self.domain)
 
 
-def _real_tables(tables: np.ndarray, what: str) -> list:
+def _require_pmf_tables(tables: np.ndarray, what: str) -> None:
     if tables.size and np.abs(tables.imag).max() > 1e-12:
         raise SamplerError(f"{what} must be real for sampling")
-    real = tables.real
-    if real.size and real.min() < -1e-12:  # same tolerance as is_nonnegative
+    if tables.size and tables.real.min() < -1e-12:  # same tolerance as is_nonnegative
         raise SamplerError(f"{what} must be nonnegative for sampling")
-    return [row.clip(min=0.0).tolist() for row in real]
 
 
 def _site_order(n: int, sweep: str, rng) -> list:
@@ -81,15 +84,18 @@ def _site_order(n: int, sweep: str, rng) -> list:
     return [int(i) for i in rng.integers(0, n, size=n)]
 
 
-def _draw(weights: list, rng, kind: str, site: int) -> int:
-    """Heat-bath draw of a state with probability proportional to its weight."""
+def _draw(weights: list, u: float, kind: str, site: int) -> int:
+    """Heat-bath draw of a state with probability proportional to its weight.
+
+    u is a uniform draw from [0, 1).
+    """
     total = sum(weights)
     if total <= 0.0:
         raise SamplerError(
             f"every state of {kind} {site} has zero weight given its neighbors "
             "(a hard constraint the current configuration violates)"
         )
-    u = rng.random() * total
+    u *= total
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w
@@ -97,6 +103,57 @@ def _draw(weights: list, rng, kind: str, site: int) -> int:
             return i
     # u can round up to total itself; the draw then belongs to the last weighted state
     return max(i for i, w in enumerate(weights) if w > 0.0)
+
+
+def _heat_bath(model, cfg: SamplerConfig) -> SampleEstimates:
+    """Single-variable heat bath on the factor view of either domain.
+
+    Variable i's conditional weight of value a is the product, over the
+    factors f whose scope holds i, of table_f at s a + r_f, where s is i's
+    sign in f and r_f the signed sum of f's other variables.  Each variable lists its
+    factors unary first, with the table reindexed by s and stored twice over
+    (t2[c] = table_f[s c mod q] for c < 2q), so that with b = s r_f mod q the
+    weight of a is t2[b + a].  Factor arguments are kept up to date as
+    variables change, and a retained sweep counts every factor at its
+    argument: these are the edge and vertex frequencies.
+    """
+    scopes, num_vars, tables = _factor_view(model)
+    q = model.alphabet.q
+    kind = "vertex" if model.domain == PRIMAL else "edge"
+    real = tables.real.clip(min=0.0)
+    by_var = [[] for _ in range(num_vars)]
+    for f in sorted(range(len(scopes)), key=lambda f: len(scopes[f][0]) > 1):
+        for var, sign in zip(*scopes[f]):
+            t2 = real[f][(sign * np.arange(2 * q)) % q].tolist()
+            by_var[var].append((f, sign, t2))
+    rng = np.random.default_rng(cfg.seed)
+    z = [0] * num_vars
+    arg = [0] * len(scopes)
+    counts = np.zeros((len(scopes), q), dtype=np.int64)
+    factors = np.arange(len(scopes))
+    burn = cfg.resolved_burn_in(num_vars)
+    retained = 0
+    for sweep in range(burn + cfg.samples * cfg.thinning):
+        order = _site_order(num_vars, cfg.sweep, rng)
+        for i, u in zip(order, rng.random(num_vars).tolist()):
+            cur = z[i]
+            rows = [(t2, (sign * arg[f] - cur) % q) for f, sign, t2 in by_var[i]]
+            weights = []
+            for a in range(q):
+                w = 1.0
+                for t2, b in rows:
+                    w *= t2[b + a]
+                weights.append(w)
+            new = _draw(weights, u, kind, i)
+            if new != cur:
+                z[i] = new
+                for f, sign, _ in by_var[i]:
+                    arg[f] = (arg[f] + sign * (new - cur)) % q
+        if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
+            retained += 1
+            counts[factors, arg] += 1
+    e = model.graph.num_edges
+    return SampleEstimates(counts[:e] / retained, counts[e:] / retained, model.domain)
 
 
 def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> SampleEstimates:
@@ -107,40 +164,9 @@ def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> SampleEstimates:
     edge value.  Estimates are empirical frequencies of x_v and y_e(x) over
     retained sweeps.
     """
-    g, q = p.graph, p.alphabet.q
-    psi = _real_tables(p.edge_tables, "primal edge tables")
-    phi = _real_tables(p.vertex_tables, "primal vertex tables")
-    # per vertex: (edge table, other endpoint, vertex is tail)
-    incident = [[] for _ in range(g.num_vertices)]
-    for e, (t, h) in enumerate(g.edges):
-        incident[t].append((psi[e], h, True))
-        incident[h].append((psi[e], t, False))
-    rng = np.random.default_rng(cfg.seed)
-    x = [0] * g.num_vertices
-    edge_counts = np.zeros((g.num_edges, q), dtype=np.int64)
-    vertex_counts = np.zeros((g.num_vertices, q), dtype=np.int64)
-    burn = cfg.resolved_burn_in(g.num_vertices)
-    total_sweeps = burn + cfg.samples * cfg.thinning
-    retained = 0
-    for sweep in range(total_sweeps):
-        for v in _site_order(g.num_vertices, cfg.sweep, rng):
-            weights = []
-            for a in range(q):
-                w = phi[v][a]
-                for table, other, is_tail in incident[v]:
-                    y = (a - x[other]) % q if is_tail else (x[other] - a) % q
-                    w *= table[y]
-                weights.append(w)
-            x[v] = _draw(weights, rng, "vertex", v)
-        if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
-            retained += 1
-            for v in range(g.num_vertices):
-                vertex_counts[v, x[v]] += 1
-            for e, (t, h) in enumerate(g.edges):
-                edge_counts[e, (x[t] - x[h]) % q] += 1
-    return SampleEstimates(
-        edge_counts / retained, vertex_counts / retained, PRIMAL
-    )
+    _require_pmf_tables(p.edge_tables, "primal edge tables")
+    _require_pmf_tables(p.vertex_tables, "primal vertex tables")
+    return _heat_bath(p, cfg)
 
 
 def gibbs_dual(d: DualNFG, cfg: SamplerConfig) -> SampleEstimates:
@@ -158,47 +184,13 @@ def gibbs_dual(d: DualNFG, cfg: SamplerConfig) -> SampleEstimates:
             "dual factors are signed or complex, so no dual PMF exists; "
             "estimate dual marginal functions with run_bp instead"
         )
-    g, q = d.graph, d.alphabet.q
-    psit = _real_tables(d.edge_tables, "dual edge tables")
-    phit = _real_tables(d.vertex_tables, "dual vertex tables")
-    has_zero = any(min(row) <= 0.0 for row in phit)
-    if has_zero and betti(g) > 0:
+    if (d.vertex_tables.real <= 0.0).any() and betti(d.graph) > 0:
         raise SamplerError(
             "dual vertex table has zero entries (zero external field): the "
             "single-edge heat bath is non-ergodic on cyclic graphs; add a "
             "field, or use run_bp / the subgraphs-world process"
         )
-    rng = np.random.default_rng(cfg.seed)
-    y = [0] * g.num_edges
-    xt = [0] * g.num_vertices  # x~ = M^T y~, maintained incrementally
-    edge_counts = np.zeros((g.num_edges, q), dtype=np.int64)
-    vertex_counts = np.zeros((g.num_vertices, q), dtype=np.int64)
-    burn = cfg.resolved_burn_in(g.num_edges)
-    total_sweeps = burn + cfg.samples * cfg.thinning
-    retained = 0
-    edges = list(g.edges)
-    for sweep in range(total_sweeps):
-        for e in _site_order(g.num_edges, cfg.sweep, rng):
-            t, h = edges[e]
-            cur = y[e]
-            base_t = (xt[t] - cur) % q  # tail sees +y~_e, head sees -y~_e
-            base_h = (xt[h] + cur) % q
-            weights = [
-                psit[e][a] * phit[t][(base_t + a) % q] * phit[h][(base_h - a) % q]
-                for a in range(q)
-            ]
-            new = _draw(weights, rng, "edge", e)
-            if new != cur:
-                y[e] = new
-                xt[t] = (base_t + new) % q
-                xt[h] = (base_h - new) % q
-        if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
-            retained += 1
-            for e in range(g.num_edges):
-                edge_counts[e, y[e]] += 1
-            for v in range(g.num_vertices):
-                vertex_counts[v, xt[v]] += 1
-    return SampleEstimates(edge_counts / retained, vertex_counts / retained, DUAL)
+    return _heat_bath(d, cfg)
 
 
 @dataclass
@@ -262,6 +254,14 @@ def _swp_parameters(p: PrimalNFG):
     return np.tanh(bj).tolist(), np.tanh(bh).tolist()
 
 
+def _toggle_ratio(state: SubgraphState, e: int, t: int, h: int, tanh_j, tanh_h) -> float:
+    """Metropolis ratio w(U xor {e}) / w(U) of toggling edge e = (t, h)."""
+    ratio = tanh_j[e] if not state.member[e] else 1.0 / tanh_j[e]
+    ratio *= 1.0 / tanh_h[t] if state.odd[t] else tanh_h[t]
+    ratio *= 1.0 / tanh_h[h] if state.odd[h] else tanh_h[h]
+    return ratio
+
+
 def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> SampleEstimates:
     """Subgraphs-world process: Metropolis single-edge toggles over U, stationary
     on w(U) = prod_{e in U} tanh(bJ_e) * prod_{v in odd(U)} tanh(bH_v).
@@ -286,9 +286,7 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Sam
     for sweep in range(total_sweeps):
         for e in _site_order(g.num_edges, cfg.sweep, rng):
             t, h = edges[e]
-            ratio = tanh_j[e] if not state.member[e] else 1.0 / tanh_j[e]
-            ratio *= 1.0 / tanh_h[t] if state.odd[t] else tanh_h[t]
-            ratio *= 1.0 / tanh_h[h] if state.odd[h] else tanh_h[h]
+            ratio = _toggle_ratio(state, e, t, h, tanh_j, tanh_h)
             if ratio >= 1.0 or rng.random() < ratio:
                 state.toggle(e, t, h)
             proposals += 1
@@ -330,9 +328,7 @@ def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
     for step in range(burn_proposals + steps):
         e = step % g.num_edges
         t, h = edges[e]
-        ratio = tanh_j[e] if not state.member[e] else 1.0 / tanh_j[e]
-        ratio *= 1.0 / tanh_h[t] if state.odd[t] else tanh_h[t]
-        ratio *= 1.0 / tanh_h[h] if state.odd[h] else tanh_h[h]
+        ratio = _toggle_ratio(state, e, t, h, tanh_j, tanh_h)
         if ratio >= 1.0 or rng.random() < ratio:
             state.toggle(e, t, h)
         if step >= burn_proposals:

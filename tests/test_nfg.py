@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from nfgdual.graphs import Alphabet, Graph, path_graph, ring_graph
 from nfgdual.nfg import (
-    Factor,
     PrimalNFG,
     clock_edge_table,
     clock_model,
-    dft,
     dft_table,
     dualize,
-    idft,
     idft_table,
     ising_edge_table,
     ising_model,
@@ -53,13 +50,16 @@ class TestDft:
         out = idft_table([e + 2, e - 1, e - 1], Alphabet(3))
         assert np.allclose(out, [e, 1, 1], atol=1e-12)
 
-    def test_factor_wrapper_flips_domain(self):
-        f = Factor([1.0, 2.0], ("edge", 0), "primal")
-        fd = dft(f, Alphabet(2))
-        assert fd.domain == "dual"
-        back = idft(fd, Alphabet(2))
-        assert back.domain == "primal"
-        assert np.allclose(back.values, f.values, atol=1e-14)
+    def test_roundtrip_fixed_table(self):
+        a = Alphabet(2)
+        forth = dft_table([1.0, 2.0], a)
+        assert np.allclose(forth, [3.0, -1.0], atol=1e-14)
+        assert np.allclose(idft_table(forth, a), [1.0, 2.0], atol=1e-14)
+
+    def test_wrong_length_table_rejected(self):
+        for transform in (dft_table, idft_table):
+            with pytest.raises(ValueError, match="alphabet size 3"):
+                transform([1.0, 2.0], Alphabet(3))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 10 ** 9))

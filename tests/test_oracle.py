@@ -9,8 +9,6 @@ from nfgdual.oracle import (
     EnumerationBudgetError,
     chain_ising_marginals,
     duality_check,
-    edge_marginals_dual,
-    edge_marginals_primal,
     enumeration_budget,
     extrinsic_vector,
     intermediate_dual_partition,
@@ -19,7 +17,6 @@ from nfgdual.oracle import (
     partition_dual,
     partition_primal,
     ring_potts_marginals,
-    vertex_marginals_primal,
 )
 
 
@@ -109,7 +106,7 @@ class TestDuality:
 class TestMarginals:
     def test_single_free_edge(self):
         bj = 0.8
-        mv = edge_marginals_primal(ising_model(path_graph(2), bj), 0)
+        mv = marginals_primal(ising_model(path_graph(2), bj)).edge(0)
         assert mv.values[0].real == pytest.approx(np.exp(bj) / (2 * np.cosh(bj)), rel=1e-13)
 
     def test_zero_coupling_uniform(self):
@@ -125,7 +122,7 @@ class TestMarginals:
 
     def test_vertex_marginal_known_symmetry(self):
         p = ising_model(ring_graph(4), 0.7)
-        mv = vertex_marginals_primal(p, 2)
+        mv = marginals_primal(p).vertex(2)
         assert np.allclose(mv.values.real, [0.5, 0.5], atol=1e-12)
 
     def test_signed_marginal_functions_sum_to_one(self, small_model_corpus):
@@ -137,7 +134,7 @@ class TestMarginals:
     def test_ring_dual_marginal_closed_form(self):
         bjs = np.array([0.4, 0.6, 0.9, 1.2])
         p = ising_model(ring_graph(4), bjs)
-        mv = edge_marginals_dual(dualize(p), 1)
+        mv = marginals_dual(dualize(p)).edge(1)
         expected = 1.0 / (1.0 + np.prod(np.tanh(bjs)))
         assert mv.values[0].real == pytest.approx(expected, rel=1e-12)
 
