@@ -20,6 +20,7 @@ from .graphs import (
 from .nfg import (
     DualNFG,
     MarginalVector,
+    Marginals,
     PrimalNFG,
     clock_model,
     dft_table,
@@ -52,7 +53,7 @@ from .mapping import (
     potts_critical,
     potts_lower_bounds,
 )
-from .bp import BpConfig, BpResult, DegenerateMessageError, relative_error, run_bp
+from .bp import BpConfig, DegenerateMessageError, relative_error, run_bp
 from .samplers import (
     SamplerConfig,
     SamplerError,

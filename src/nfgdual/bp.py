@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nfg import DUAL, PRIMAL, MarginalVector, PrimalNFG, _factor_view
+from .nfg import MarginalVector, Marginals, _factor_view
 
 
 class DegenerateMessageError(RuntimeError):
@@ -48,24 +48,6 @@ class BpConfig:
             raise ValueError("tol must be positive")
         if self.schedule not in ("flooding", "sequential"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-
-
-@dataclass
-class BpResult:
-    """Beliefs per location plus convergence diagnostics."""
-
-    edge_values: np.ndarray    # (|E|, q) complex, unit complex sum
-    vertex_values: np.ndarray  # (|V|, q)
-    domain: str
-    converged: bool
-    iterations: int
-    residual: float
-
-    def edge(self, e: int) -> MarginalVector:
-        return MarginalVector(self.edge_values[e], ("edge", e), self.domain)
-
-    def vertex(self, v: int) -> MarginalVector:
-        return MarginalVector(self.vertex_values[v], ("vertex", v), self.domain)
 
 
 def _normalize(msgs: np.ndarray, name, real_mode: bool = False) -> np.ndarray:
@@ -228,13 +210,14 @@ class _Engine:
         return out
 
 
-def run_bp(nfg, cfg: BpConfig | None = None) -> BpResult:
+def run_bp(nfg, cfg: BpConfig | None = None) -> Marginals:
     """Sum-product on a primal or dual model; non-convergence is reported, not raised.
 
     Beliefs are the kernel-argument marginals, which are exactly the edge and
     vertex marginal estimates of the model's domain: primal beliefs estimate
     pi_p,e and pi_p,v, dual beliefs estimate pi_d,e and pi_d,v (marginal
     functions when the dual is signed).  Exact on tree-structured models.
+    The record carries converged, iterations and the last residual.
     """
     cfg = cfg or BpConfig()
     engine = _Engine(nfg, cfg)
@@ -248,8 +231,8 @@ def run_bp(nfg, cfg: BpConfig | None = None) -> BpResult:
             break
     beliefs = engine.beliefs()
     edges = nfg.graph.num_edges
-    domain = PRIMAL if isinstance(nfg, PrimalNFG) else DUAL
-    return BpResult(beliefs[:edges], beliefs[edges:], domain, converged, iterations, residual)
+    return Marginals(beliefs[:edges], beliefs[edges:], nfg.domain, converged=converged,
+                     iterations=iterations, residual=residual)
 
 
 def relative_error(estimate, exact, mode: str = "first") -> float:

@@ -2,9 +2,9 @@
 
 Subcommands: model | exact | bp | gibbs | swp | map | gaussian | experiment |
 validate.  Exit codes: 0 success, 2 validation failure, 3 enumeration-budget
-refusal, 4 spec error, 5 BP failure (a sum-product message cancelled to
-zero).  The environment variable NFG_DUAL_BUDGET overrides the enumeration
-budget.
+refusal, 4 bad input (spec, arguments or NFG_DUAL_BUDGET), 5 BP failure (a
+sum-product message cancelled to zero).  The environment variable
+NFG_DUAL_BUDGET overrides the enumeration budget.
 """
 
 from __future__ import annotations
@@ -66,6 +66,14 @@ def _print_table(title: str, values: np.ndarray) -> None:
         print(f"  [{i:3d}] " + "  ".join(_fmt(v) for v in row))
 
 
+def _print_marginals(res, what: str) -> None:
+    """Edge and vertex blocks of a Marginals record; a None vertex block is skipped."""
+    note = " (mapped from the dual)" if res.dual_estimates is not None else ""
+    _print_table(f"{res.domain} edge {what}{note}:", res.edge_values)
+    if res.vertex_values is not None:
+        _print_table(f"{res.domain} vertex {what}{note}:", res.vertex_values)
+
+
 def _load_primal(path: str) -> PrimalNFG:
     model = model_from_file(path)
     if not isinstance(model, PrimalNFG):
@@ -107,10 +115,8 @@ def cmd_exact(args) -> int:
     dm = marginals_dual(dualize(model))
     print(f"Z_p = {_fmt(om.partition)}")
     print(f"duality residual |Z_d - alpha Z_p| / |Z_p| = {residual:.3e}")
-    _print_table("primal edge marginals:", om.edge_values)
-    _print_table("primal vertex marginals:", om.vertex_values)
-    _print_table("dual edge marginals:", dm.edge_values)
-    _print_table("dual vertex marginals:", dm.vertex_values)
+    _print_marginals(om, "marginals")
+    _print_marginals(dm, "marginals")
     return EXIT_OK
 
 
@@ -121,8 +127,7 @@ def cmd_bp(args) -> int:
     res = run_bp(nfg, cfg)
     print(f"converged: {res.converged} after {res.iterations} iterations "
           f"(residual {res.residual:.3e})")
-    _print_table(f"{args.domain} edge beliefs:", res.edge_values)
-    _print_table(f"{args.domain} vertex beliefs:", res.vertex_values)
+    _print_marginals(res, "beliefs")
     return EXIT_OK
 
 
@@ -132,8 +137,7 @@ def cmd_gibbs(args) -> int:
         est = gibbs_dual(dualize(model), _sampler_config(args))
     else:
         est = gibbs_primal(model, _sampler_config(args))
-    _print_table(f"{args.domain} edge marginal estimates:", est.edge_values)
-    _print_table(f"{args.domain} vertex marginal estimates:", est.vertex_values)
+    _print_marginals(est, "marginal estimates")
     return EXIT_OK
 
 
@@ -141,13 +145,9 @@ def cmd_swp(args) -> int:
     model = _load_primal(args.spec)
     if args.map:
         est = estimate_primal_via_dual(model, "swp", _sampler_config(args))
-        _print_table("primal edge estimates (mapped from the dual):", est.edge_values)
-        if est.vertex_values is not None:
-            _print_table("primal vertex estimates:", est.vertex_values)
     else:
         est = swp(model, _sampler_config(args))
-        _print_table("dual edge estimates:", est.edge_values)
-        _print_table("dual vertex estimates:", est.vertex_values)
+    _print_marginals(est, "estimates")
     return EXIT_OK
 
 
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         return EXIT_BP
     except (SpecError, SamplerError, SingularMapError, FileNotFoundError,
             json.JSONDecodeError, ValueError) as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
+        print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_SPEC
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Alphabet
-from .nfg import DUAL, PRIMAL, MarginalVector, _truncate_imag
+from .nfg import DUAL, PRIMAL, MarginalVector, SingularMapError, _truncate_imag
 
 _ZERO_REL_FLOOR = 1e-12
 
@@ -26,14 +26,6 @@ CLOCK4_CRITICAL = math.log(1.0 + math.sqrt(2.0))
 def potts_critical(q: int) -> float:
     """Phase-transition coupling ln(1 + sqrt(q)) of the 2D homogeneous q-state model."""
     return math.log(1.0 + math.sqrt(q))
-
-
-class SingularMapError(ValueError):
-    """A kernel table has a zero entry, so the local map is not invertible.
-
-    The standard trigger is a zero-coupling edge (bJ_e = 0 makes the dual
-    table vanish at 1); perturb the coupling by at least 1e-9 to proceed.
-    """
 
 
 def _table(obj) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Factor tables, the length-q DFT, model builders, and dualization.
+"""Factor tables, the length-q DFT, model builders, dualization, and the
+one `Marginals` record that every engine returns.
 
 A factor is a length-q table of complex values attached to one edge or one
 vertex.  The primal model multiplies an edge table psi_e evaluated at
@@ -39,6 +40,43 @@ class MarginalVector:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))
+
+
+class SingularMapError(ValueError):
+    """A kernel table has a zero entry, so the local map is not invertible.
+
+    The standard trigger is a zero-coupling edge (bJ_e = 0 makes the dual
+    table vanish at 1); perturb the coupling by at least 1e-9 to proceed.
+    """
+
+
+@dataclass
+class Marginals:
+    """Every edge and vertex marginal of one domain, as any engine estimates them.
+
+    edge_values is (|E|, q) and vertex_values (|V|, q), or None when the
+    vertex map was singular.  The diagnostics are None unless the engine
+    fills them: the enumeration oracle sets partition, run_bp sets
+    converged, iterations and residual, and estimate_primal_via_dual sets
+    dual_estimates (the dual record it mapped) and passes on its converged.
+    """
+
+    edge_values: np.ndarray
+    vertex_values: np.ndarray | None
+    domain: str
+    partition: complex | None = None
+    converged: bool | None = None
+    iterations: int | None = None
+    residual: float | None = None
+    dual_estimates: Marginals | None = None
+
+    def edge(self, e: int) -> MarginalVector:
+        return MarginalVector(self.edge_values[e], ("edge", e), self.domain)
+
+    def vertex(self, v: int) -> MarginalVector:
+        if self.vertex_values is None:
+            raise SingularMapError("vertex map was singular for this model")
+        return MarginalVector(self.vertex_values[v], ("vertex", v), self.domain)
 
 
 def _truncate_imag(values: np.ndarray, tol: float = IMAG_TRUNCATION) -> np.ndarray:

@@ -9,12 +9,13 @@ closed forms provide an enumeration-free cross-check for 1D models.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Alphabet, Graph, scale_factor
-from .nfg import DualNFG, MarginalVector, PrimalNFG, _factor_view, dft_table, dualize
+from .nfg import (
+    DUAL, PRIMAL, DualNFG, MarginalVector, Marginals, PrimalNFG, _factor_view, dft_table, dualize,
+)
 
 DEFAULT_BUDGET = 2 ** 26
 BUDGET_ENV_VAR = "NFG_DUAL_BUDGET"
@@ -26,13 +27,22 @@ class EnumerationBudgetError(RuntimeError):
 
 
 def enumeration_budget(budget: int | None = None) -> int:
-    """Effective state budget: explicit argument, else NFG_DUAL_BUDGET, else 2**26."""
+    """Effective state budget: explicit argument, else NFG_DUAL_BUDGET, else 2**26.
+
+    An NFG_DUAL_BUDGET that is not an integer of at least 1 raises ValueError.
+    """
     if budget is not None:
         return int(budget)
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{BUDGET_ENV_VAR}={env!r} is not an integer state count of at least 1")
+    return limit
 
 
 def _check_budget(num_states: int, budget: int | None, what: str) -> None:
@@ -42,22 +52,6 @@ def _check_budget(num_states: int, budget: int | None, what: str) -> None:
             f"{what} needs {num_states} states, over the budget of {limit}; "
             f"shrink the model or raise {BUDGET_ENV_VAR}"
         )
-
-
-@dataclass
-class OracleMarginals:
-    """Partition function plus every edge and vertex marginal of one domain."""
-
-    partition: complex
-    edge_values: np.ndarray    # (|E|, q) complex
-    vertex_values: np.ndarray  # (|V|, q) complex
-    domain: str
-
-    def edge(self, e: int) -> MarginalVector:
-        return MarginalVector(self.edge_values[e], ("edge", e), self.domain)
-
-    def vertex(self, v: int) -> MarginalVector:
-        return MarginalVector(self.vertex_values[v], ("vertex", v), self.domain)
 
 
 def _enumerate(model, budget=None, skip_factor: int | None = None):
@@ -102,10 +96,10 @@ def _enumerate(model, budget=None, skip_factor: int | None = None):
     return z, sums
 
 
-def _marginals(model, budget, norm: float = 1.0) -> OracleMarginals:
+def _marginals(model, budget, norm: float = 1.0) -> Marginals:
     z, sums = _enumerate(model, budget)
     e = model.graph.num_edges
-    return OracleMarginals(z * norm, sums[:e] / z, sums[e:] / z, model.domain)
+    return Marginals(sums[:e] / z, sums[e:] / z, model.domain, partition=z * norm)
 
 
 def _dual_indicator_norm(g: Graph, a: Alphabet) -> float:
@@ -142,12 +136,12 @@ def duality_check(p: PrimalNFG, budget: int | None = None) -> float:
     return abs(zd - alpha * zp) / abs(zp)
 
 
-def marginals_primal(p: PrimalNFG, budget: int | None = None) -> OracleMarginals:
+def marginals_primal(p: PrimalNFG, budget: int | None = None) -> Marginals:
     """All primal edge and vertex marginals in a single enumeration pass."""
     return _marginals(p, budget)
 
 
-def marginals_dual(d: DualNFG, budget: int | None = None) -> OracleMarginals:
+def marginals_dual(d: DualNFG, budget: int | None = None) -> Marginals:
     """All dual edge and vertex marginals (marginal functions if d is signed)."""
     return _marginals(d, budget, _dual_indicator_norm(d.graph, d.alphabet))
 
@@ -191,22 +185,14 @@ def _tanh_product(values: np.ndarray) -> float:
     return float(np.prod(t))
 
 
-@dataclass
-class ChainIsingMarginals:
-    """Closed-form per-edge marginals of a zero-field 1D Ising chain or ring."""
-
-    edge_primal: list    # MarginalVector per edge
-    edge_dual: list
-    vertex_primal: list  # uniform [1/2, 1/2] by symmetry
-    vertex_dual: list    # delta at 0: the dual vertex statistic vanishes
-
-
-def chain_ising_marginals(couplings, boundary: str = "free") -> ChainIsingMarginals:
-    """Exact zero-field 1D Ising marginals, free or periodic boundary.
+def chain_ising_marginals(couplings, boundary: str = "free") -> tuple:
+    """Exact zero-field 1D Ising marginals, free or periodic: (primal, dual) pair.
 
     Free boundary: the dual has a single valid configuration, so
     pi_d,e = [1, 0] and pi_p,e(0) = e^bJ / (2 cosh bJ).  Periodic boundary
     keeps two valid dual configurations, weighted by the tanh product.
+    Vertex marginals are uniform [1/2, 1/2] in the primal by symmetry and
+    a delta at 0 in the dual, where the vertex statistic vanishes.
     """
     bj = np.asarray(couplings, dtype=np.float64)
     n = len(bj)
@@ -216,28 +202,28 @@ def chain_ising_marginals(couplings, boundary: str = "free") -> ChainIsingMargin
         raise ValueError("a simple ring needs at least 3 edges")
     edge_primal, edge_dual = [], []
     if boundary == "free":
-        for e, b in enumerate(bj):
+        for b in bj:
             p0 = np.exp(b) / (2 * np.cosh(b))
-            edge_primal.append(MarginalVector([p0, 1 - p0], ("edge", e), "primal"))
-            edge_dual.append(MarginalVector([1.0, 0.0], ("edge", e), "dual"))
+            edge_primal.append([p0, 1 - p0])
+            edge_dual.append([1.0, 0.0])
         num_vertices = n + 1
     else:
         full = _tanh_product(bj)
         for e, b in enumerate(bj):
             rest = _tanh_product(np.delete(bj, e))
             d0 = 1.0 / (1.0 + full)
-            edge_dual.append(MarginalVector([d0, 1 - d0], ("edge", e), "dual"))
+            edge_dual.append([d0, 1 - d0])
             p0 = np.exp(b) / (2 * np.cosh(b)) * (1 + rest) / (1 + full)
             p1 = np.exp(-b) / (2 * np.cosh(b)) * (1 - rest) / (1 + full)
-            edge_primal.append(MarginalVector([p0, p1], ("edge", e), "primal"))
+            edge_primal.append([p0, p1])
         num_vertices = n
-    vertex_primal = [
-        MarginalVector([0.5, 0.5], ("vertex", v), "primal") for v in range(num_vertices)
-    ]
-    vertex_dual = [
-        MarginalVector([1.0, 0.0], ("vertex", v), "dual") for v in range(num_vertices)
-    ]
-    return ChainIsingMarginals(edge_primal, edge_dual, vertex_primal, vertex_dual)
+
+    def record(edges, vertex, domain):
+        return Marginals(np.array(edges, dtype=np.complex128).reshape(n, 2),
+                         np.tile(np.array(vertex, dtype=np.complex128), (num_vertices, 1)),
+                         domain)
+
+    return record(edge_primal, [0.5, 0.5], PRIMAL), record(edge_dual, [1.0, 0.0], DUAL)
 
 
 def ring_potts_marginals(q: int, beta_j: float, num_edges: int):

@@ -19,9 +19,10 @@ import numpy as np
 
 from .bp import BpConfig, run_bp
 from .graphs import betti
-from .mapping import SingularMapError, _map_rows
+from .mapping import _map_rows
 from .nfg import (
-    DUAL, PRIMAL, DualNFG, MarginalVector, PrimalNFG, _factor_view, dualize, is_nonnegative,
+    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, SingularMapError, _factor_view, dualize,
+    is_nonnegative,
 )
 
 
@@ -54,21 +55,6 @@ class SamplerConfig:
 
     def resolved_burn_in(self, num_variables: int) -> int:
         return 10 * num_variables if self.burn_in is None else self.burn_in
-
-
-@dataclass
-class SampleEstimates:
-    """Empirical per-edge and per-vertex marginal frequencies of one domain."""
-
-    edge_values: np.ndarray
-    vertex_values: np.ndarray
-    domain: str
-
-    def edge(self, e: int) -> MarginalVector:
-        return MarginalVector(self.edge_values[e], ("edge", e), self.domain)
-
-    def vertex(self, v: int) -> MarginalVector:
-        return MarginalVector(self.vertex_values[v], ("vertex", v), self.domain)
 
 
 def _require_pmf_tables(tables: np.ndarray, what: str) -> None:
@@ -105,7 +91,7 @@ def _draw(weights: list, u: float, kind: str, site: int) -> int:
     return max(i for i, w in enumerate(weights) if w > 0.0)
 
 
-def _heat_bath(model, cfg: SamplerConfig) -> SampleEstimates:
+def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     """Single-variable heat bath on the factor view of either domain.
 
     Variable i's conditional weight of value a is the product, over the
@@ -153,10 +139,10 @@ def _heat_bath(model, cfg: SamplerConfig) -> SampleEstimates:
             retained += 1
             counts[factors, arg] += 1
     e = model.graph.num_edges
-    return SampleEstimates(counts[:e] / retained, counts[e:] / retained, model.domain)
+    return Marginals(counts[:e] / retained, counts[e:] / retained, model.domain)
 
 
-def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> SampleEstimates:
+def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> Marginals:
     """Single-site heat bath over vertex configurations.
 
     Each update resamples x_v from its exact conditional given the neighbors:
@@ -169,7 +155,7 @@ def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> SampleEstimates:
     return _heat_bath(p, cfg)
 
 
-def gibbs_dual(d: DualNFG, cfg: SamplerConfig) -> SampleEstimates:
+def gibbs_dual(d: DualNFG, cfg: SamplerConfig) -> Marginals:
     """Single-edge-variable heat bath over dual configurations y~.
 
     The conditional of y~_e involves psi~_e and the two phi~ factors at its
@@ -262,7 +248,7 @@ def _toggle_ratio(state: SubgraphState, e: int, t: int, h: int, tanh_j, tanh_h) 
     return ratio
 
 
-def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> SampleEstimates:
+def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Marginals:
     """Subgraphs-world process: Metropolis single-edge toggles over U, stationary
     on w(U) = prod_{e in U} tanh(bJ_e) * prod_{v in odd(U)} tanh(bH_v).
 
@@ -303,7 +289,7 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Sam
                     vertex_counts[v] += 1
     in_freq = edge_counts / retained
     odd_freq = vertex_counts / retained
-    return SampleEstimates(
+    return Marginals(
         np.stack([1.0 - in_freq, in_freq], axis=1),
         np.stack([1.0 - odd_freq, odd_freq], axis=1),
         DUAL,
@@ -352,42 +338,21 @@ def swp_state_weights(p: PrimalNFG) -> np.ndarray:
     return out
 
 
-@dataclass
-class PrimalEstimates:
-    """Dual-domain estimates pushed through the local maps, edge by edge.
-
-    vertex_values is None when the vertex map is singular (zero-field models).
-    """
-
-    edge_values: np.ndarray
-    vertex_values: np.ndarray | None
-    dual_estimates: SampleEstimates
-    converged: bool | None = None  # set by the bp_dual method
-
-    def edge(self, e: int) -> MarginalVector:
-        return MarginalVector(self.edge_values[e], ("edge", e), PRIMAL)
-
-    def vertex(self, v: int) -> MarginalVector:
-        if self.vertex_values is None:
-            raise SingularMapError("vertex map was singular for this model")
-        return MarginalVector(self.vertex_values[v], ("vertex", v), PRIMAL)
-
-
 def estimate_primal_via_dual(
     p: PrimalNFG,
     method: str,
     cfg: SamplerConfig | None = None,
     bp_config: BpConfig | None = None,
-) -> PrimalEstimates:
+) -> Marginals:
     """Estimate in the dual domain, then transform every location at once.
 
     method: "swp" (ferromagnetic binary, positive field), "gibbs_dual"
     (nonnegative dual), or "bp_dual" (any signs).  Edge estimates are always
     mapped; vertex estimates are mapped when every phi~ table is nonsingular
-    and reported as None otherwise.
+    and reported as None otherwise.  The primal record keeps the dual one as
+    dual_estimates and its converged flag (None for the samplers).
     """
     d = dualize(p)
-    converged = None
     if method == "swp":
         if cfg is None:
             raise ValueError("swp needs a SamplerConfig")
@@ -397,9 +362,7 @@ def estimate_primal_via_dual(
             raise ValueError("gibbs_dual needs a SamplerConfig")
         dual_est = gibbs_dual(d, cfg)
     elif method == "bp_dual":
-        res = run_bp(d, bp_config or BpConfig())
-        dual_est = SampleEstimates(res.edge_values, res.vertex_values, DUAL)
-        converged = res.converged
+        dual_est = run_bp(d, bp_config or BpConfig())
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -410,4 +373,5 @@ def estimate_primal_via_dual(
         )
     except SingularMapError:
         vertex_values = None
-    return PrimalEstimates(edge_values, vertex_values, dual_est, converged)
+    return Marginals(edge_values, vertex_values, PRIMAL, converged=dual_est.converged,
+                     dual_estimates=dual_est)

@@ -31,7 +31,7 @@ from .mapping import (
     potts_fixed_point,
     potts_lower_bounds,
 )
-from .nfg import dft_table, dualize, idft_table, ising_model, potts_model
+from .nfg import clock_model, dft_table, dualize, idft_table, ising_model, potts_model
 from .oracle import (
     chain_ising_marginals,
     duality_check,
@@ -52,33 +52,50 @@ from .samplers import (
 )
 
 
-def _random_model(rng, ferromagnetic=False, max_states=2 ** 16,
-                  families=("ising", "potts", "clock")):
-    """Self-contained random Ising/Potts/clock model (mirrors the test corpus)."""
-    from .nfg import clock_model
-
-    family = families[int(rng.integers(0, len(families)))]
-    q = 2 if family == "ising" else int(rng.integers(2, 5))
-    nv = int(rng.integers(2, 8))
+def random_connected_graph(rng, max_vertices=8, max_edges=12, q=2, max_states=None):
+    """Random spanning tree plus extra edges, capped by count and state budget."""
+    nv = int(rng.integers(2, max_vertices + 1))
     edges = set()
     perm = rng.permutation(nv)
     for i in range(1, nv):
         u, v = int(perm[i]), int(perm[int(rng.integers(0, i))])
         edges.add((min(u, v), max(u, v)))
-    extra = [(i, j) for i in range(nv) for j in range(i + 1, nv) if (i, j) not in edges]
-    rng.shuffle(extra)
-    for cand in extra:
-        if q ** (len(edges) + 1) > max_states:
+    candidates = [
+        (i, j) for i in range(nv) for j in range(i + 1, nv) if (i, j) not in edges
+    ]
+    rng.shuffle(candidates)
+    for cand in candidates:
+        if len(edges) >= max_edges:
+            break
+        if max_states is not None and q ** (len(edges) + 1) > max_states:
             break
         edges.add((int(cand[0]), int(cand[1])))
-    g = Graph(nv, sorted(edges))
-    low = 0.05 if ferromagnetic else -1.0
-    couplings = []
-    while len(couplings) < g.num_edges:
-        c = float(rng.uniform(low, 1.0))
-        if abs(c) >= 0.05:
-            couplings.append(c)
-    fields = rng.uniform(0.05, 1.0, size=nv)
+    edge_list = []
+    for a, b in sorted(edges):
+        edge_list.append((a, b) if rng.random() < 0.5 else (b, a))
+    return Graph(nv, edge_list)
+
+
+def _random_coupling(rng, low=-1.0, high=1.0, min_abs=0.02):
+    """Uniform coupling with tiny-magnitude values rejected (they make maps singular)."""
+    while True:
+        c = float(rng.uniform(low, high))
+        if abs(c) >= min_abs:
+            return c
+
+
+def random_model(rng, max_vertices=8, max_edges=12, max_states=2 ** 18,
+                 ferromagnetic=False, families=("ising", "potts", "clock")):
+    """One random model of the given families: couplings in [-1, 1], fields in (0, 1].
+
+    The validation checks and the test corpora draw from this one generator.
+    """
+    family = families[int(rng.integers(0, len(families)))]
+    q = 2 if family == "ising" else int(rng.integers(2, 5))
+    g = random_connected_graph(rng, max_vertices, max_edges, q=q, max_states=max_states)
+    low = 0.02 if ferromagnetic else -1.0
+    couplings = np.array([_random_coupling(rng, low=low) for _ in range(g.num_edges)])
+    fields = rng.uniform(0.02, 1.0, size=g.num_vertices)
     if family == "ising":
         return ising_model(g, couplings, fields), family
     if family == "potts":
@@ -115,7 +132,7 @@ def check_duality_random(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(60):
-        p, _ = _random_model(rng)
+        p, _ = random_model(rng, max_states=2 ** 16)
         worst = max(worst, duality_check(p))
     return worst < 1e-10, f"max residual {worst:.2e} over 60 models"
 
@@ -133,7 +150,7 @@ def check_mapping_random(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(40):
-        p, family = _random_model(rng)
+        p, family = random_model(rng, max_states=2 ** 16)
         d = dualize(p)
         om, dm = marginals_primal(p), marginals_dual(d)
         for e in range(p.graph.num_edges):
@@ -198,7 +215,8 @@ def check_bounds_random(seed):
     rng = np.random.default_rng(seed)
     violations = 0
     for _ in range(60):
-        p, family = _random_model(rng, ferromagnetic=True, families=("ising", "potts"))
+        p, family = random_model(rng, max_states=2 ** 16, ferromagnetic=True,
+                                 families=("ising", "potts"))
         om = marginals_primal(p)
         dm = marginals_dual(dualize(p))
         for e in range(p.graph.num_edges):
@@ -221,12 +239,12 @@ def check_closed_forms(seed):
         bjs = rng.uniform(0.1, 2.0, n_edges)
         for boundary, g in (("free", path_graph(n_edges + 1)), ("periodic", ring_graph(n_edges))):
             p = ising_model(g, bjs)
-            closed = chain_ising_marginals(bjs, boundary)
+            closed_p, closed_d = chain_ising_marginals(bjs, boundary)
             om = marginals_primal(p)
             dm = marginals_dual(dualize(p))
             for e in range(n_edges):
-                worst = max(worst, float(np.abs(closed.edge_primal[e].values - om.edge_values[e]).max()))
-                worst = max(worst, float(np.abs(closed.edge_dual[e].values - dm.edge_values[e]).max()))
+                worst = max(worst, float(np.abs(closed_p.edge(e).values - om.edge_values[e]).max()))
+                worst = max(worst, float(np.abs(closed_d.edge(e).values - dm.edge_values[e]).max()))
     for q, n, bj in ((3, 4, 0.7), (5, 5, 1.2)):
         primal, dual = ring_potts_marginals(q, bj, n)
         p = potts_model(ring_graph(n), q, bj)
@@ -317,13 +335,7 @@ def check_gaussian_woodbury(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(10):
-        nv = int(rng.integers(3, 20))
-        edges = set()
-        perm = rng.permutation(nv)
-        for i in range(1, nv):
-            u, v = int(perm[i]), int(perm[int(rng.integers(0, i))])
-            edges.add((min(u, v), max(u, v)))
-        g = Graph(nv, sorted(edges))
+        g = random_connected_graph(rng, max_vertices=20, max_edges=40)
         m = GmrfModel(g, float(rng.uniform(0.5, 4)), float(rng.uniform(0.5, 4)))
         mapped = map_variance_dual_to_primal(m.sigma, exact_dual_vertex_variances(m))
         exact = exact_variances(primal_precision(m))

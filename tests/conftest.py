@@ -5,56 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nfgdual.graphs import Graph
-from nfgdual.nfg import clock_model, ising_model, potts_model
-
-
-def random_connected_graph(rng, max_vertices=8, max_edges=12, q=2, max_states=None):
-    """Random spanning tree plus extra edges, capped by count and state budget."""
-    nv = int(rng.integers(2, max_vertices + 1))
-    edges = set()
-    perm = rng.permutation(nv)
-    for i in range(1, nv):
-        u, v = int(perm[i]), int(perm[int(rng.integers(0, i))])
-        edges.add((min(u, v), max(u, v)))
-    candidates = [
-        (i, j) for i in range(nv) for j in range(i + 1, nv) if (i, j) not in edges
-    ]
-    rng.shuffle(candidates)
-    for cand in candidates:
-        if len(edges) >= max_edges:
-            break
-        if max_states is not None and q ** (len(edges) + 1) > max_states:
-            break
-        edges.add((int(cand[0]), int(cand[1])))
-    edge_list = []
-    for a, b in sorted(edges):
-        edge_list.append((a, b) if rng.random() < 0.5 else (b, a))
-    return Graph(nv, edge_list)
-
-
-def random_coupling(rng, low=-1.0, high=1.0, min_abs=0.02):
-    """Uniform coupling with tiny-magnitude values rejected (they make maps singular)."""
-    while True:
-        c = float(rng.uniform(low, high))
-        if abs(c) >= min_abs:
-            return c
-
-
-def random_model(rng, max_vertices=8, max_edges=12, max_states=2 ** 18,
-                 ferromagnetic=False):
-    """One random Ising/Potts/clock model with couplings in [-1, 1], fields in (0, 1]."""
-    family = ("ising", "potts", "clock")[int(rng.integers(0, 3))]
-    q = 2 if family == "ising" else int(rng.integers(2, 5))
-    g = random_connected_graph(rng, max_vertices, max_edges, q=q, max_states=max_states)
-    low = 0.02 if ferromagnetic else -1.0
-    couplings = np.array([random_coupling(rng, low=low) for _ in range(g.num_edges)])
-    fields = rng.uniform(0.02, 1.0, size=g.num_vertices)
-    if family == "ising":
-        return ising_model(g, couplings, fields), family
-    if family == "potts":
-        return potts_model(g, q, couplings, fields), family
-    return clock_model(g, q, couplings), family
+from nfgdual.validate import random_connected_graph, random_model  # noqa: F401
 
 
 @pytest.fixture(scope="session")

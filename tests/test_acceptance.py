@@ -205,22 +205,22 @@ def test_criterion_5_closed_forms():
     for n_edges in range(1, 9):
         for bj in grid:
             bjs = np.full(n_edges, bj)
-            closed = chain_ising_marginals(bjs, "free")
+            closed_p, closed_d = chain_ising_marginals(bjs, "free")
             p = ising_model(path_graph(n_edges + 1), bjs)
             om, dm = marginals_primal(p), marginals_dual(dualize(p))
             for e in range(n_edges):
-                worst = max(worst, float(np.abs(closed.edge_primal[e].values - om.edge_values[e]).max()))
-                worst = max(worst, float(np.abs(closed.edge_dual[e].values - dm.edge_values[e]).max()))
+                worst = max(worst, float(np.abs(closed_p.edge(e).values - om.edge_values[e]).max()))
+                worst = max(worst, float(np.abs(closed_d.edge(e).values - dm.edge_values[e]).max()))
             # the free chain attains the ferromagnetic lower bound exactly
             bound_p, _ = ising_lower_bounds(bj)
-            assert abs(closed.edge_primal[0].values[0].real - bound_p) < 1e-15
+            assert abs(closed_p.edge(0).values[0].real - bound_p) < 1e-15
             if n_edges >= 3:
-                ring_closed = chain_ising_marginals(bjs, "periodic")
+                ring_p, ring_d = chain_ising_marginals(bjs, "periodic")
                 rp = ising_model(ring_graph(n_edges), bjs)
                 rom, rdm = marginals_primal(rp), marginals_dual(dualize(rp))
                 for e in range(n_edges):
-                    worst = max(worst, float(np.abs(ring_closed.edge_primal[e].values - rom.edge_values[e]).max()))
-                    worst = max(worst, float(np.abs(ring_closed.edge_dual[e].values - rdm.edge_values[e]).max()))
+                    worst = max(worst, float(np.abs(ring_p.edge(e).values - rom.edge_values[e]).max()))
+                    worst = max(worst, float(np.abs(ring_d.edge(e).values - rdm.edge_values[e]).max()))
     for q in (3, 4, 5):
         for n_edges in range(3, 9):
             for bj in grid[::2]:

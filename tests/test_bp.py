@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from nfgdual.bp import BpConfig, BpResult, DegenerateMessageError, relative_error, run_bp
+from nfgdual.bp import BpConfig, DegenerateMessageError, relative_error, run_bp
 from nfgdual.graphs import Graph, grid_graph, path_graph, ring_graph
 from nfgdual.mapping import map_dual_to_primal, map_primal_to_dual
-from nfgdual.nfg import DualNFG, PrimalNFG, clock_model, dualize, ising_model, potts_model
+from nfgdual.nfg import (
+    DualNFG, Marginals, PrimalNFG, clock_model, dualize, ising_model, potts_model,
+)
 from nfgdual.oracle import marginals_dual, marginals_primal
 
 
@@ -216,7 +218,7 @@ class TestLoopyBehavior:
     def test_nonconvergence_is_returned_not_raised(self):
         p = ising_model(grid_graph(3, 3, periodic=True), -2.0, 0.05)
         res = run_bp(p, BpConfig(damping=0.0, max_iters=40))
-        assert isinstance(res, BpResult)
+        assert isinstance(res, Marginals)
         assert not res.converged
         assert res.iterations == 40
         assert np.isfinite(res.residual)

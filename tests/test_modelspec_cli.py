@@ -1,6 +1,8 @@
 """JSON model specs and the command-line front end, including exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +194,13 @@ class TestCli:
         spec = write_spec(tmp_path, "m.json", TRIANGLE_SPEC)
         assert main(["exact", "--spec", spec]) == 3
 
+    @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
+    def test_bad_env_budget_exit_code(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("NFG_DUAL_BUDGET", value)
+        spec = write_spec(tmp_path, "m.json", TRIANGLE_SPEC)
+        assert main(["exact", "--spec", spec]) == 4
+        assert f"NFG_DUAL_BUDGET='{value}'" in capsys.readouterr().err
+
     def test_unknown_experiment_name(self):
         assert main(["experiment", "fig-unknown"]) == 4
 
@@ -207,3 +216,37 @@ class TestCli:
         assert main(["validate", "--quick", "--seed", "1234"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+# what each exit code's documented description must mention
+EXIT_MEANINGS = {
+    "EXIT_OK": "success",
+    "EXIT_VALIDATION": "validation",
+    "EXIT_BUDGET": "budget",
+    "EXIT_SPEC": "bad input",
+    "EXIT_BP": "BP",
+}
+
+
+def documented_exit_codes(text):
+    """{code: description} parsed from the 'Exit codes: ...' sentence of a document."""
+    flat = " ".join(text.split())
+    sentence = re.search(r"Exit codes: (.+?)\.(?:\s|$)", flat).group(1)
+    items = re.split(r", (?=\d+ )", sentence)
+    codes = [int(item.split(" ", 1)[0]) for item in items]
+    assert len(codes) == len(set(codes)), f"an exit code is listed twice: {sentence}"
+    return {code: item.split(" ", 1)[1] for code, item in zip(codes, items)}
+
+
+@pytest.mark.parametrize("source", ["cli docstring", "README"])
+def test_documented_exit_codes_match_constants(source):
+    if source == "README":
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    else:
+        text = cli.__doc__
+    documented = documented_exit_codes(text)
+    constants = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert sorted(constants) == sorted(EXIT_MEANINGS)
+    assert sorted(documented) == sorted(constants.values())
+    for name, value in constants.items():
+        assert EXIT_MEANINGS[name] in documented[value], (name, documented[value])

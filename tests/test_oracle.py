@@ -39,6 +39,12 @@ class TestPartitionPrimal:
         with pytest.raises(EnumerationBudgetError, match="budget"):
             partition_primal(p, budget=100)
 
+    @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
+    def test_env_var_budget_must_be_a_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("NFG_DUAL_BUDGET", value)
+        with pytest.raises(ValueError, match=f"NFG_DUAL_BUDGET='{value}'"):
+            enumeration_budget()
+
     def test_env_var_budget(self, monkeypatch):
         monkeypatch.setenv("NFG_DUAL_BUDGET", "100")
         assert enumeration_budget() == 100
@@ -175,21 +181,21 @@ class TestClosedForms:
             else:
                 g = ring_graph(n_edges)
             p = ising_model(g, bjs)
-            closed = chain_ising_marginals(bjs, boundary)
+            closed_p, closed_d = chain_ising_marginals(bjs, boundary)
             om = marginals_primal(p)
             dm = marginals_dual(dualize(p))
             for e in range(n_edges):
-                assert np.abs(closed.edge_primal[e].values - om.edge_values[e]).max() < 1e-12
-                assert np.abs(closed.edge_dual[e].values - dm.edge_values[e]).max() < 1e-12
+                assert np.abs(closed_p.edge(e).values - om.edge_values[e]).max() < 1e-12
+                assert np.abs(closed_d.edge(e).values - dm.edge_values[e]).max() < 1e-12
             for v in range(g.num_vertices):
-                assert np.abs(closed.vertex_primal[v].values - om.vertex_values[v]).max() < 1e-12
-                assert np.abs(closed.vertex_dual[v].values - dm.vertex_values[v]).max() < 1e-12
+                assert np.abs(closed_p.vertex(v).values - om.vertex_values[v]).max() < 1e-12
+                assert np.abs(closed_d.vertex(v).values - dm.vertex_values[v]).max() < 1e-12
 
     def test_chain_zero_coupling_uniform_edges(self):
-        closed = chain_ising_marginals([0.0, 0.0], "free")
-        assert np.allclose(closed.edge_primal[0].values.real, [0.5, 0.5], atol=1e-14)
-        ring = chain_ising_marginals([0.0, 0.0, 0.0], "periodic")
-        assert np.allclose(ring.edge_primal[0].values.real, [0.5, 0.5], atol=1e-14)
+        closed, _ = chain_ising_marginals([0.0, 0.0], "free")
+        assert np.allclose(closed.edge(0).values.real, [0.5, 0.5], atol=1e-14)
+        ring, _ = chain_ising_marginals([0.0, 0.0, 0.0], "periodic")
+        assert np.allclose(ring.edge(0).values.real, [0.5, 0.5], atol=1e-14)
 
     def test_ring_potts_matches_enumeration(self):
         for q, n, bj in ((3, 4, 0.7), (4, 5, 1.1), (5, 3, 0.4)):
@@ -203,11 +209,11 @@ class TestClosedForms:
     def test_ring_potts_q2_consistent_with_ising_ring(self):
         bj, n = 0.9, 5
         primal, dual = ring_potts_marginals(2, 2 * bj, n)
-        closed = chain_ising_marginals([bj] * n, "periodic")
+        closed_p, closed_d = chain_ising_marginals([bj] * n, "periodic")
         # the q=2 Potts model at coupling 2*bJ is the Ising model at bJ up to
         # a constant factor per edge, so the marginals coincide
-        assert np.abs(primal.values - closed.edge_primal[0].values).max() < 1e-12
-        assert np.abs(dual.values - closed.edge_dual[0].values).max() < 1e-12
+        assert np.abs(primal.values - closed_p.edge(0).values).max() < 1e-12
+        assert np.abs(dual.values - closed_d.edge(0).values).max() < 1e-12
 
     def test_ring_potts_zero_coupling_uniform(self):
         primal, dual = ring_potts_marginals(3, 0.0, 4)
@@ -215,7 +221,7 @@ class TestClosedForms:
 
     def test_signed_couplings_supported(self):
         bjs = np.array([-0.4, 0.6, 0.9])
-        closed = chain_ising_marginals(bjs, "periodic")
+        _, closed_d = chain_ising_marginals(bjs, "periodic")
         p = ising_model(ring_graph(3), bjs)
         dm = marginals_dual(dualize(p))
-        assert np.abs(closed.edge_dual[0].values - dm.edge_values[0]).max() < 1e-12
+        assert np.abs(closed_d.edge(0).values - dm.edge_values[0]).max() < 1e-12

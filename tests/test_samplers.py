@@ -7,13 +7,11 @@ import pytest
 
 from nfgdual.graphs import Alphabet, Graph, betti, grid_graph, path_graph, ring_graph
 from nfgdual.mapping import SingularMapError, map_dual_to_primal
-from nfgdual.nfg import DualNFG, PrimalNFG, dualize, ising_model, potts_model
+from nfgdual.nfg import DualNFG, Marginals, PrimalNFG, dualize, ising_model, potts_model
 from nfgdual.oracle import chain_ising_marginals, marginals_dual, marginals_primal
 from nfgdual.samplers import (
-    PrimalEstimates,
     SamplerConfig,
     SamplerError,
-    SampleEstimates,
     SubgraphState,
     estimate_primal_via_dual,
     gibbs_dual,
@@ -234,16 +232,16 @@ class TestEstimateViaDual:
         bjs = [0.4, 1.0]
         p = ising_model(path_graph(3), bjs)
         est = estimate_primal_via_dual(p, "gibbs_dual", SamplerConfig(seed=6, samples=100))
-        closed = chain_ising_marginals(bjs, "free")
+        closed, _ = chain_ising_marginals(bjs, "free")
         for e in range(2):
-            assert np.abs(est.edge_values[e] - closed.edge_primal[e].values).max() < 1e-12
+            assert np.abs(est.edge_values[e] - closed.edge(e).values).max() < 1e-12
         assert est.vertex_values is None  # zero field makes the vertex map singular
 
     def test_swp_estimates_primal_marginals(self):
         p = ising_model(grid_graph(2, 2, periodic=True), 0.44, 0.15)
         om = marginals_primal(p)
         est = estimate_primal_via_dual(p, "swp", SamplerConfig(seed=5, samples=100_000))
-        assert isinstance(est, PrimalEstimates)
+        assert isinstance(est, Marginals)
         assert np.abs(est.edge_values - om.edge_values).max() < 5e-3
         assert np.abs(est.vertex_values - om.vertex_values).max() < 5e-3
 
@@ -265,6 +263,14 @@ class TestEstimateViaDual:
         for v in range(p.graph.num_vertices):
             one = map_dual_to_primal(dual.vertex(v), p.vertex_tables[v], d.vertex_tables[v])
             assert np.abs(one.values - est.vertex_values[v]).max() < 1e-14
+
+    def test_zero_field_vertex_accessor_raises(self):
+        # zero field makes every phi~_v vanish at 1, so no vertex estimate is mapped
+        p = ising_model(grid_graph(2, 2, periodic=True), 0.4)
+        est = estimate_primal_via_dual(p, "bp_dual")
+        assert est.vertex_values is None
+        with pytest.raises(SingularMapError, match="vertex map was singular"):
+            est.vertex(0)
 
     def test_singular_edge_map_raises(self):
         # bJ = 0 makes psi~_1 = 2 sinh 0 vanish at edge 1
