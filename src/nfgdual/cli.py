@@ -158,11 +158,15 @@ def cmd_map(args) -> int:
     idx = int(index)
     values = np.array([complex(v) for v in args.marginal.split(",")])
     if kind == "edge":
-        tables = (model.edge_tables[idx], d.edge_tables[idx])
+        primal, dual = model.edge_tables, d.edge_tables
     elif kind == "vertex":
-        tables = (model.vertex_tables[idx], d.vertex_tables[idx])
+        primal, dual = model.vertex_tables, d.vertex_tables
     else:
         raise SpecError("--location must look like edge:3 or vertex:0")
+    if not 0 <= idx < len(primal):
+        raise SpecError(f"--location {args.location}: the model has {len(primal)} "
+                        f"{kind}s, numbered 0 to {len(primal) - 1}")
+    tables = (primal[idx], dual[idx])
     if args.direction == "dual-to-primal":
         out = map_dual_to_primal(values, *tables)
     else:

@@ -369,6 +369,7 @@ def run_fig_gaussian(
     chains = chains or (2 if quick else 7)
     samples = samples or (100 if quick else 1000)
     g = grid_graph(n, n, periodic=True)
+    chain_defaults = SamplerConfig(seed=seed, samples=samples)  # burn-in as the chains resolve it
     out_rows = []
     for s in s_values:
         m = GmrfModel(g, float(s), sigma)
@@ -404,7 +405,9 @@ def run_fig_gaussian(
     return ExperimentReport(
         "fig-gaussian", columns, out_rows,
         {"n": n, "sigma": sigma, "s_values": list(map(float, s_values)),
-         "chains": chains, "samples": samples, "seed": seed, "quick": quick},
+         "chains": chains, "samples": samples, "seed": seed, "quick": quick,
+         "burn_in_primal": chain_defaults.resolved_burn_in(g.num_vertices),
+         "burn_in_dual": chain_defaults.resolved_burn_in(g.num_edges)},
     )
 
 

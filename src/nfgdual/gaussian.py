@@ -1,6 +1,6 @@
 """Thin-membrane Gaussian MRF: precision matrices in both domains, exact
-variances by dense linear algebra, heat-bath Gibbs chains, and the dual-to-
-primal variance map.
+variances by dense linear algebra, Gibbs chains, and the dual-to-primal
+variance map.
 
 The primal density penalizes squared differences across edges (intervariable
 variance s^2) plus a per-vertex ridge (vertex variance sigma^2):
@@ -13,6 +13,14 @@ s^2 I + sigma^2 M M^T, and the vertex statistic is x~ = M^T y~.  The variance
 map sigma^2 (1 - sigma^2 Var(x~_v)) returns exactly the primal marginal
 variance (a Woodbury identity), so dual-chain estimates transport to the
 primal domain with one multiply per vertex.
+
+The Gibbs chains are systematic-scan heat baths.  Such a sweep over a
+precision P = D + L + U (diagonal, strict lower and strict upper triangle) is
+one stochastic Gauss-Seidel step, (D + L) x_new = sqrt(D) z - U x_old, with z
+the sweep's standard normals (Goodman & Sokal, Phys. Rev. D 1989).  Each sweep
+is therefore one sparse product with U and one product with the inverse of the
+lower triangle, built once per chain: the same chain as the site-by-site
+update, fed the same normals in the same order.
 """
 
 from __future__ import annotations
@@ -52,19 +60,29 @@ def dual_precision(m: GmrfModel) -> np.ndarray:
     return m.s ** 2 * np.eye(ne) + m.sigma ** 2 * (inc @ inc.T)
 
 
-def _validate_spd(precision: np.ndarray) -> np.ndarray:
+def _validate_spd(precision: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The precision as a float array and its Cholesky factor.
+
+    Refuses a non-square, asymmetric or not positive definite matrix; the
+    last raises LinAlgError, which is a ValueError.
+    """
     precision = np.asarray(precision, dtype=np.float64)
-    if precision.ndim != 2 or precision.shape[0] != precision.shape[1]:
-        raise ValueError("precision must be square")
+    if precision.ndim != 2 or precision.shape[0] != precision.shape[1] or not precision.size:
+        raise ValueError("precision must be a non-empty square matrix")
     if np.abs(precision - precision.T).max() > 1e-12 * max(1.0, np.abs(precision).max()):
         raise ValueError("precision must be symmetric")
-    return precision
+    try:
+        chol = np.linalg.cholesky(precision)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            "precision must be positive definite (its Cholesky factorization failed)"
+        ) from exc
+    return precision, chol
 
 
 def exact_variances(precision: np.ndarray) -> np.ndarray:
     """Diagonal of the precision inverse, via Cholesky (refuses non-SPD input)."""
-    precision = _validate_spd(precision)
-    chol = np.linalg.cholesky(precision)  # raises LinAlgError if not SPD
+    _, chol = _validate_spd(precision)
     inv_chol = np.linalg.inv(chol)
     return (inv_chol ** 2).sum(axis=0)
 
@@ -109,6 +127,23 @@ class GaussianGibbsResult:
     derived_trajectory: np.ndarray | None = None
 
 
+def _invert_lower(p: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of the lower triangle of p (diagonal included) into out.
+
+    Blocked recursion: with T = [[A, 0], [C, B]], T^-1 = [[A^-1, 0],
+    [-B^-1 C A^-1, B^-1]].  Reads only the lower triangle of p; out must be
+    zero above its diagonal.
+    """
+    n = p.shape[0]
+    if n == 1:
+        out[0, 0] = 1.0 / p[0, 0]
+        return
+    h = n // 2
+    _invert_lower(p[:h, :h], out[:h, :h])
+    _invert_lower(p[h:, h:], out[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ p[h:, :h]) @ out[:h, :h]
+
+
 def gibbs_gaussian(
     precision: np.ndarray,
     cfg: SamplerConfig,
@@ -117,23 +152,23 @@ def gibbs_gaussian(
     """Systematic-sweep heat bath for a zero-mean Gaussian with the given precision.
 
     Each update draws coordinate i from its exact conditional
-    N(-sum_j P_ij x_j / P_ii, 1 / P_ii).  With derived_transform T, the
-    second moments of T @ x are tracked as well (the dual chains use T = M^T
-    to estimate Var(x~_v)).
+    N(-sum_j P_ij x_j / P_ii, 1 / P_ii), in the order 0, 1, ..., n-1.  A
+    sweep is computed as one stochastic Gauss-Seidel step (see the module
+    docstring).  With derived_transform T, the second moments of T @ x are
+    tracked as well (the dual chains use T = M^T to estimate Var(x~_v)).
+    Refuses a precision that is not symmetric positive definite.
     """
-    precision = _validate_spd(precision)
+    precision = _validate_spd(precision)[0]
     n = precision.shape[0]
     if cfg.sweep != "systematic":
         raise ValueError("gaussian chains implement the systematic sweep only")
-    neighbors = []
-    cond_std = np.empty(n)
-    for i in range(n):
-        row = precision[i].copy()
-        diag = row[i]
-        row[i] = 0.0
-        idx = np.nonzero(row)[0]
-        neighbors.append((idx, row[idx] / diag))
-        cond_std[i] = 1.0 / np.sqrt(diag)
+    lower_inv = np.zeros_like(precision)
+    _invert_lower(precision, lower_inv)
+    rows, cols = np.nonzero(precision)
+    upper = cols > rows
+    rows, cols = rows[upper], cols[upper]
+    upper_values = precision[rows, cols]
+    noise_scale = np.sqrt(np.diag(precision))
     rng = np.random.default_rng(cfg.seed)
     x = np.zeros(n)
     burn = cfg.resolved_burn_in(n)
@@ -147,11 +182,9 @@ def gibbs_gaussian(
         d_trajectory = np.empty(cfg.samples)
     retained = 0
     for sweep in range(total):
-        noise = rng.standard_normal(n)
-        for i in range(n):
-            idx, coef = neighbors[i]
-            mean = -float(coef @ x[idx]) if len(idx) else 0.0
-            x[i] = mean + cond_std[i] * noise[i]
+        rhs = noise_scale * rng.standard_normal(n)
+        rhs -= np.bincount(rows, weights=upper_values * x[cols], minlength=n)
+        x = lower_inv @ rhs
         if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
             sumsq += x ** 2
             retained += 1

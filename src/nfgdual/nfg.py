@@ -285,10 +285,12 @@ def potts_model(g: Graph, q: int, couplings, fields=0.0) -> PrimalNFG:
     return PrimalNFG(g, Alphabet(q), edge_tables, vertex_tables)
 
 
-def clock_model(g: Graph, q: int, couplings) -> PrimalNFG:
-    """Cosine-interaction model psi_e(y) = exp(bJ cos(2 pi y / q)); zero field."""
+def clock_model(g: Graph, q: int, couplings, fields=0.0) -> PrimalNFG:
+    """Cosine-interaction model psi_e(y) = exp(bJ cos(2 pi y / q)) in the field
+    phi_v(x) = exp(bH cos(2 pi x / q)), a table of the same form."""
     bj = _per_edge(couplings, g.num_edges)
+    bh = _per_vertex(fields, g.num_vertices)
     edge_tables = np.stack([clock_edge_table(q, b) for b in bj]) if g.num_edges else \
         np.zeros((0, q), dtype=np.complex128)
-    vertex_tables = np.ones((g.num_vertices, q), dtype=np.complex128)
+    vertex_tables = np.stack([clock_edge_table(q, b) for b in bh])
     return PrimalNFG(g, Alphabet(q), edge_tables, vertex_tables)

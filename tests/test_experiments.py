@@ -129,3 +129,6 @@ class TestSamplingRunners:
         # at s=1 the dual route is erratic: nan rows are legitimate there
         s1 = [r for r in report.rows if r[0] == 1.0]
         assert any(np.isfinite(r[3]) for r in s1)
+        # the default burn-in, 10 sweeps per variable of each chain
+        assert report.params["burn_in_primal"] == 10 * 25
+        assert report.params["burn_in_dual"] == 10 * 50

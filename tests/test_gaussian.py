@@ -25,6 +25,65 @@ def torus15():
     return grid_graph(15, 15, periodic=True)
 
 
+def reference_gibbs_gaussian(precision, cfg, derived_transform=None):
+    """Systematic-scan heat bath one site at a time, with the sampler's bookkeeping.
+
+    `gibbs_gaussian` computes each sweep as one triangular step and must
+    reproduce this loop to 1e-12 relative: it draws the same normals in the
+    same order, and only the grouping of the floating-point sums differs.
+    """
+    precision = np.asarray(precision, dtype=np.float64)
+    n = precision.shape[0]
+    neighbors = []
+    cond_std = np.empty(n)
+    for i in range(n):
+        row = precision[i].copy()
+        diag = row[i]
+        row[i] = 0.0
+        idx = np.nonzero(row)[0]
+        neighbors.append((idx, row[idx] / diag))
+        cond_std[i] = 1.0 / np.sqrt(diag)
+    rng = np.random.default_rng(cfg.seed)
+    x = np.zeros(n)
+    burn = cfg.resolved_burn_in(n)
+    total = burn + cfg.samples * cfg.thinning
+    sumsq = np.zeros(n)
+    trajectory = np.empty(cfg.samples)
+    track = derived_transform is not None
+    if track:
+        t_mat = np.asarray(derived_transform, dtype=np.float64)
+        d_sumsq = np.zeros(t_mat.shape[1]) if t_mat.ndim == 2 else np.zeros(1)
+        d_trajectory = np.empty(cfg.samples)
+    retained = 0
+    for sweep in range(total):
+        noise = rng.standard_normal(n)
+        for i in range(n):
+            idx, coef = neighbors[i]
+            mean = -float(coef @ x[idx]) if len(idx) else 0.0
+            x[i] = mean + cond_std[i] * noise[i]
+        if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
+            sumsq += x ** 2
+            retained += 1
+            trajectory[retained - 1] = sumsq.mean() / retained
+            if track:
+                derived = x @ t_mat
+                d_sumsq += derived ** 2
+                d_trajectory[retained - 1] = d_sumsq.mean() / retained
+    result = GaussianGibbsResult(sumsq / retained, trajectory)
+    if track:
+        result.derived_variances = d_sumsq / retained
+        result.derived_trajectory = d_trajectory
+    return result
+
+
+def chain_inputs(g, s, sigma, domain):
+    """(precision, derived_transform) of the primal or the dual chain."""
+    m = GmrfModel(g, s, sigma)
+    if domain == "primal":
+        return primal_precision(m), None
+    return dual_precision(m), build_incidence(g).astype(float)
+
+
 class TestPrecisions:
     def test_isolated_vertex(self):
         m = GmrfModel(Graph(1, []), s=2.0, sigma=3.0)
@@ -159,7 +218,67 @@ class TestGibbs:
         with pytest.raises(ValueError, match="burn_in"):
             gmrf_dual_gibbs(m, SamplerConfig(seed=1, samples=10, burn_in=-4))
 
+    @pytest.mark.parametrize("precision,problem", [
+        ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),  # symmetric, indefinite
+        ([[-1.0, 0.0], [0.0, 2.0]], "positive definite"),
+        (np.zeros((0, 0)), "non-empty"),  # the dual of a one-vertex graph
+    ])
+    def test_refuses_precision_that_is_not_spd(self, precision, problem):
+        with pytest.raises(ValueError, match=problem):
+            gibbs_gaussian(np.array(precision), SamplerConfig(seed=1, samples=10))
+
     def test_random_scan_not_supported(self):
         m = GmrfModel(path_graph(2), 1.0, 1.0)
         with pytest.raises(ValueError, match="systematic"):
             gibbs_gaussian(primal_precision(m), SamplerConfig(seed=1, sweep="random"))
+
+
+class TestAgainstReference:
+    """The triangular sweep is the site-by-site chain, up to roundoff."""
+
+    FIELDS = ("variances", "trajectory", "derived_variances", "derived_trajectory")
+
+    def assert_same_chain(self, precision, derived_transform, cfg):
+        got = gibbs_gaussian(precision, cfg, derived_transform)
+        want = reference_gibbs_gaussian(precision, cfg, derived_transform)
+        for name in self.FIELDS:
+            if getattr(want, name) is None:
+                assert getattr(got, name) is None, name
+            else:
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                           rtol=1e-12, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("domain", ["primal", "dual"])
+    @pytest.mark.parametrize("s", [1.0, 20.0, 40.0])
+    def test_torus15(self, torus15, s, domain):
+        self.assert_same_chain(*chain_inputs(torus15, s, 5.0, domain),
+                               SamplerConfig(seed=21, samples=40, burn_in=30))
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(22)
+        for k in range(10):
+            g = random_connected_graph(rng, max_vertices=12, max_edges=20, q=2)
+            s, sigma = float(rng.uniform(0.3, 5)), float(rng.uniform(0.3, 5))
+            for domain in ("primal", "dual"):
+                self.assert_same_chain(*chain_inputs(g, s, sigma, domain),
+                                       SamplerConfig(seed=100 + k, samples=200))
+
+    def test_thinning(self):
+        self.assert_same_chain(*chain_inputs(grid_graph(4, 4, periodic=True), 3.0, 2.0, "dual"),
+                               SamplerConfig(seed=23, samples=100, thinning=3))
+
+    def test_one_dimensional_transform(self):
+        precision, _ = chain_inputs(grid_graph(3, 4), 1.5, 2.5, "primal")
+        transform = np.linspace(-1.0, 1.0, precision.shape[0])
+        self.assert_same_chain(precision, transform, SamplerConfig(seed=24, samples=300))
+
+    @pytest.mark.parametrize("precision", [
+        primal_precision(GmrfModel(Graph(1, []), 1.0, 2.0)),  # a one-vertex graph
+        np.diag([0.5, 1.0, 2.0, 4.0]),  # no off-diagonal entries
+    ], ids=["one-vertex", "diagonal"])
+    def test_without_edges(self, precision):
+        self.assert_same_chain(precision, None, SamplerConfig(seed=25, samples=100))
+
+    def test_long_chain(self):
+        self.assert_same_chain(*chain_inputs(grid_graph(3, 3, periodic=True), 1.0, 5.0, "dual"),
+                               SamplerConfig(seed=26, samples=5_000, burn_in=0))

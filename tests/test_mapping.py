@@ -22,7 +22,9 @@ from nfgdual.mapping import (
     potts_fixed_point,
     potts_lower_bounds,
 )
-from nfgdual.nfg import dft_table, dualize, ising_edge_table, ising_model, potts_model
+from nfgdual.nfg import (
+    clock_model, dft_table, dualize, ising_edge_table, ising_model, potts_model,
+)
 from nfgdual.oracle import marginals_dual, marginals_primal
 
 
@@ -61,6 +63,17 @@ class TestMapAgainstOracle:
                     continue
                 mapped = map_dual_to_primal(dm.vertex(v), p.vertex_tables[v], d.vertex_tables[v])
                 assert np.abs(mapped.values - om.vertex_values[v]).max() < 1e-10
+
+    def test_clock_in_field_vertices_map(self):
+        # a field makes the clock model's dual vertex tables invertible
+        g = grid_graph(2, 3)
+        p = clock_model(g, 4, [0.4, -0.3, 0.5, 0.2, -0.6, 0.3, 0.1],
+                        [0.3, -0.2, 0.15, 0.4, -0.35, 0.25])
+        d = dualize(p)
+        om, dm = marginals_primal(p), marginals_dual(d)
+        for v in range(g.num_vertices):
+            mapped = map_dual_to_primal(dm.vertex(v), p.vertex_tables[v], d.vertex_tables[v])
+            assert np.abs(mapped.values - om.vertex_values[v]).max() < 1e-12
 
     def test_corpus_edges_both_directions(self, small_model_corpus):
         for p, _family in small_model_corpus[:10]:

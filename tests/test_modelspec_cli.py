@@ -158,6 +158,14 @@ class TestCli:
         values = [float(v) for v in capsys.readouterr().out.split()]
         assert sum(values) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("location", ["edge:99", "edge:-1", "vertex:3"])
+    def test_map_location_out_of_range(self, tmp_path, capsys, location):
+        spec = write_spec(tmp_path, "m.json", TRIANGLE_SPEC)
+        assert main([
+            "map", "--spec", spec, "--location", location, "--marginal", "0.9,0.1",
+        ]) == 4
+        assert "numbered 0 to 2" in capsys.readouterr().err
+
     def test_gaussian_command(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "g.json", {
             "family": "gaussian",

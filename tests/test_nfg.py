@@ -107,6 +107,12 @@ class TestBuilders:
         p = clock_model(triangle(), 4, 0.5)
         assert np.allclose(p.vertex_tables, 1.0)
 
+    def test_clock_field_tables(self):
+        p = clock_model(triangle(), 4, 0.5, [1.0, 0.0, -1.0])
+        assert np.allclose(p.vertex_tables[0], [np.e, 1, 1 / np.e, 1], atol=1e-14)
+        assert np.allclose(p.vertex_tables[1], 1.0)
+        assert np.allclose(p.vertex_tables[2], [1 / np.e, 1, np.e, 1], atol=1e-14)
+
     def test_per_edge_couplings(self):
         p = ising_model(triangle(), [0.1, 0.2, 0.3])
         assert np.allclose(p.edge_tables[:, 0].real, np.exp([0.1, 0.2, 0.3]))
