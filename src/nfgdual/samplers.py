@@ -8,12 +8,22 @@ default: sites are updated in ascending index order, one full pass per sweep.
 of variables in the sampled domain.  Both Gibbs samplers run one heat bath on
 the factor view of their domain, and draw a sweep's uniforms at once, after
 its site order: one `rng.random(n)` gives the same PCG64 stream as n scalar
-draws.
+draws.  A site update looks its conditional up by the variable's neighbour
+key (the table offsets of its factors, kept up to date as neighbours move);
+each key's cumulative weights are computed once, with the float operations
+of a product loop, and a draw bisects them.  The subgraphs-world process
+reads its Metropolis ratio from a per-edge table of eight entries, keeps U
+and its parities in integer lists, and under a systematic sweep draws its
+uniforms in blocks.  These change no seeded output: every chain returns
+the same frequencies, bit for bit, as a loop that recomputes each
+conditional and ratio and draws one uniform at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, cycle, islice, product
 
 import numpy as np
 
@@ -24,6 +34,9 @@ from .nfg import (
     DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, SingularMapError, _factor_view, dualize,
     is_nonnegative,
 )
+
+
+_BLOCK = 256  # retained configurations counted per numpy call
 
 
 class SamplerError(ValueError):
@@ -70,25 +83,31 @@ def _site_order(n: int, sweep: str, rng) -> list:
     return [int(i) for i in rng.integers(0, n, size=n)]
 
 
-def _draw(weights: list, u: float, kind: str, site: int) -> int:
-    """Heat-bath draw of a state with probability proportional to its weight.
+def _conditional(factors, digits, q: int, kind: str, site: int) -> tuple:
+    """(total, cumulative weights below the last weighted value) of one
+    variable's heat-bath conditional, given the digits b of its factors' tables.
 
-    u is a uniform draw from [0, 1).
+    bisect_right(cumulative, u * total) is then the first value whose running
+    sum exceeds u * total, or the last weighted value when u * total reaches
+    past its predecessors (also when rounding puts u * total at the total).
     """
+    weights = []
+    for a in range(q):
+        w = 1.0
+        for (_, _, t2), b in zip(factors, digits):
+            w *= t2[b + a]
+        weights.append(w)
     total = sum(weights)
     if total <= 0.0:
         raise SamplerError(
             f"every state of {kind} {site} has zero weight given its neighbors "
             "(a hard constraint the current configuration violates)"
         )
-    u *= total
-    acc = 0.0
-    for i, w in enumerate(weights):
+    cumulative, acc = [], 0.0
+    for w in weights:
         acc += w
-        if u < acc:
-            return i
-    # u can round up to total itself; the draw then belongs to the last weighted state
-    return max(i for i, w in enumerate(weights) if w > 0.0)
+        cumulative.append(acc)
+    return total, cumulative[:max(a for a, w in enumerate(weights) if w > 0.0)]
 
 
 def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
@@ -98,10 +117,15 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     factors f whose scope holds i, of table_f at s a + r_f, where s is i's
     sign in f and r_f the signed sum of f's other variables.  Each variable lists its
     factors unary first, with the table reindexed by s and stored twice over
-    (t2[c] = table_f[s c mod q] for c < 2q), so that with b = s r_f mod q the
-    weight of a is t2[b + a].  Factor arguments are kept up to date as
-    variables change, and a retained sweep counts every factor at its
-    argument: these are the edge and vertex frequencies.
+    (t2[c] = table_f[s c mod q] for c < 2q), so that with the digit
+    b = s r_f mod q the weight of a is t2[b + a].  The digits of a variable,
+    read in base q, are its neighbour key; when variable j moves by d, the
+    digit of every other variable i in a factor it shares with j moves by
+    s_i s_j d mod q.  Each variable memoizes its conditional per key, so an
+    update is one dict lookup and one bisection of the cumulative weights.
+    Retained configurations are kept and, a block at a time, every factor is
+    counted at its argument in each: these are the edge and vertex
+    frequencies.
     """
     scopes, num_vars, tables = _factor_view(model)
     q = model.alphabet.q
@@ -112,32 +136,59 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
         for var, sign in zip(*scopes[f]):
             t2 = real[f][(sign * np.arange(2 * q)) % q].tolist()
             by_var[var].append((f, sign, t2))
+    # digit slot of variable i's p-th factor: start[i] + p, worth q**p in i's key
+    start = np.concatenate([[0], np.cumsum([len(fs) for fs in by_var])]).tolist()
+    slot = {(f, i): (start[i] + p, q ** p) for i, fs in enumerate(by_var)
+            for p, (f, _, _) in enumerate(fs)}
+    moves = [[] for _ in range(num_vars)]
+    for f, (variables, signs) in enumerate(scopes):
+        for j, sj in zip(variables, signs):
+            moves[j] += [(*slot[f, i], i, si * sj) for i, si in zip(variables, signs) if i != j]
+    digit = [0] * start[-1]
+    key = [0] * num_vars
+    memo = [{} for _ in range(num_vars)]
+    scope_vars = np.zeros((len(scopes), max(len(v) for v, _ in scopes)), dtype=np.int64)
+    scope_signs = np.zeros_like(scope_vars)  # padding reads variable 0 with sign 0
+    for f, (variables, signs) in enumerate(scopes):
+        scope_vars[f, :len(variables)] = variables
+        scope_signs[f, :len(signs)] = signs
+    offsets = q * np.arange(len(scopes))
+
+    def tally(configs: list) -> np.ndarray:
+        """Counts of every factor at its argument, over the given configurations."""
+        z_rows = np.array(configs, dtype=np.int64).reshape(len(configs), num_vars)
+        args = (z_rows[:, scope_vars] * scope_signs).sum(axis=2) % q
+        return np.bincount((args + offsets).ravel(), minlength=len(scopes) * q)
+
     rng = np.random.default_rng(cfg.seed)
     z = [0] * num_vars
-    arg = [0] * len(scopes)
-    counts = np.zeros((len(scopes), q), dtype=np.int64)
-    factors = np.arange(len(scopes))
+    counts = np.zeros(len(scopes) * q, dtype=np.int64)
+    kept = []
     burn = cfg.resolved_burn_in(num_vars)
     retained = 0
     for sweep in range(burn + cfg.samples * cfg.thinning):
         order = _site_order(num_vars, cfg.sweep, rng)
         for i, u in zip(order, rng.random(num_vars).tolist()):
-            cur = z[i]
-            rows = [(t2, (sign * arg[f] - cur) % q) for f, sign, t2 in by_var[i]]
-            weights = []
-            for a in range(q):
-                w = 1.0
-                for t2, b in rows:
-                    w *= t2[b + a]
-                weights.append(w)
-            new = _draw(weights, u, kind, i)
-            if new != cur:
+            entry = memo[i].get(key[i])
+            if entry is None:
+                entry = memo[i][key[i]] = _conditional(
+                    by_var[i], digit[start[i]:start[i + 1]], q, kind, i)
+            total, cumulative = entry
+            new = bisect_right(cumulative, u * total)
+            d = new - z[i]
+            if d:
                 z[i] = new
-                for f, sign, _ in by_var[i]:
-                    arg[f] = (arg[f] + sign * (new - cur)) % q
+                for k, weight, other, mult in moves[i]:
+                    old = digit[k]
+                    digit[k] = b = (old + mult * d) % q
+                    key[other] += (b - old) * weight
         if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
             retained += 1
-            counts[factors, arg] += 1
+            kept.append(z[:])
+            if len(kept) == _BLOCK:
+                counts += tally(kept)
+                kept.clear()
+    counts = (counts + tally(kept)).reshape(len(scopes), q)
     e = model.graph.num_edges
     return Marginals(counts[:e] / retained, counts[e:] / retained, model.domain)
 
@@ -183,15 +234,15 @@ def gibbs_dual(d: DualNFG, cfg: SamplerConfig) -> Marginals:
 class SubgraphState:
     """Edge subset U plus the per-vertex parity of its degrees, kept in sync."""
 
-    member: list  # bool per edge
+    member: list  # 0/1 per edge
     odd: list     # 0/1 per vertex
 
     @classmethod
     def empty(cls, graph) -> "SubgraphState":
-        return cls([False] * graph.num_edges, [0] * graph.num_vertices)
+        return cls([0] * graph.num_edges, [0] * graph.num_vertices)
 
     def toggle(self, e: int, tail: int, head: int) -> None:
-        self.member[e] = not self.member[e]
+        self.member[e] ^= 1
         self.odd[tail] ^= 1
         self.odd[head] ^= 1
 
@@ -202,13 +253,6 @@ class SubgraphState:
                 odd[t] ^= 1
                 odd[h] ^= 1
         return odd
-
-    def bitmask(self) -> int:
-        mask = 0
-        for e, inside in enumerate(self.member):
-            if inside:
-                mask |= 1 << e
-        return mask
 
 
 def subgraph_weight(state: SubgraphState, tanh_j, tanh_h) -> float:
@@ -240,12 +284,36 @@ def _swp_parameters(p: PrimalNFG):
     return np.tanh(bj).tolist(), np.tanh(bh).tolist()
 
 
-def _toggle_ratio(state: SubgraphState, e: int, t: int, h: int, tanh_j, tanh_h) -> float:
-    """Metropolis ratio w(U xor {e}) / w(U) of toggling edge e = (t, h)."""
-    ratio = tanh_j[e] if not state.member[e] else 1.0 / tanh_j[e]
-    ratio *= 1.0 / tanh_h[t] if state.odd[t] else tanh_h[t]
-    ratio *= 1.0 / tanh_h[h] if state.odd[h] else tanh_h[h]
-    return ratio
+def _toggle_ratios(p: PrimalNFG) -> list:
+    """Metropolis ratios w(U xor {e}) / w(U) of toggling each edge e = (t, h).
+
+    The ratio of edge e sits at 8 e + 4 member[e] + 2 odd[t] + odd[h].
+    """
+    tanh_j, tanh_h = _swp_parameters(p)
+    ratios = []
+    for e, (t, h) in enumerate(p.graph.edges):
+        for inside, odd_t, odd_h in product((0, 1), repeat=3):
+            ratio = tanh_j[e] if not inside else 1.0 / tanh_j[e]
+            ratio *= 1.0 / tanh_h[t] if odd_t else tanh_h[t]
+            ratio *= 1.0 / tanh_h[h] if odd_h else tanh_h[h]
+            ratios.append(ratio)
+    return ratios
+
+
+def _block_uniforms(rng, size: int = 1024):
+    """A callable returning the values of successive rng.random() calls,
+    drawn size at a time."""
+    return chain.from_iterable(iter(lambda: rng.random(size).tolist(), None)).__next__
+
+
+def _propose(sites, ratios, member, odd, uniform) -> None:
+    """One Metropolis toggle proposal per site (e, tail, head, 8 e), in order."""
+    for e, t, h, row in sites:
+        ratio = ratios[row + 4 * member[e] + 2 * odd[t] + odd[h]]
+        if ratio >= 1.0 or uniform() < ratio:
+            member[e] ^= 1
+            odd[t] ^= 1
+            odd[h] ^= 1
 
 
 def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Marginals:
@@ -255,40 +323,48 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
     That law is exactly the dual PMF of a ferromagnetic binary model in a
     positive field, so the estimates it returns are dual-domain marginals:
     pi~_d,e(1) is the frequency of e in U and pi~_d,v(1) the frequency of v
-    having odd degree in U.  audit_every cross-checks the incremental parity
+    having odd degree in U.  Only a proposal with ratio < 1 draws a uniform;
+    a systematic sweep draws them in blocks (random sweeps interleave them
+    with their site draws).  audit_every cross-checks the incremental parity
     bookkeeping against a recomputation every so many proposals.
     """
-    tanh_j, tanh_h = _swp_parameters(p)
+    ratios = _toggle_ratios(p)
     g = p.graph
     rng = np.random.default_rng(cfg.seed)
+    uniform = rng.random if cfg.sweep == "random" else _block_uniforms(rng)
     state = SubgraphState.empty(g)
-    edges = list(g.edges)
-    edge_counts = np.zeros(g.num_edges, dtype=np.int64)
-    vertex_counts = np.zeros(g.num_vertices, dtype=np.int64)
+    member, odd = state.member, state.odd
+    sites = [(e, t, h, 8 * e) for e, (t, h) in enumerate(g.edges)]
+    counts = np.zeros(g.num_edges + g.num_vertices, dtype=np.int64)
+    kept = []
+
+    def tally(configs: list) -> np.ndarray:
+        """Edge memberships and vertex parities summed over the given states."""
+        return np.array(configs, dtype=np.int64).reshape(len(configs), len(counts)).sum(axis=0)
+
     burn = cfg.resolved_burn_in(g.num_edges)
     total_sweeps = burn + cfg.samples * cfg.thinning
     retained = 0
-    proposals = 0
     for sweep in range(total_sweeps):
-        for e in _site_order(g.num_edges, cfg.sweep, rng):
-            t, h = edges[e]
-            ratio = _toggle_ratio(state, e, t, h, tanh_j, tanh_h)
-            if ratio >= 1.0 or rng.random() < ratio:
-                state.toggle(e, t, h)
-            proposals += 1
-            if audit_every and proposals % audit_every == 0:
-                if state.odd != state.recompute_odd(g):
+        order = [sites[e] for e in _site_order(g.num_edges, cfg.sweep, rng)]
+        done = 0
+        if audit_every:  # after every proposal whose running count divides by audit_every
+            for stop in range(audit_every - sweep * g.num_edges % audit_every,
+                              g.num_edges + 1, audit_every):
+                _propose(order[done:stop], ratios, member, odd, uniform)
+                done = stop
+                if odd != state.recompute_odd(g):
                     raise AssertionError("parity bookkeeping diverged from recomputation")
+        _propose(order[done:], ratios, member, odd, uniform)
         if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
             retained += 1
-            for e in range(g.num_edges):
-                if state.member[e]:
-                    edge_counts[e] += 1
-            for v in range(g.num_vertices):
-                if state.odd[v]:
-                    vertex_counts[v] += 1
-    in_freq = edge_counts / retained
-    odd_freq = vertex_counts / retained
+            kept.append(member + odd)
+            if len(kept) == _BLOCK:
+                counts += tally(kept)
+                kept.clear()
+    counts += tally(kept)
+    in_freq = counts[:g.num_edges] / retained
+    odd_freq = counts[g.num_edges:] / retained
     return Marginals(
         np.stack([1.0 - in_freq, in_freq], axis=1),
         np.stack([1.0 - odd_freq, odd_freq], axis=1),
@@ -305,21 +381,23 @@ def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
     g = p.graph
     if g.num_edges > 20:
         raise SamplerError("state histogram is exponential in |E|; keep |E| <= 20")
-    tanh_j, tanh_h = _swp_parameters(p)
-    rng = np.random.default_rng(seed)
-    state = SubgraphState.empty(g)
-    edges = list(g.edges)
-    counts = np.zeros(2 ** g.num_edges, dtype=np.int64)
-    burn_proposals = 10 * g.num_edges * g.num_edges
-    for step in range(burn_proposals + steps):
-        e = step % g.num_edges
-        t, h = edges[e]
-        ratio = _toggle_ratio(state, e, t, h, tanh_j, tanh_h)
-        if ratio >= 1.0 or rng.random() < ratio:
-            state.toggle(e, t, h)
-        if step >= burn_proposals:
-            counts[state.bitmask()] += 1
-    return counts
+    ratios = _toggle_ratios(p)
+    uniform = _block_uniforms(np.random.default_rng(seed))
+    member, odd = [0] * g.num_edges, [0] * g.num_vertices
+    sites = [(e, t, h, 8 * e) for e, (t, h) in enumerate(g.edges)]
+    for _ in range(10 * g.num_edges):
+        _propose(sites, ratios, member, odd, uniform)
+    counts = [0] * 2 ** g.num_edges
+    mask = sum(1 << e for e, inside in enumerate(member) if inside)
+    for e, t, h, row in islice(cycle(sites), steps):
+        ratio = ratios[row + 4 * member[e] + 2 * odd[t] + odd[h]]
+        if ratio >= 1.0 or uniform() < ratio:
+            member[e] ^= 1
+            odd[t] ^= 1
+            odd[h] ^= 1
+            mask ^= 1 << e
+        counts[mask] += 1
+    return np.array(counts, dtype=np.int64)
 
 
 def swp_state_weights(p: PrimalNFG) -> np.ndarray:

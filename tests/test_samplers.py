@@ -1,18 +1,25 @@
 """Gibbs chains in both domains, the subgraphs-world process, and the
 dual-estimate-then-map composition.  Statistical assertions run on frozen
-seeds chosen with comfortable z-margins."""
+seeds chosen with comfortable z-margins.  The table-driven chains are also
+checked, bit for bit, against per-site reference loops kept here."""
+
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from nfgdual.graphs import Alphabet, Graph, betti, grid_graph, path_graph, ring_graph
 from nfgdual.mapping import SingularMapError, map_dual_to_primal
-from nfgdual.nfg import DualNFG, Marginals, PrimalNFG, dualize, ising_model, potts_model
+from nfgdual.nfg import (
+    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _factor_view, clock_model, dualize,
+    is_nonnegative, ising_model, potts_model,
+)
 from nfgdual.oracle import chain_ising_marginals, marginals_dual, marginals_primal
 from nfgdual.samplers import (
     SamplerConfig,
     SamplerError,
     SubgraphState,
+    _conditional,
     estimate_primal_via_dual,
     gibbs_dual,
     gibbs_primal,
@@ -21,6 +28,7 @@ from nfgdual.samplers import (
     swp_state_histogram,
     swp_state_weights,
 )
+from nfgdual.validate import random_model
 
 
 def triangle():
@@ -29,6 +37,103 @@ def triangle():
 
 def binomial_sigma(p, n):
     return np.sqrt(p * (1 - p) / n)
+
+
+def _reference_order(n, sweep, rng):
+    if sweep == "systematic":
+        return list(range(n))
+    return [int(i) for i in rng.integers(0, n, size=n)]
+
+
+def reference_heat_bath(model, cfg):
+    """Heat bath one site at a time: multiply the factors' weights for every
+    value, then walk the running sum until it passes u * total.
+
+    gibbs_primal and gibbs_dual must reproduce this loop bit for bit: they
+    perform the same float operations, looked up from memoized tables.
+    """
+    scopes, num_vars, tables = _factor_view(model)
+    q = model.alphabet.q
+    kind = "vertex" if model.domain == PRIMAL else "edge"
+    real = tables.real.clip(min=0.0)
+    by_var = [[] for _ in range(num_vars)]
+    for f in sorted(range(len(scopes)), key=lambda f: len(scopes[f][0]) > 1):
+        for var, sign in zip(*scopes[f]):
+            by_var[var].append((f, sign, real[f][(sign * np.arange(2 * q)) % q].tolist()))
+    rng = np.random.default_rng(cfg.seed)
+    z = [0] * num_vars
+    arg = [0] * len(scopes)
+    counts = np.zeros((len(scopes), q), dtype=np.int64)
+    burn = cfg.resolved_burn_in(num_vars)
+    retained = 0
+    for sweep in range(burn + cfg.samples * cfg.thinning):
+        order = _reference_order(num_vars, cfg.sweep, rng)
+        for i, u in zip(order, rng.random(num_vars).tolist()):
+            cur = z[i]
+            rows = [(t2, (sign * arg[f] - cur) % q) for f, sign, t2 in by_var[i]]
+            weights = []
+            for a in range(q):
+                w = 1.0
+                for t2, b in rows:
+                    w *= t2[b + a]
+                weights.append(w)
+            total = sum(weights)
+            if total <= 0.0:
+                raise SamplerError(
+                    f"every state of {kind} {i} has zero weight given its neighbors "
+                    "(a hard constraint the current configuration violates)"
+                )
+            u *= total
+            acc = 0.0
+            for new, w in enumerate(weights):
+                acc += w
+                if u < acc:
+                    break
+            else:
+                new = max(a for a, w in enumerate(weights) if w > 0.0)
+            if new != cur:
+                z[i] = new
+                for f, sign, _ in by_var[i]:
+                    arg[f] = (arg[f] + sign * (new - cur)) % q
+        if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
+            retained += 1
+            counts[np.arange(len(scopes)), arg] += 1
+    e = model.graph.num_edges
+    return Marginals(counts[:e] / retained, counts[e:] / retained, model.domain)
+
+
+def reference_swp(p, cfg, audit_every=None):
+    """Subgraphs-world process one toggle at a time, with the Metropolis ratio
+    recomputed at every proposal and one scalar uniform per ratio below 1."""
+    g = p.graph
+    tanh_j = np.tanh(np.log(p.edge_tables[:, 0].real)).tolist()
+    tanh_h = np.tanh(np.log(p.vertex_tables[:, 0].real)).tolist()
+    rng = np.random.default_rng(cfg.seed)
+    state = SubgraphState([False] * g.num_edges, [0] * g.num_vertices)
+    edge_counts = np.zeros(g.num_edges, dtype=np.int64)
+    vertex_counts = np.zeros(g.num_vertices, dtype=np.int64)
+    burn = cfg.resolved_burn_in(g.num_edges)
+    retained = proposals = 0
+    for sweep in range(burn + cfg.samples * cfg.thinning):
+        for e in _reference_order(g.num_edges, cfg.sweep, rng):
+            t, h = g.edges[e]
+            ratio = tanh_j[e] if not state.member[e] else 1.0 / tanh_j[e]
+            ratio *= 1.0 / tanh_h[t] if state.odd[t] else tanh_h[t]
+            ratio *= 1.0 / tanh_h[h] if state.odd[h] else tanh_h[h]
+            if ratio >= 1.0 or rng.random() < ratio:
+                state.member[e] = not state.member[e]
+                state.odd[t] ^= 1
+                state.odd[h] ^= 1
+            proposals += 1
+            if audit_every and proposals % audit_every == 0:
+                assert state.odd == state.recompute_odd(g)
+        if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
+            retained += 1
+            edge_counts += np.array(state.member, dtype=np.int64)
+            vertex_counts += np.array(state.odd, dtype=np.int64)
+    in_freq, odd_freq = edge_counts / retained, vertex_counts / retained
+    return Marginals(np.stack([1.0 - in_freq, in_freq], axis=1),
+                     np.stack([1.0 - odd_freq, odd_freq], axis=1), DUAL)
 
 
 class TestConfig:
@@ -155,6 +260,119 @@ class TestGibbsDual:
             gibbs_dual(d, SamplerConfig(seed=1, samples=10))
 
 
+REFERENCE_CONFIGS = {
+    "systematic": SamplerConfig(seed=31, samples=80),
+    "random_thin3": SamplerConfig(seed=32, samples=40, sweep="random", thinning=3),
+}
+
+
+def assert_same(got, want):
+    assert np.array_equal(got.edge_values, want.edge_values)
+    assert np.array_equal(got.vertex_values, want.vertex_values)
+
+
+class _CountingRng:
+    """Forwards random/integers to a seeded PCG64 generator and counts the calls."""
+
+    made = []
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self.calls = 0
+        _CountingRng.made.append(self)
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.random(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+class TestAgainstReference:
+    """The memoized heat bath and the table-driven SWP against the per-site loops."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(7007)
+        models = [random_model(rng, max_vertices=6, max_edges=9, ferromagnetic=True,
+                               families=("ising", "potts")) for _ in range(10)]
+        assert {p.alphabet.q for p, _ in models} == {2, 3, 4}
+        assert "ising" in {family for _, family in models}
+        return models
+
+    @pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
+    def test_random_models_both_domains(self, corpus, config):
+        cfg = REFERENCE_CONFIGS[config]
+        for p, family in corpus:
+            d = dualize(p)
+            assert_same(gibbs_primal(p, cfg), reference_heat_bath(p, cfg))
+            assert_same(gibbs_dual(d, cfg), reference_heat_bath(d, cfg))
+            if family == "ising":
+                assert_same(swp(p, cfg), reference_swp(p, cfg))
+
+    @pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
+    def test_one_edge_and_tree(self, config):
+        cfg = REFERENCE_CONFIGS[config]
+        tree = Graph(6, [(0, 1), (0, 2), (3, 0), (3, 4), (5, 3)])
+        for p in (ising_model(path_graph(2), 0.7, 0.3),
+                  ising_model(tree, [0.2, 0.9, 0.5, 1.3, 0.4], [0.1, 0.6, 0.3, 0.8, 0.2, 0.5]),
+                  clock_model(tree, 4, [0.4, 0.8, 0.3, 1.1, 0.6], [0.2, 0.5, 0.1, 0.7, 0.3, 0.4]),
+                  potts_model(tree, 3, [0.5, -0.7, 0.2, -0.4, 0.9], 0.3)):
+            assert_same(gibbs_primal(p, cfg), reference_heat_bath(p, cfg))
+            if p.alphabet.q == 2:
+                assert_same(gibbs_dual(dualize(p), cfg), reference_heat_bath(dualize(p), cfg))
+                assert_same(swp(p, cfg), reference_swp(p, cfg))
+            elif is_nonnegative(dualize(p)):
+                assert_same(gibbs_dual(dualize(p), cfg), reference_heat_bath(dualize(p), cfg))
+
+    def test_zero_weight_conditional_at_the_same_update(self, monkeypatch):
+        # x_0 is forced to 0 and every edge forbids a difference of 2; the
+        # all-zero start has zero weight, and vertex 1 is left with no allowed
+        # value at a sweep that depends on the draws
+        p = PrimalNFG(path_graph(4), Alphabet(3),
+                      [[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+                      [[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+        monkeypatch.setattr(np.random, "default_rng", _CountingRng)
+        outcomes = set()
+        for cfg in [SamplerConfig(seed=0, samples=5, burn_in=5)] + [
+                SamplerConfig(seed=s, samples=5, burn_in=5, sweep="random") for s in range(14)]:
+            results = []
+            for run in (gibbs_primal, reference_heat_bath):
+                try:
+                    est = run(p, cfg)
+                    results.append(("ok", est.edge_values.tolist(), est.vertex_values.tolist()))
+                except SamplerError as err:
+                    results.append((str(err), _CountingRng.made[-1].calls))
+            assert results[0] == results[1]
+            outcomes.add(results[0][1] if len(results[0]) == 2 else "ok")
+        assert outcomes == {1, 2, 4, 6, "ok"}  # failures at the first, second and third sweep
+
+    def test_draw_past_the_last_weight(self):
+        # weights [0.5, 0.25, 0, 0.25, 0]: a u * total at or past a running sum
+        # goes on, and one at the total lands on the last weighted value, 3
+        table = [0.5, 0.25, 0.0, 0.25, 0.0]
+        total, cumulative = _conditional([(0, 1, table * 2)], [0], 5, "vertex", 0)
+        assert (total, cumulative) == (1.0, [0.5, 0.75, 0.75])
+        for x, want in [(0.0, 0), (0.49, 0), (0.5, 1), (0.75, 3), (0.9, 3), (1.0, 3)]:
+            assert bisect_right(cumulative, x) == want
+
+    @pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
+    @pytest.mark.parametrize("audit_every", [1, 7, 50])
+    def test_swp_audits(self, config, audit_every, monkeypatch):
+        p = ising_model(grid_graph(3, 3, periodic=True), 0.44, 0.15)
+        cfg = REFERENCE_CONFIGS[config]
+        want = reference_swp(p, cfg, audit_every=audit_every)
+        audits = []
+        recompute = SubgraphState.recompute_odd
+        monkeypatch.setattr(SubgraphState, "recompute_odd",
+                            lambda state, g: audits.append(1) or recompute(state, g))
+        assert_same(swp(p, cfg, audit_every=audit_every), want)
+        proposals = (cfg.resolved_burn_in(18) + cfg.samples * cfg.thinning) * 18
+        assert len(audits) == proposals // audit_every
+
+
 class TestSubgraphState:
     def test_incremental_parity_matches_recompute(self):
         g = grid_graph(2, 3)
@@ -271,6 +489,18 @@ class TestEstimateViaDual:
         assert est.vertex_values is None
         with pytest.raises(SingularMapError, match="vertex map was singular"):
             est.vertex(0)
+
+    def test_singular_map_names_its_cause(self):
+        # a zero field blames the field, a zero coupling the coupling
+        p = ising_model(ring_graph(4), 0.5, [0.2, 0.0, 0.3, 0.1])
+        est = estimate_primal_via_dual(p, "bp_dual")
+        with pytest.raises(SingularMapError, match="zero external field") as err:
+            est.vertex(1)
+        assert "coupling" not in str(err.value)
+        p = ising_model(ring_graph(4), [0.5, 0.0, 0.4, 0.3], 0.2)
+        with pytest.raises(SingularMapError, match="zero-coupling edges") as err:
+            estimate_primal_via_dual(p, "bp_dual")
+        assert "field" not in str(err.value)
 
     def test_singular_edge_map_raises(self):
         # bJ = 0 makes psi~_1 = 2 sinh 0 vanish at edge 1
