@@ -29,7 +29,7 @@ from .gaussian import (
 from .graphs import betti, scale_factor
 from .mapping import SingularMapError, map_dual_to_primal, map_primal_to_dual
 from .modelspec import SpecError, model_from_file
-from .nfg import PrimalNFG, dualize, is_nonnegative
+from .nfg import DUAL, PRIMAL, MarginalVector, PrimalNFG, dualize, is_nonnegative
 from .oracle import (
     EnumerationBudgetError,
     duality_check,
@@ -168,9 +168,9 @@ def cmd_map(args) -> int:
                         f"{kind}s, numbered 0 to {len(primal) - 1}")
     tables = (primal[idx], dual[idx])
     if args.direction == "dual-to-primal":
-        out = map_dual_to_primal(values, *tables)
+        out = map_dual_to_primal(MarginalVector(values, (kind, idx), DUAL), *tables)
     else:
-        out = map_primal_to_dual(values, *tables)
+        out = map_primal_to_dual(MarginalVector(values, (kind, idx), PRIMAL), *tables)
     print("  ".join(_fmt(v) for v in out.values))
     return EXIT_OK
 

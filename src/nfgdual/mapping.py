@@ -32,14 +32,28 @@ def _table(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.complex128)
 
 
-def _marginal_values(mv) -> tuple:
+def _marginal_values(mv, domain: str) -> tuple:
+    """(values, site, role) of a per-site marginal; a bare array is an edge's."""
     if isinstance(mv, MarginalVector):
-        return mv.values, mv.site
-    return np.asarray(mv, dtype=np.complex128), ("edge", -1)
+        kind, index = mv.site
+        role = f"{domain} {kind}" if index < 0 else f"{domain} {kind} {index}"
+        return mv.values, mv.site, role
+    return np.asarray(mv, dtype=np.complex128), ("edge", -1), f"{domain} edge"
+
+
+# why a table of each site kind has a zero entry, for the singular-map refusal
+SINGULAR_CAUSE = {
+    "edge": "zero-coupling edges must be perturbed by >= 1e-9",
+    "vertex": "a zero external field makes the dual vertex table vanish; "
+              "give the vertex a field of at least 1e-9",
+}
 
 
 def _require_nonzero(tables: np.ndarray, role: str) -> None:
-    """Refuse any row with an entry below 1e-12 of that row's scale."""
+    """Refuse any row with an entry below 1e-12 of that row's scale.
+
+    role is "<domain> edge" or "<domain> vertex", optionally with a site index.
+    """
     mags = np.abs(tables)
     if not mags.size:
         return
@@ -48,7 +62,7 @@ def _require_nonzero(tables: np.ndarray, role: str) -> None:
         where = "" if len(tables) == 1 else f" {int(np.argmax(bad))}"
         raise SingularMapError(
             f"{role} table{where} has a zero entry; the local map is singular "
-            "(zero-coupling edges must be perturbed by >= 1e-9)"
+            f"({SINGULAR_CAUSE[role.split()[1]]})"
         )
 
 
@@ -75,9 +89,9 @@ def map_dual_to_primal(mv, primal_table, dual_table) -> MarginalVector:
     pi_p(a) = psi(a) * sum_a' (pi_d(a') / psi~(a')) * omega**(a a'), with
     omega = exp(-2 pi i / q).  Requires every psi~(a) != 0.
     """
-    values, site = _marginal_values(mv)
+    values, site, role = _marginal_values(mv, DUAL)
     psi, psit = _table(primal_table), _table(dual_table)
-    out = _map_rows(values[None], psit[None], psi[None], "dual factor")
+    out = _map_rows(values[None], psit[None], psi[None], role)
     return MarginalVector(out[0], site, PRIMAL)
 
 
@@ -86,9 +100,9 @@ def map_primal_to_dual(mv, primal_table, dual_table) -> MarginalVector:
 
     Exact inverse of map_dual_to_primal; requires every psi(a) != 0.
     """
-    values, site = _marginal_values(mv)
+    values, site, role = _marginal_values(mv, PRIMAL)
     psi, psit = _table(primal_table), _table(dual_table)
-    out = _map_rows(values[None], psi[None], psit[None], "primal factor", inverse=True)
+    out = _map_rows(values[None], psi[None], psit[None], role, inverse=True)
     return MarginalVector(out[0], site, DUAL)
 
 

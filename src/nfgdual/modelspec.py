@@ -164,9 +164,7 @@ def build_model(spec: dict):
         raise SpecError(f"{family} family needs q")
     if family == "potts":
         return potts_model(g, q, couplings, fields)
-    if np.any(fields != 0.0):
-        raise SpecError("the clock family has no external field")
-    return clock_model(g, q, couplings)
+    return clock_model(g, q, couplings, fields)
 
 
 def load_spec(path: str) -> dict:

@@ -45,8 +45,10 @@ class MarginalVector:
 class SingularMapError(ValueError):
     """A kernel table has a zero entry, so the local map is not invertible.
 
-    The standard trigger is a zero-coupling edge (bJ_e = 0 makes the dual
-    table vanish at 1); perturb the coupling by at least 1e-9 to proceed.
+    At an edge the standard trigger is a zero coupling (bJ_e = 0 makes the
+    dual edge table vanish at 1); perturb the coupling by at least 1e-9.  At
+    a vertex it is a zero external field (bH_v = 0 makes the dual vertex
+    table vanish at every nonzero value); give the vertex a field instead.
     """
 
 
@@ -75,7 +77,8 @@ class Marginals:
 
     def vertex(self, v: int) -> MarginalVector:
         if self.vertex_values is None:
-            raise SingularMapError("vertex map was singular for this model")
+            raise SingularMapError("vertex map was singular for this model (a zero "
+                                   "external field makes a dual vertex table vanish)")
         return MarginalVector(self.vertex_values[v], ("vertex", v), self.domain)
 
 

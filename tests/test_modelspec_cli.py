@@ -19,7 +19,8 @@ from nfgdual.modelspec import (
     resolve_couplings,
     validate_spec,
 )
-from nfgdual.nfg import PrimalNFG
+from nfgdual.graphs import ring_graph
+from nfgdual.nfg import PrimalNFG, clock_model
 
 
 def write_spec(tmp_path, name, spec):
@@ -33,6 +34,11 @@ TRIANGLE_SPEC = {
     "topology": {"type": "ring", "n": 3},
     "couplings": 0.5,
     "fields": 0.2,
+}
+CLOCK_SPEC = {
+    "family": "clock", "q": 4,
+    "topology": {"type": "ring", "n": 3},
+    "couplings": 0.5, "fields": [0.1, 0.2, 0.3],
 }
 
 
@@ -106,13 +112,11 @@ class TestBuildModel:
         with pytest.raises(SpecError, match="needs q"):
             build_model({"family": "potts", "topology": {"type": "ring", "n": 3}})
 
-    def test_clock_rejects_field(self):
-        with pytest.raises(SpecError, match="no external field"):
-            build_model({
-                "family": "clock", "q": 4,
-                "topology": {"type": "ring", "n": 3},
-                "couplings": 0.5, "fields": 0.1,
-            })
+    def test_clock_takes_fields(self):
+        model = build_model(CLOCK_SPEC)
+        want = clock_model(ring_graph(3), 4, 0.5, [0.1, 0.2, 0.3])
+        assert np.array_equal(model.edge_tables, want.edge_tables)
+        assert np.array_equal(model.vertex_tables, want.vertex_tables)
 
     def test_gaussian(self):
         model = build_model({
@@ -157,6 +161,31 @@ class TestCli:
         ]) == 0
         values = [float(v) for v in capsys.readouterr().out.split()]
         assert sum(values) == pytest.approx(1.0, abs=1e-9)
+
+    def test_map_clock_vertex_in_field(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "c.json", CLOCK_SPEC)
+        assert main([
+            "map", "--spec", spec, "--location", "vertex:0",
+            "--direction", "dual-to-primal", "--marginal", "0.7,0.1,0.1,0.1",
+        ]) == 0
+        values = [float(v) for v in capsys.readouterr().out.split()]
+        assert len(values) == 4
+        assert sum(values) == pytest.approx(1.0, abs=1e-6)  # entries near 10, 10 digits printed
+
+    @pytest.mark.parametrize("location, spec, cause", [
+        ("vertex:1", dict(TRIANGLE_SPEC, fields=[0.2, 0.0, 0.3]), "zero external field"),
+        ("edge:2", dict(TRIANGLE_SPEC, couplings=[0.5, 0.4, 0.0]), "zero-coupling edges"),
+    ])
+    def test_singular_map_names_its_cause(self, tmp_path, capsys, location, spec, cause):
+        path = write_spec(tmp_path, "s.json", spec)
+        assert main([
+            "map", "--spec", path, "--location", location,
+            "--direction", "dual-to-primal", "--marginal", "0.9,0.1",
+        ]) == 4
+        err = capsys.readouterr().err
+        assert f"dual {location.replace(':', ' ')} table has a zero entry" in err
+        assert cause in err
+        assert ("coupling" in err) == (cause == "zero-coupling edges")
 
     @pytest.mark.parametrize("location", ["edge:99", "edge:-1", "vertex:3"])
     def test_map_location_out_of_range(self, tmp_path, capsys, location):
