@@ -42,7 +42,7 @@ def _marginal_values(mv, domain: str) -> tuple:
 
 
 # why a table of each site kind has a zero entry, for the singular-map refusal
-SINGULAR_CAUSE = {
+_SINGULAR_CAUSE = {
     "edge": "zero-coupling edges must be perturbed by >= 1e-9",
     "vertex": "a zero external field makes the dual vertex table vanish; "
               "give the vertex a field of at least 1e-9",
@@ -62,7 +62,7 @@ def _require_nonzero(tables: np.ndarray, role: str) -> None:
         where = "" if len(tables) == 1 else f" {int(np.argmax(bad))}"
         raise SingularMapError(
             f"{role} table{where} has a zero entry; the local map is singular "
-            f"({SINGULAR_CAUSE[role.split()[1]]})"
+            f"({_SINGULAR_CAUSE[role.split()[1]]})"
         )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, cycle, islice, product
+from itertools import accumulate, chain, cycle, islice, product
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .nfg import (
 )
 
 
-_BLOCK = 256  # retained configurations counted per numpy call
+_BLOCK = 64  # retained configurations counted per numpy call
 
 
 class SamplerError(ValueError):
@@ -83,9 +83,10 @@ def _site_order(n: int, sweep: str, rng) -> list:
     return [int(i) for i in rng.integers(0, n, size=n)]
 
 
-def _conditional(factors, digits, q: int, kind: str, site: int) -> tuple:
+def _conditional(tables, digits, q: int, kind: str, site: int) -> tuple:
     """(total, cumulative weights below the last weighted value) of one
-    variable's heat-bath conditional, given the digits b of its factors' tables.
+    variable's heat-bath conditional, given its factors' doubled tables t2
+    and their digits b.
 
     bisect_right(cumulative, u * total) is then the first value whose running
     sum exceeds u * total, or the last weighted value when u * total reaches
@@ -94,7 +95,7 @@ def _conditional(factors, digits, q: int, kind: str, site: int) -> tuple:
     weights = []
     for a in range(q):
         w = 1.0
-        for (_, _, t2), b in zip(factors, digits):
+        for t2, b in zip(tables, digits):
             w *= t2[b + a]
         weights.append(w)
     total = sum(weights)
@@ -131,15 +132,16 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     q = model.alphabet.q
     kind = "vertex" if model.domain == PRIMAL else "edge"
     real = tables.real.clip(min=0.0)
-    by_var = [[] for _ in range(num_vars)]
+    factors_of = [[] for _ in range(num_vars)]
+    t2s = [[] for _ in range(num_vars)]
     for f in sorted(range(len(scopes)), key=lambda f: len(scopes[f][0]) > 1):
         for var, sign in zip(*scopes[f]):
-            t2 = real[f][(sign * np.arange(2 * q)) % q].tolist()
-            by_var[var].append((f, sign, t2))
+            factors_of[var].append(f)
+            t2s[var].append(real[f][(sign * np.arange(2 * q)) % q].tolist())
     # digit slot of variable i's p-th factor: start[i] + p, worth q**p in i's key
-    start = np.concatenate([[0], np.cumsum([len(fs) for fs in by_var])]).tolist()
-    slot = {(f, i): (start[i] + p, q ** p) for i, fs in enumerate(by_var)
-            for p, (f, _, _) in enumerate(fs)}
+    start = [0, *accumulate(len(fs) for fs in factors_of)]
+    slot = {(f, i): (start[i] + p, q ** p) for i, fs in enumerate(factors_of)
+            for p, f in enumerate(fs)}
     moves = [[] for _ in range(num_vars)]
     for f, (variables, signs) in enumerate(scopes):
         for j, sj in zip(variables, signs):
@@ -172,7 +174,7 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
             entry = memo[i].get(key[i])
             if entry is None:
                 entry = memo[i][key[i]] = _conditional(
-                    by_var[i], digit[start[i]:start[i + 1]], q, kind, i)
+                    t2s[i], digit[start[i]:start[i + 1]], q, kind, i)
             total, cumulative = entry
             new = bisect_right(cumulative, u * total)
             d = new - z[i]

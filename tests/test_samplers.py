@@ -353,7 +353,7 @@ class TestAgainstReference:
         # weights [0.5, 0.25, 0, 0.25, 0]: a u * total at or past a running sum
         # goes on, and one at the total lands on the last weighted value, 3
         table = [0.5, 0.25, 0.0, 0.25, 0.0]
-        total, cumulative = _conditional([(0, 1, table * 2)], [0], 5, "vertex", 0)
+        total, cumulative = _conditional([table * 2], [0], 5, "vertex", 0)
         assert (total, cumulative) == (1.0, [0.5, 0.75, 0.75])
         for x, want in [(0.0, 0), (0.49, 0), (0.5, 1), (0.75, 3), (0.9, 3), (1.0, 3)]:
             assert bisect_right(cumulative, x) == want
