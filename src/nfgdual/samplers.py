@@ -80,7 +80,7 @@ def _require_pmf_tables(tables: np.ndarray, what: str) -> None:
 def _site_order(n: int, sweep: str, rng) -> list:
     if sweep == "systematic":
         return list(range(n))
-    return [int(i) for i in rng.integers(0, n, size=n)]
+    return rng.integers(0, n, size=n).tolist()
 
 
 def _conditional(tables, digits, q: int, kind: str, site: int) -> tuple:
