@@ -8,6 +8,8 @@ closed forms provide an enumeration-free cross-check for 1D models.
 
 from __future__ import annotations
 
+import itertools
+import numbers
 import os
 
 import numpy as np
@@ -19,7 +21,8 @@ from .nfg import (
 
 DEFAULT_BUDGET = 2 ** 26
 BUDGET_ENV_VAR = "NFG_DUAL_BUDGET"
-_CHUNK = 1 << 17
+_BLOCK = 4096  # most states in one low-digit block
+_CHUNK = 1 << 17  # states per pairwise sum of Z
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -29,9 +32,12 @@ class EnumerationBudgetError(RuntimeError):
 def enumeration_budget(budget: int | None = None) -> int:
     """Effective state budget: explicit argument, else NFG_DUAL_BUDGET, else 2**26.
 
-    An NFG_DUAL_BUDGET that is not an integer of at least 1 raises ValueError.
+    A budget argument or an NFG_DUAL_BUDGET that is not an integer of at
+    least 1 raises ValueError.
     """
     if budget is not None:
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+            raise ValueError(f"budget={budget!r} is not an integer state count of at least 1")
         return int(budget)
     env = os.environ.get(BUDGET_ENV_VAR)
     if not env:
@@ -62,37 +68,76 @@ def _enumerate(model, budget=None, skip_factor: int | None = None):
     edge rows first, then vertex rows).  With skip_factor set, that factor's
     table is struck from the product, so for an edge e its row is the
     extrinsic vector S_e.
+
+    The first k variables form a low block of q**k <= _BLOCK states, walked
+    once per assignment of the others.  Each factor's argument is its low
+    part, fixed for the whole walk, plus an offset c from the high digits,
+    so a block reads each table rotated by c.  States keep the order of
+    their index sum_j z_j q**j, and Z adds one pairwise sum per _CHUNK
+    states of that order.
     """
     scopes, num_vars, tables = _factor_view(model)
     q = model.alphabet.q
     total = q ** num_vars
     _check_budget(total, budget, f"{model.domain} enumeration")
-    # A factor reading one variable with sign +1 takes that variable's digit
-    # row as it is; the others get their signed sums from one matmul.
-    direct = [vs[0] if ss == (1,) else None for vs, ss in scopes]
-    summed = [i for i, var in enumerate(direct) if var is None]
-    signs = np.zeros((len(summed), num_vars), dtype=np.int64)
-    for row, i in enumerate(summed):
-        for var, sign in zip(*scopes[i]):
-            signs[row, var] += sign
-    powers = q ** np.arange(num_vars, dtype=np.int64)
+    k = min(num_vars, 1)
+    while k < num_vars and q ** (k + 1) <= _BLOCK:
+        k += 1
+    size = q ** k
+    values = np.arange(q)
+    digits = [np.tile(np.repeat(values, q ** j), q ** (k - 1 - j)) for j in range(k)]
+    no_low = np.zeros(size, dtype=np.intp)
+    low_args, high_scopes = [], []
+    for vs, ss in scopes:
+        low = [(v, s) for v, s in zip(vs, ss) if v < k]
+        # itertools.product varies its last entry fastest and variable k must
+        # vary fastest, so the high variables are numbered from the end
+        high_scopes.append([(num_vars - 1 - v, s) for v, s in zip(vs, ss) if v >= k])
+        if not low:
+            low_args.append(None)
+        elif len(low) == 1 and low[0][1] == 1:
+            low_args.append(digits[low[0][0]])
+        else:
+            low_args.append(sum(s * digits[v] for v, s in low) % q)
+    rotation = (values[:, None] + values) % q  # rotation[c, a] = a + c mod q
+    rotated = tables[:, rotation]
+    factors = [i for i in range(len(scopes)) if i != skip_factor]
+    # A leading run of factors with no high variable weighs every block alike.
+    lead = 0
+    while lead < len(factors) and not high_scopes[factors[lead]]:
+        lead += 1
+    head = np.ones(size, dtype=np.complex128)
+    for i in factors[:lead]:
+        head *= tables[i][0] if low_args[i] is None else tables[i][low_args[i]]
     sums = np.zeros((len(scopes), q), dtype=np.complex128)
     z = 0.0 + 0.0j
-    for lo in range(0, total, _CHUNK):
-        digits = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64) // powers[:, None]
-        digits %= q
-        rows = signs @ digits
-        rows %= q
-        args = [None if var is None else digits[var] for var in direct]
-        for row, i in enumerate(summed):
-            args[i] = rows[row]
-        w = np.ones(digits.shape[1], dtype=np.complex128)
-        for i, arg in enumerate(args):
-            if i != skip_factor:
-                w *= tables[i][arg]
-        z += w.sum()
-        for i, arg in enumerate(args):
-            np.add.at(sums[i], arg, w)
+    buf = np.empty(min(total, _CHUNK), dtype=np.complex128)
+    fill = 0
+    for high in itertools.product(range(q), repeat=num_vars - k):
+        offsets = [sum(s * high[v] for v, s in hs) % q for hs in high_scopes]
+        w = head.copy()
+        for i in factors[lead:]:
+            arg = low_args[i]
+            w *= tables[i][offsets[i]] if arg is None else rotated[i, offsets[i]][arg]
+        done = 0
+        while done < size:
+            n = min(size - done, len(buf) - fill)
+            buf[fill:fill + n] = w[done:done + n]
+            fill += n
+            done += n
+            if fill == len(buf):
+                z += buf.sum()
+                fill = 0
+        for i, (arg, c) in enumerate(zip(low_args, offsets)):
+            arg = no_low if arg is None else arg
+            if c == 0:
+                np.add.at(sums[i], arg, w)
+            else:
+                row = sums[i][rotation[c]]
+                np.add.at(row, arg, w)
+                sums[i][rotation[c]] = row
+    if fill:
+        z += buf[:fill].sum()
     return z, sums
 
 

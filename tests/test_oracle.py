@@ -1,5 +1,7 @@
 """Enumeration oracles: partition functions, duality, marginals, closed forms."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,15 @@ class TestPartitionPrimal:
         monkeypatch.setenv("NFG_DUAL_BUDGET", value)
         with pytest.raises(ValueError, match=f"NFG_DUAL_BUDGET='{value}'"):
             enumeration_budget()
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "100", 0, -3])
+    def test_budget_argument_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"budget={value!r}")):
+            enumeration_budget(value)
+
+    def test_budget_argument_takes_any_integer_type(self):
+        assert enumeration_budget(1) == 1
+        assert enumeration_budget(np.int64(7)) == 7
 
     def test_env_var_budget(self, monkeypatch):
         monkeypatch.setenv("NFG_DUAL_BUDGET", "100")
