@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfgdual import cli
+from nfgdual import cli, oracle
 from nfgdual.bp import DegenerateMessageError
 from nfgdual.cli import main
 from nfgdual.gaussian import GmrfModel
@@ -35,6 +35,29 @@ TRIANGLE_SPEC = {
     "couplings": 0.5,
     "fields": 0.2,
 }
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+# `nfgdual exact --spec specs/potts_frustrated_triangle.json`, as printed when
+# the residual came from its own duality_check enumerations
+EXACT_POTTS_TRIANGLE = """\
+Z_p = 54.34803624
+duality residual |Z_d - alpha Z_p| / |Z_p| = 2.092e-15
+primal edge marginals:
+  [  0] 0.3330995655  0.3334502172  0.3334502172
+  [  1] 0.5102057874  0.2448971063  0.2448971063
+  [  2] 0.5102057874  0.2448971063  0.2448971063
+primal vertex marginals:
+  [  0] 0.3620287273  0.3189856363  0.3189856363
+  [  1] 0.3620287273  0.3189856363  0.3189856363
+  [  2] 0.3682168909  0.3158915545  0.3158915545
+dual edge marginals:
+  [  0] 1.013899877  -0.00694993865  -0.00694993865
+  [  1] 1.012783918  -0.006391959174  -0.006391959174
+  [  2] 1.012783918  -0.006391959174  -0.006391959174
+dual vertex marginals:
+  [  0] 0.9993976159  0.0003011920702  0.0003011920702
+  [  1] 0.9993976159  0.0003011920702  0.0003011920702
+  [  2] 0.9987880898  0.0006059550856  0.0006059550856
+"""
 CLOCK_SPEC = {
     "family": "clock", "q": 4,
     "topology": {"type": "ring", "n": 3},
@@ -141,6 +164,19 @@ class TestCli:
         assert main(["exact", "--spec", spec]) == 0
         out = capsys.readouterr().out
         assert "duality residual" in out
+
+    def test_exact_enumerates_each_domain_once(self, monkeypatch, capsys):
+        enumerate_ = oracle._enumerate
+        domains = []
+
+        def counting(model, *args, **kwargs):
+            domains.append(model.domain)
+            return enumerate_(model, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_enumerate", counting)
+        assert main(["exact", "--spec", str(SPECS / "potts_frustrated_triangle.json")]) == 0
+        assert domains == ["primal", "dual"]
+        assert capsys.readouterr().out == EXACT_POTTS_TRIANGLE
 
     def test_bp_command(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "m.json", TRIANGLE_SPEC)
