@@ -2,7 +2,11 @@
 
 Everything here is deliberately brute force: partition functions and marginals
 are computed by summing over the full configuration space in either domain,
-with a hard state-count budget instead of any approximation.  The chain/ring
+with a hard state-count budget instead of any approximation.  The sum walks
+blocks of the low variables' digits: within a block each factor reads its
+table rotated by an offset from the high digits, at arguments computed once
+per call.  The weights, their order and Z's summation over fixed 2^17-state
+chunks are those of a state-by-state walk in index order.  The chain/ring
 closed forms provide an enumeration-free cross-check for 1D models.
 """
 
