@@ -3,11 +3,10 @@
 Everything here is deliberately brute force: partition functions and marginals
 are computed by summing over the full configuration space in either domain,
 with a hard state-count budget instead of any approximation.  The sum walks
-blocks of the low variables' digits: within a block each factor reads its
-table rotated by an offset from the high digits, at arguments computed once
-per call.  The weights, their order and Z's summation over fixed 2^17-state
-chunks are those of a state-by-state walk in index order.  The chain/ring
-closed forms provide an enumeration-free cross-check for 1D models.
+blocks of the low variables' digits, each factor reading its table rotated
+by the high digits (see _enumerate), with the floats of a state-by-state
+walk in index order.  The chain/ring closed forms provide an
+enumeration-free cross-check for 1D models.
 """
 
 from __future__ import annotations
@@ -103,8 +102,7 @@ def _enumerate(model, budget=None, skip_factor: int | None = None):
             low_args.append(digits[low[0][0]])
         else:
             low_args.append(sum(s * digits[v] for v, s in low) % q)
-    rotation = (values[:, None] + values) % q  # rotation[c, a] = a + c mod q
-    rotated = tables[:, rotation]
+    doubled = np.concatenate([tables, tables], axis=1)  # doubled[i, c:][a] = table at a + c mod q
     factors = [i for i in range(len(scopes)) if i != skip_factor]
     # A leading run of factors with no high variable weighs every block alike.
     lead = 0
@@ -122,7 +120,7 @@ def _enumerate(model, budget=None, skip_factor: int | None = None):
         w = head.copy()
         for i in factors[lead:]:
             arg = low_args[i]
-            w *= tables[i][offsets[i]] if arg is None else rotated[i, offsets[i]][arg]
+            w *= tables[i][offsets[i]] if arg is None else doubled[i, offsets[i]:][arg]
         done = 0
         while done < size:
             n = min(size - done, len(buf) - fill)
@@ -137,9 +135,10 @@ def _enumerate(model, budget=None, skip_factor: int | None = None):
             if c == 0:
                 np.add.at(sums[i], arg, w)
             else:
-                row = sums[i][rotation[c]]
+                rotation = (values + c) % q
+                row = sums[i][rotation]
                 np.add.at(row, arg, w)
-                sums[i][rotation[c]] = row
+                sums[i][rotation] = row
     if fill:
         z += buf[:fill].sum()
     return z, sums
