@@ -76,6 +76,7 @@ def _reference_corpus():
         models.append(family(g, 5, rng.uniform(-1, 1, g.num_edges)))
     models += [
         potts_model(grid_graph(3, 3), 3, rng.uniform(-1, 1, 12), rng.uniform(0, 1, 9)),
+        clock_model(grid_graph(2, 3), 4, rng.uniform(-1, 1, 7), rng.uniform(0, 1, 6)),
         ising_model(triangle(), [0.4, -0.7, 0.2], [0.3, 0.1, 0.6]),
         ising_model(path_graph(2), 0.8, [0.2, 0.5]),
         ising_model(Graph(1, []), [], 0.5),
@@ -90,7 +91,8 @@ class TestEnumerateMatchesReference:
     """_enumerate against reference_enumerate: Z and every row, bit for bit.
 
     The corpus holds random models with q from 2 to 5 in both domains, a
-    q=3 dual of 3^12 states (several 2^17-state chunks), models of a few
+    q=3 dual of 3^12 states (several 2^17-state chunks), a q=4 clock grid
+    (four blocks of 4^6 states in the dual), models of a few
     states, a one-edge graph and the dual of a one-vertex, zero-edge graph.
     Each runs with no factor struck, factor 0 struck and the last edge struck.
     """
