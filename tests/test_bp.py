@@ -172,6 +172,32 @@ class TestAgainstReference:
         got = np.concatenate([res.edge_values, res.vertex_values])
         assert np.abs(got - beliefs).max() < 1e-12
 
+    @pytest.mark.parametrize("domain", ["primal", "dual"])
+    def test_default_config_on_benchmark_torus(self, domain):
+        # the 4x4 periodic Ising model at the bp_torus coupling and field ranges
+        g = grid_graph(4, 4, periodic=True)
+        rng = np.random.default_rng(5)
+        p = ising_model(g, rng.uniform(0.2, 0.3, g.num_edges), rng.uniform(0.1, 0.2, g.num_vertices))
+        nfg = p if domain == "primal" else dualize(p)
+        cfg = BpConfig()
+        res = run_bp(nfg, cfg)
+        iterations, beliefs = reference_bp(nfg, cfg)
+        assert res.converged
+        assert res.iterations == iterations
+        got = np.concatenate([res.edge_values, res.vertex_values])
+        assert np.abs(got - beliefs).max() < 1e-12
+
+    @pytest.mark.parametrize("domain", ["primal", "dual"])
+    @pytest.mark.parametrize("g", [Graph(2, [(0, 1)]), Graph(1, [])], ids=["one-edge", "no-edge"])
+    def test_degree_zero_and_one_factors(self, g, domain):
+        p = ising_model(g, 0.35, [0.2, -0.1][: g.num_vertices])
+        nfg = p if domain == "primal" else dualize(p)
+        exact = marginals_primal(p) if domain == "primal" else marginals_dual(nfg)
+        res = run_bp(nfg, BpConfig(tol=1e-12))
+        assert res.converged
+        assert np.abs(res.edge_values - exact.edge_values).max(initial=0.0) < 1e-10
+        assert np.abs(res.vertex_values - exact.vertex_values).max() < 1e-10
+
     @pytest.mark.parametrize("schedule", ["flooding", "sequential"])
     def test_tree_with_factor_degrees_one_to_four(self, schedule):
         # dual vertex factors of degree 4, 3, 2 and 1 run as separate groups
