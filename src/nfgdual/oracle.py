@@ -205,19 +205,16 @@ def extrinsic_vector(p: PrimalNFG, e: int, budget: int | None = None) -> np.ndar
 def intermediate_dual_partition(p: PrimalNFG, e: int, budget: int | None = None) -> np.ndarray:
     """Z_d^I(a): dual partition with psi~_e replaced by the DFT of delta(y - a).
 
-    Satisfies Z_d^I(a) = alpha * S_e(a) for every a.
+    Satisfies Z_d^I(a) = alpha * S_e(a) for every a.  Z_d^I is linear in the
+    replaced table, so one dual enumeration with psi~_e struck out gives the
+    weight at each value of edge e's argument, and every Z_d^I(a) is that
+    row's dot product with the DFT of delta(y - a).
     """
     a = p.alphabet
     d = dualize(p)
-    out = np.zeros(a.q, dtype=np.complex128)
-    for val in range(a.q):
-        delta = np.zeros(a.q, dtype=np.complex128)
-        delta[val] = 1.0
-        tables = d.edge_tables.copy()
-        tables[e] = dft_table(delta, a)
-        modified = DualNFG(d.graph, a, tables, d.vertex_tables)
-        out[val] = partition_dual(modified, budget)
-    return out
+    row = _enumerate(d, budget, skip_factor=e)[1][e]
+    norm = _dual_indicator_norm(d.graph, a)
+    return np.array([norm * (row @ dft_table(delta, a)) for delta in np.eye(a.q)])
 
 
 # -- Closed forms for 1D models --------------------------------------------------

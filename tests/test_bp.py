@@ -177,7 +177,8 @@ class TestAgainstReference:
         # the 4x4 periodic Ising model at the bp_torus coupling and field ranges
         g = grid_graph(4, 4, periodic=True)
         rng = np.random.default_rng(5)
-        p = ising_model(g, rng.uniform(0.2, 0.3, g.num_edges), rng.uniform(0.1, 0.2, g.num_vertices))
+        p = ising_model(g, rng.uniform(0.2, 0.3, g.num_edges),
+                        rng.uniform(0.1, 0.2, g.num_vertices))
         nfg = p if domain == "primal" else dualize(p)
         cfg = BpConfig()
         res = run_bp(nfg, cfg)
@@ -309,6 +310,26 @@ class TestSignedDual:
             with pytest.raises(DegenerateMessageError, match="message at vertex 1 "):
                 run_bp(d, BpConfig(schedule=schedule))
 
+    @pytest.mark.parametrize("domain", ["primal", "dual"])
+    def test_overflowed_table_is_not_finite(self, domain):
+        # exp(800) overflows: edge 0's primal table is [inf, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = ising_model(ring_graph(4), [800, 0.3, 0.2, 0.1], 0.1)
+            assert np.isinf(p.edge_tables[0, 0])
+            nfg = p if domain == "primal" else dualize(p)
+            with pytest.raises(DegenerateMessageError, match="message at edge 0 is not finite"):
+                run_bp(nfg)
+
+    @pytest.mark.parametrize("domain", ["primal", "dual"])
+    def test_vanishing_table_cancels_to_zero(self, domain):
+        p = ising_model(ring_graph(4), 0.3, 0.1)
+        tables = p.edge_tables.copy()
+        tables[2] = 0.0
+        p = PrimalNFG(p.graph, p.alphabet, tables, p.vertex_tables)
+        nfg = p if domain == "primal" else dualize(p)
+        with pytest.raises(DegenerateMessageError, match="message at edge 2 cancelled to zero"):
+            run_bp(nfg)
+
 
 class TestRelativeError:
     def test_identical_vectors(self):
@@ -337,6 +358,20 @@ class TestConfigValidation:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             BpConfig(tol=0.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            BpConfig(tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [0, -5, 2.5, True, "10"])
+    def test_bad_max_iters(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            BpConfig(max_iters=max_iters)
+
+    def test_integer_max_iters_accepted(self):
+        assert BpConfig(max_iters=1).max_iters == 1
+        assert BpConfig(max_iters=np.int64(7)).max_iters == 7
 
     def test_bad_schedule(self):
         with pytest.raises(ValueError):

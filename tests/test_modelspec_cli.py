@@ -262,6 +262,12 @@ class TestCli:
         assert main(["bp", "--spec", spec]) == 5
         assert "vertex 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--max-iters", "0"], ["--tol", "nan"]])
+    def test_unrunnable_bp_config_exit_code(self, tmp_path, capsys, flag):
+        spec = write_spec(tmp_path, "m.json", TRIANGLE_SPEC)
+        assert main(["bp", "--spec", spec] + flag) == 4
+        assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
+
     def test_env_budget_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NFG_DUAL_BUDGET", "4")
         spec = write_spec(tmp_path, "m.json", TRIANGLE_SPEC)

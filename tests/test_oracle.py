@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from nfgdual import oracle
 from nfgdual.graphs import Graph, grid_graph, path_graph, ring_graph, scale_factor
 from nfgdual.nfg import _factor_view, clock_model, dualize, ising_model, potts_model
 from nfgdual.oracle import (
@@ -261,6 +262,20 @@ class TestSumProductDecomposition:
             zi = intermediate_dual_partition(p, e)
             s = extrinsic_vector(p, e)
             assert np.abs(zi - alpha * s).max() / np.abs(s).max() < 1e-10
+
+    def test_intermediate_dual_partition_enumerates_once(self, monkeypatch):
+        calls = []
+        enumerate_ = oracle._enumerate
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("skip_factor"))
+            return enumerate_(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_enumerate", counted)
+        p = potts_model(triangle(), 3, [0.4, -0.2, 0.7], 0.3)
+        zi = intermediate_dual_partition(p, 1)
+        assert calls == [1]
+        assert zi.shape == (3,)
 
 
 class TestClosedForms:
