@@ -1,11 +1,14 @@
 """Thin-membrane GMRF: precisions, exact variances, variance map, Gibbs chains."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nfgdual.gaussian import (
     GaussianGibbsResult,
     GmrfModel,
+    _invert_lower,
     dual_precision,
     exact_dual_vertex_variances,
     exact_variances,
@@ -106,6 +109,20 @@ class TestPrecisions:
                 assert np.abs(mat - mat.T).max() < 1e-12
                 np.linalg.cholesky(mat)  # raises if not SPD
 
+    def test_match_incidence_products(self, torus15):
+        """The scatter-built precisions equal the dense incidence products bit for bit."""
+        rng = np.random.default_rng(5)
+        graphs = [random_connected_graph(rng, max_vertices=20, max_edges=40, q=2)
+                  for _ in range(20)]
+        for g in graphs + [torus15, Graph(1, [])]:
+            s, sigma = float(rng.uniform(0.3, 40)), float(rng.uniform(0.3, 5))
+            m = GmrfModel(g, s, sigma)
+            inc = build_incidence(g).astype(np.float64)
+            primal = inc.T @ inc / s ** 2 + np.eye(g.num_vertices) / sigma ** 2
+            dual = s ** 2 * np.eye(g.num_edges) + sigma ** 2 * (inc @ inc.T)
+            assert np.array_equal(primal_precision(m), primal)
+            assert np.array_equal(dual_precision(m), dual)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             GmrfModel(path_graph(2), s=0.0, sigma=1.0)
@@ -137,6 +154,27 @@ class TestExactVariances:
         assert abs(var[0] - quoted) < 1e-4  # one unit in the last quoted digit
 
 
+class TestInvertLower:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 450])
+    def test_matches_dense_inverse(self, n):
+        rng = np.random.default_rng(n)
+        # a dominant diagonal keeps the triangle well conditioned; the upper
+        # triangle is noise that must not be read
+        p = rng.standard_normal((n, n)) + np.diag(rng.uniform(1.0, 2.0, n)) * n
+        out = np.zeros((n, n))
+        _invert_lower(p, out)
+        want = np.linalg.inv(np.tril(p))
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+        assert not np.triu(out, 1).any()
+
+    def test_cholesky_factor_of_dual_precision(self, torus15):
+        chol = np.linalg.cholesky(dual_precision(GmrfModel(torus15, 20.0, 5.0)))
+        out = np.zeros_like(chol)
+        _invert_lower(chol, out)
+        want = np.linalg.inv(chol)
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestVarianceMap:
     def test_zero_dual_variance_gives_sigma_squared(self):
         assert map_variance_dual_to_primal(5.0, 0.0) == pytest.approx(25.0)
@@ -158,6 +196,22 @@ class TestVarianceMap:
                 - m.sigma ** 2 * inc.T @ np.linalg.solve(dual_precision(m), inc)
             )
             assert np.abs(lhs - np.linalg.inv(primal_precision(m))).max() < 1e-10
+
+    def test_exact_dual_matches_dense_solve(self, torus15):
+        rng = np.random.default_rng(6)
+        graphs = [random_connected_graph(rng, max_vertices=20, max_edges=40, q=2)
+                  for _ in range(10)]
+        for g in graphs + [torus15]:
+            m = GmrfModel(g, float(rng.uniform(0.5, 40)), float(rng.uniform(0.5, 5)))
+            inc = build_incidence(g).astype(np.float64)
+            want = np.einsum("ev,ev->v", inc, np.linalg.solve(dual_precision(m), inc))
+            np.testing.assert_allclose(exact_dual_vertex_variances(m), want,
+                                       rtol=1e-12, atol=0)
+
+    def test_exact_dual_of_one_vertex_graph(self):
+        m = GmrfModel(Graph(1, []), 1.0, 2.0)
+        assert np.array_equal(exact_dual_vertex_variances(m), [0.0])
+        assert map_variance_dual_to_primal(2.0, exact_dual_vertex_variances(m))[0] == 4.0
 
     def test_out_of_range_refused(self):
         with pytest.raises(ValueError, match="no positive"):
@@ -227,6 +281,20 @@ class TestGibbs:
         with pytest.raises(ValueError, match=problem):
             gibbs_gaussian(np.array(precision), SamplerConfig(seed=1, samples=10))
 
+    def test_memory_does_not_grow_with_samples(self):
+        # the default 10,000 retained sweeps; keeping every retained state
+        # (and its derived statistic) would take 8.6 MB here
+        m = GmrfModel(grid_graph(6, 6, periodic=True), 3.0, 2.0)
+        cfg = SamplerConfig(seed=15, burn_in=0)
+        tracemalloc.start()
+        try:
+            res = gmrf_dual_gibbs(m, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.trajectory.shape == (cfg.samples,)
+        assert peak < 1_500_000
+
     def test_random_scan_not_supported(self):
         m = GmrfModel(path_graph(2), 1.0, 1.0)
         with pytest.raises(ValueError, match="systematic"):
@@ -266,6 +334,12 @@ class TestAgainstReference:
     def test_thinning(self):
         self.assert_same_chain(*chain_inputs(grid_graph(4, 4, periodic=True), 3.0, 2.0, "dual"),
                                SamplerConfig(seed=23, samples=100, thinning=3))
+
+    def test_burn_in_and_retention_off_block_boundaries(self, torus15):
+        # 100 burn-in sweeps and 75 retained ones, every second sweep: neither
+        # count is a multiple of a power of two
+        self.assert_same_chain(*chain_inputs(torus15, 20.0, 5.0, "dual"),
+                               SamplerConfig(seed=27, samples=75, burn_in=100, thinning=2))
 
     def test_one_dimensional_transform(self):
         precision, _ = chain_inputs(grid_graph(3, 4), 1.5, 2.5, "primal")
