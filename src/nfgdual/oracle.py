@@ -70,7 +70,8 @@ def _enumerate(model, budget=None, skip_factor: int | None = None):
     configuration at factor i's argument (factor numbering of _factor_view:
     edge rows first, then vertex rows).  With skip_factor set, that factor's
     table is struck from the product, so for an edge e its row is the
-    extrinsic vector S_e.
+    extrinsic vector S_e.  A factor table in the product with a non-finite
+    entry is refused with a ValueError naming the factor.
 
     The first k variables form a low block of q**k <= _BLOCK states, walked
     once per assignment of the others.  Each factor's argument is its low
@@ -80,6 +81,13 @@ def _enumerate(model, budget=None, skip_factor: int | None = None):
     states of that order.
     """
     scopes, num_vars, tables = _factor_view(model)
+    finite = np.isfinite(tables).all(axis=1)
+    if skip_factor is not None:
+        finite[skip_factor] = True
+    if not finite.all():
+        i, ne = int(np.argmin(finite)), model.graph.num_edges
+        site = f"edge {i}" if i < ne else f"vertex {i - ne}"
+        raise ValueError(f"{site} table is not finite")
     q = model.alphabet.q
     total = q ** num_vars
     _check_budget(total, budget, f"{model.domain} enumeration")

@@ -130,6 +130,31 @@ class TestPrecisions:
             GmrfModel(path_graph(2), s=1.0, sigma=-2.0)
 
 
+class TestNonFiniteRefusals:
+    @pytest.mark.parametrize("s,sigma", [
+        (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf),
+        (1e200, 1.0),  # s^2 overflows
+        (1.0, 1e-200),  # sigma^2 underflows to zero
+        (1e-160, 1.0),  # s^2 is subnormal and 1/s^2 overflows
+    ])
+    def test_model_parameters(self, s, sigma):
+        with pytest.raises(ValueError, match="finite square"):
+            GmrfModel(path_graph(3), s, sigma)
+
+    def test_extreme_finite_parameters_accepted(self):
+        m = GmrfModel(path_graph(3), 1e150, 1e-150)
+        assert np.isfinite(primal_precision(m)).all()
+        assert np.isfinite(dual_precision(m)).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_precision_entries(self, bad):
+        precision = np.array([[2.0, bad], [bad, 2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            exact_variances(precision)
+        with pytest.raises(ValueError, match="finite"):
+            gibbs_gaussian(precision, SamplerConfig(seed=1, samples=10))
+
+
 class TestExactVariances:
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(3)

@@ -240,6 +240,29 @@ class TestCli:
         assert main(["gaussian", "--spec", spec]) == 0
         assert "exact primal variances" in capsys.readouterr().out
 
+    def test_gaussian_with_infinite_s_exit_code(self, tmp_path, capsys):
+        # JSON's Infinity passes the schema's exclusiveMinimum
+        spec = write_spec(tmp_path, "g.json", {
+            "family": "gaussian",
+            "topology": {"type": "grid", "rows": 3, "cols": 3, "periodic": True},
+            "gaussian": {"s": float("inf"), "sigma": 5.0},
+        })
+        assert main(["gaussian", "--spec", spec]) == 4
+        captured = capsys.readouterr()
+        assert "s must be positive" in captured.err
+        assert "nan" not in captured.out
+
+    def test_exact_non_finite_table_exit_code(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "m.json", {
+            "family": "ising",
+            "topology": {"type": "ring", "n": 4},
+            "couplings": [800, 0.3, 0.2, 0.1],
+            "fields": 0.1,
+        })
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["exact", "--spec", spec]) == 4
+        assert "edge 0 table is not finite" in capsys.readouterr().err
+
     def test_budget_exit_code(self, tmp_path):
         spec = write_spec(tmp_path, "big.json", {
             "family": "ising",

@@ -7,7 +7,7 @@ import pytest
 
 from nfgdual import oracle
 from nfgdual.graphs import Graph, grid_graph, path_graph, ring_graph, scale_factor
-from nfgdual.nfg import _factor_view, clock_model, dualize, ising_model, potts_model
+from nfgdual.nfg import PrimalNFG, _factor_view, clock_model, dualize, ising_model, potts_model
 from nfgdual.oracle import (
     EnumerationBudgetError,
     _enumerate,
@@ -204,6 +204,32 @@ class TestDuality:
 
 
 class TestMarginals:
+    @pytest.mark.parametrize("domain", ["primal", "dual"])
+    def test_overflowed_table_refused(self, domain):
+        # exp(800) overflows: edge 0's primal table is [inf, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = ising_model(ring_graph(4), [800, 0.3, 0.2, 0.1], 0.1)
+            model = p if domain == "primal" else dualize(p)
+        marginals = marginals_primal if domain == "primal" else marginals_dual
+        with pytest.raises(ValueError, match="edge 0 table is not finite"):
+            marginals(model)
+
+    def test_non_finite_vertex_table_refused(self):
+        p = ising_model(ring_graph(3), 0.3, 0.1)
+        vertex_tables = p.vertex_tables.copy()
+        vertex_tables[2, 1] = np.nan
+        p = PrimalNFG(p.graph, p.alphabet, p.edge_tables, vertex_tables)
+        with pytest.raises(ValueError, match="vertex 2 table is not finite"):
+            partition_primal(p)
+
+    def test_skipped_table_is_not_checked(self):
+        p = ising_model(ring_graph(3), 0.3, 0.1)
+        want = _enumerate(p, skip_factor=0)[1][0]
+        edge_tables = p.edge_tables.copy()
+        edge_tables[0, 0] = np.inf
+        p = PrimalNFG(p.graph, p.alphabet, edge_tables, p.vertex_tables)
+        assert np.array_equal(_enumerate(p, skip_factor=0)[1][0], want)
+
     def test_single_free_edge(self):
         bj = 0.8
         mv = marginals_primal(ising_model(path_graph(2), bj)).edge(0)
