@@ -14,13 +14,30 @@ map sigma^2 (1 - sigma^2 Var(x~_v)) returns exactly the primal marginal
 variance (a Woodbury identity), so dual-chain estimates transport to the
 primal domain with one multiply per vertex.
 
+Both precisions are scattered from the edge list (Rue & Held, *Gaussian
+Markov Random Fields*, 2005, ch. 2): the Laplacian M^T M has the degrees on
+its diagonal and -1 at each edge's two vertex pairs, and the gram M M^T adds,
+for each ordered pair of edge ends at a common vertex, the product of their
+signs.  Every entry is a small integer sum, so the matrices equal the dense
+incidence products bit for bit.
+
 The Gibbs chains are systematic-scan heat baths.  Such a sweep over a
 precision P = D + L + U (diagonal, strict lower and strict upper triangle) is
 one stochastic Gauss-Seidel step, (D + L) x_new = sqrt(D) z - U x_old, with z
 the sweep's standard normals (Goodman & Sokal, Phys. Rev. D 1989).  Each sweep
 is therefore one sparse product with U and one product with the inverse of the
 lower triangle, built once per chain: the same chain as the site-by-site
-update, fed the same normals in the same order.
+update, fed the same normals in the same order.  The inverse comes from a
+blocked recursion whose blocks of at most 32 rows LAPACK inverts whole.  The
+normals are drawn _BLOCK sweeps at a time (the same stream as one draw per
+sweep), and the retained states of a block are squared, summed into the
+running totals and multiplied by a tracked statistic together, so the
+buffers stay _BLOCK rows long whatever the number of retained sweeps.
+
+The exact variances come from the Cholesky factor C of the precision,
+inverted with the same recursion: diag(P^-1) is the column sums of (C^-1)^2,
+and the dual vertex variances diag(M^T Q^-1 M) the column sums of
+(C^-1 M)^2.
 """
 
 from __future__ import annotations
@@ -93,7 +110,7 @@ def dual_precision(m: GmrfModel) -> np.ndarray:
     # partner j of an end is the j-th end at its vertex
     rank = np.arange(len(first)) - np.repeat(np.cumsum(degree) - degree, degree)
     second = np.searchsorted(vertex, vertex)[first] + rank
-    # (with no edges bincount returns integers)
+    # bincount returns integers when there are no edges
     precision = np.bincount(edge[first] * ne + edge[second], weights=sign[first] * sign[second],
                             minlength=ne * ne).reshape(ne, ne).astype(np.float64, copy=False)
     precision *= m.sigma ** 2
@@ -129,7 +146,8 @@ def _validate_spd(precision: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _inverse_columns_sq(chol: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
     """Column sums of (C^-1 R)^2 for a Cholesky factor C (R = I when omitted).
 
-    With P = C C^T these are the diagonal of R^T P^-1 R.
+    With P = C C^T these are the diagonal of R^T P^-1 R.  C is overwritten
+    with its inverse.
     """
     _invert_lower(chol, chol)
     solved = chol if rhs is None else chol @ rhs
@@ -194,9 +212,7 @@ def _invert_lower(p: np.ndarray, out: np.ndarray) -> None:
     h = n // 2
     _invert_lower(p[:h, :h], out[:h, :h])
     _invert_lower(p[h:, h:], out[h:, h:])
-    corner = out[h:, h:] @ p[h:, :h]
-    np.negative(corner, out=corner)
-    np.matmul(corner, out[:h, :h], out=out[h:, :h])
+    out[h:, :h] = -(out[h:, h:] @ p[h:, :h]) @ out[:h, :h]
 
 
 def _accumulate(block: np.ndarray, sumsq: np.ndarray, trajectory: np.ndarray, done: int) -> None:
