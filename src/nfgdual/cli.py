@@ -2,9 +2,10 @@
 
 Subcommands: model | exact | bp | gibbs | swp | map | gaussian | experiment |
 validate.  Exit codes: 0 success, 2 validation failure, 3 enumeration-budget
-refusal, 4 bad input (spec, arguments or NFG_DUAL_BUDGET), 5 BP failure (a
-sum-product message cancelled to zero or overflowed).  The environment
-variable NFG_DUAL_BUDGET overrides the enumeration budget.
+refusal, 4 bad input (spec, arguments, NFG_DUAL_BUDGET, or model parameters
+or tables that are not finite), 5 BP failure (a sum-product message cancelled
+to zero or overflowed).  The environment variable NFG_DUAL_BUDGET overrides
+the enumeration budget.
 """
 
 from __future__ import annotations
