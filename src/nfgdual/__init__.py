@@ -57,7 +57,6 @@ from .bp import BpConfig, DegenerateMessageError, relative_error, run_bp
 from .samplers import (
     SamplerConfig,
     SamplerError,
-    SubgraphState,
     estimate_primal_via_dual,
     gibbs_dual,
     gibbs_primal,

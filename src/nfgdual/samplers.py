@@ -1,22 +1,25 @@
 """MCMC marginal estimators: heat-bath Gibbs in both domains and the
-subgraphs-world process for ferromagnetic binary models in a positive field.
+subgraphs-world process for binary models whose dual is a positive PMF.
 
 All chains are driven by numpy's PCG64 generator (stable across versions, so
 seeded estimates can serve as golden fixtures) and use a systematic sweep by
 default: sites are updated in ascending index order, one full pass per sweep.
 `samples` counts retained sweeps; the default burn-in is ten times the number
-of variables in the sampled domain.  Both Gibbs samplers run one heat bath on
-the factor view of their domain, and draw a sweep's uniforms at once, after
-its site order: one `rng.random(n)` gives the same PCG64 stream as n scalar
-draws.  A site update looks its conditional up by the variable's neighbour
-key (the table offsets of its factors, kept up to date as neighbours move);
-each key's cumulative weights are computed once, with the float operations
-of a product loop, and a draw bisects them.  The subgraphs-world process
-reads its Metropolis ratio from a per-edge table of eight entries, keeps U
-and its parities in integer lists, and under a systematic sweep draws its
-uniforms in blocks.  These change no seeded output: every chain returns
-the same frequencies, bit for bit, as a loop that recomputes each
-conditional and ratio and draws one uniform at a time.
+of variables in the sampled domain.  `_run_chain` runs every chain's burn-in,
+thinning and retention; a kernel supplies its sweep and counts a block of
+retained states.  Both kernels walk a factor view.  The Gibbs samplers run
+one heat bath on the view of their domain, and draw a sweep's uniforms at
+once, after its site order: one `rng.random(n)` gives the same PCG64 stream
+as n scalar draws.  A site update looks its conditional up by the variable's
+neighbour key (the table offsets of its factors, kept up to date as
+neighbours move); each key's cumulative weights are computed once, with the
+float operations of a product loop, and a draw bisects them.  The
+subgraphs-world process is a Metropolis kernel on the dual's view: its state
+lists every dual factor's argument, a toggle's ratio is read from a per-edge
+table of eight entries, and a systematic sweep draws uniforms in blocks.
+These change no seeded output: every chain returns the same frequencies, bit
+for bit, as a loop that recomputes each conditional and ratio and draws one
+uniform at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from itertools import accumulate, chain, cycle, islice, product
 import numpy as np
 
 from .bp import BpConfig, run_bp
-from .graphs import betti
+from .graphs import betti, build_incidence, dual_vertex_config
 from .mapping import _map_rows
 from .nfg import (
     DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, SingularMapError, _factor_view, dualize,
@@ -83,6 +86,35 @@ def _site_order(n: int, sweep: str, rng) -> list:
     return rng.integers(0, n, size=n).tolist()
 
 
+def _run_chain(cfg: SamplerConfig, num_vars: int, sweep, count) -> np.ndarray:
+    """Mean counts over the retained states of a chain of cfg's length.
+
+    sweep(s) runs sweep s and returns the state, a list copied when retained;
+    count(states) sums a list of states into an array of counts, and is
+    called once per _BLOCK retained states and once for the rest.
+    """
+    burn = cfg.resolved_burn_in(num_vars)
+    counts, kept = 0, []
+    for s in range(burn + cfg.samples * cfg.thinning):
+        state = sweep(s)
+        if s >= burn and (s - burn) % cfg.thinning == 0:
+            kept.append(state[:])
+            if len(kept) == _BLOCK:
+                counts = counts + count(kept)
+                kept.clear()
+    return (counts + count(kept)) / cfg.samples
+
+
+def _arguments(scopes, q: int):
+    """A function from rows of variable values to every factor's argument in each row."""
+    variables = np.zeros((len(scopes), max(len(v) for v, _ in scopes)), dtype=np.int64)
+    signs = np.zeros_like(variables)  # padding reads variable 0 with sign 0
+    for f, (scope, scope_signs) in enumerate(scopes):
+        variables[f, :len(scope)] = scope
+        signs[f, :len(scope_signs)] = scope_signs
+    return lambda rows: (rows[:, variables] * signs).sum(axis=2) % q
+
+
 def _conditional(tables, digits, q: int, kind: str, site: int) -> tuple:
     """(total, cumulative weights below the last weighted value) of one
     variable's heat-bath conditional, given its factors' doubled tables t2
@@ -124,9 +156,9 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     digit of every other variable i in a factor it shares with j moves by
     s_i s_j d mod q.  Each variable memoizes its conditional per key, so an
     update is one dict lookup and one bisection of the cumulative weights.
-    Retained configurations are kept and, a block at a time, every factor is
-    counted at its argument in each: these are the edge and vertex
-    frequencies.
+    A sweep returns the configuration; of the retained ones, a block at a
+    time, every factor is counted at its argument in each: these are the
+    edge and vertex frequencies.
     """
     scopes, num_vars, tables = _factor_view(model)
     q = model.alphabet.q
@@ -149,28 +181,19 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     digit = [0] * start[-1]
     key = [0] * num_vars
     memo = [{} for _ in range(num_vars)]
-    scope_vars = np.zeros((len(scopes), max(len(v) for v, _ in scopes)), dtype=np.int64)
-    scope_signs = np.zeros_like(scope_vars)  # padding reads variable 0 with sign 0
-    for f, (variables, signs) in enumerate(scopes):
-        scope_vars[f, :len(variables)] = variables
-        scope_signs[f, :len(signs)] = signs
+    arguments = _arguments(scopes, q)
     offsets = q * np.arange(len(scopes))
 
-    def tally(configs: list) -> np.ndarray:
+    def count(configs: list) -> np.ndarray:
         """Counts of every factor at its argument, over the given configurations."""
-        z_rows = np.array(configs, dtype=np.int64).reshape(len(configs), num_vars)
-        args = (z_rows[:, scope_vars] * scope_signs).sum(axis=2) % q
+        args = arguments(np.array(configs, dtype=np.int64).reshape(len(configs), num_vars))
         return np.bincount((args + offsets).ravel(), minlength=len(scopes) * q)
 
     rng = np.random.default_rng(cfg.seed)
     z = [0] * num_vars
-    counts = np.zeros(len(scopes) * q, dtype=np.int64)
-    kept = []
-    burn = cfg.resolved_burn_in(num_vars)
-    retained = 0
-    for sweep in range(burn + cfg.samples * cfg.thinning):
-        order = _site_order(num_vars, cfg.sweep, rng)
-        for i, u in zip(order, rng.random(num_vars).tolist()):
+
+    def sweep(_) -> list:
+        for i, u in zip(_site_order(num_vars, cfg.sweep, rng), rng.random(num_vars).tolist()):
             entry = memo[i].get(key[i])
             if entry is None:
                 entry = memo[i][key[i]] = _conditional(
@@ -184,15 +207,11 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
                     old = digit[k]
                     digit[k] = b = (old + mult * d) % q
                     key[other] += (b - old) * weight
-        if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
-            retained += 1
-            kept.append(z[:])
-            if len(kept) == _BLOCK:
-                counts += tally(kept)
-                kept.clear()
-    counts = (counts + tally(kept)).reshape(len(scopes), q)
+        return z
+
+    freq = _run_chain(cfg, num_vars, sweep, count).reshape(len(scopes), q)
     e = model.graph.num_edges
-    return Marginals(counts[:e] / retained, counts[e:] / retained, model.domain)
+    return Marginals(freq[:e], freq[e:], model.domain)
 
 
 def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> Marginals:
@@ -232,74 +251,39 @@ def gibbs_dual(d: DualNFG, cfg: SamplerConfig) -> Marginals:
     return _heat_bath(d, cfg)
 
 
-@dataclass
-class SubgraphState:
-    """Edge subset U plus the per-vertex parity of its degrees, kept in sync."""
-
-    member: list  # 0/1 per edge
-    odd: list     # 0/1 per vertex
-
-    @classmethod
-    def empty(cls, graph) -> "SubgraphState":
-        return cls([0] * graph.num_edges, [0] * graph.num_vertices)
-
-    def toggle(self, e: int, tail: int, head: int) -> None:
-        self.member[e] ^= 1
-        self.odd[tail] ^= 1
-        self.odd[head] ^= 1
-
-    def recompute_odd(self, graph) -> list:
-        odd = [0] * graph.num_vertices
-        for e, (t, h) in enumerate(graph.edges):
-            if self.member[e]:
-                odd[t] ^= 1
-                odd[h] ^= 1
-        return odd
-
-
-def subgraph_weight(state: SubgraphState, tanh_j, tanh_h) -> float:
-    """w(U) = prod_{e in U} tanh(bJ_e) * prod_{v odd in U} tanh(bH_v)."""
-    w = 1.0
-    for e, inside in enumerate(state.member):
-        if inside:
-            w *= tanh_j[e]
-    for v, parity in enumerate(state.odd):
-        if parity:
-            w *= tanh_h[v]
-    return w
-
-
-def _swp_parameters(p: PrimalNFG):
+def _positive_dual_view(p: PrimalNFG) -> tuple:
+    """The factor view of p's dual, refused unless q = 2 and every dual entry is
+    positive.  An Ising table [e^b, e^-b] has the dual [2 cosh b, 2 sinh b], so
+    a non-positive dual edge (vertex) entry is a coupling (field) that is not."""
     if p.alphabet.q != 2:
         raise SamplerError("the subgraphs-world process is a binary-model sampler")
-    bj = np.log(p.edge_tables[:, 0].real) if p.graph.num_edges else np.zeros(0)
-    bh = np.log(p.vertex_tables[:, 0].real)
-    # builder tables are [e^b, e^-b]; verify and recover b
-    if p.graph.num_edges and np.abs(p.edge_tables[:, 1].real - np.exp(-bj)).max() > 1e-9:
-        raise SamplerError("edge tables are not of the [e^bJ, e^-bJ] binary form")
-    if np.abs(p.vertex_tables[:, 1].real - np.exp(-bh)).max() > 1e-9:
-        raise SamplerError("vertex tables are not of the [e^bH, e^-bH] binary form")
-    if p.graph.num_edges and bj.min() <= 0:
-        raise SamplerError("subgraphs-world sampling needs all couplings > 0")
-    if bh.min() <= 0:
-        raise SamplerError("subgraphs-world sampling needs all fields > 0")
-    return np.tanh(bj).tolist(), np.tanh(bh).tolist()
+    d = dualize(p)
+    for kind, what, tables in (("edge", "couplings", d.edge_tables),
+                               ("vertex", "fields", d.vertex_tables)):
+        bad = np.flatnonzero(((tables.real <= 0.0) | (tables.imag != 0.0)).any(axis=1))
+        if bad.size:
+            raise SamplerError(f"subgraphs-world sampling needs all {what} > 0: "
+                               f"dual {kind} table {bad[0]} has an entry that is not positive")
+    return _factor_view(d)
 
 
-def _toggle_ratios(p: PrimalNFG) -> list:
-    """Metropolis ratios w(U xor {e}) / w(U) of toggling each edge e = (t, h).
+def _toggle_ratios(p: PrimalNFG) -> tuple:
+    """(ratios, sites) of single toggles on the factor view of p's dual, whose
+    state is every dual factor's argument: y~_e at e, then x~_v at |E| + v.
 
-    The ratio of edge e sits at 8 e + 4 member[e] + 2 odd[t] + odd[h].
+    Edge variable e = (t, h) is in psi~_e, phi~_t and phi~_h, and a toggle
+    flips all three arguments, so its ratio is the product of their table
+    ratios, at 8 e + 4 y~_e + 2 x~_t + x~_h.  Its site is (e, |E| + t, |E| + h, 8 e).
     """
-    tanh_j, tanh_h = _swp_parameters(p)
-    ratios = []
+    _, num_edges, tables = _positive_dual_view(p)
+    real = tables.real
+    flip = (real[:, ::-1] / real).tolist()  # flip[f][a] = table_f[1 - a] / table_f[a]
+    ratios, sites = [], []
     for e, (t, h) in enumerate(p.graph.edges):
-        for inside, odd_t, odd_h in product((0, 1), repeat=3):
-            ratio = tanh_j[e] if not inside else 1.0 / tanh_j[e]
-            ratio *= 1.0 / tanh_h[t] if odd_t else tanh_h[t]
-            ratio *= 1.0 / tanh_h[h] if odd_h else tanh_h[h]
-            ratios.append(ratio)
-    return ratios
+        t, h = num_edges + t, num_edges + h
+        ratios += [flip[e][a] * flip[t][b] * flip[h][c] for a, b, c in product((0, 1), repeat=3)]
+        sites.append((e, t, h, 8 * e))
+    return ratios, sites
 
 
 def _block_uniforms(rng, size: int = 1024):
@@ -308,70 +292,62 @@ def _block_uniforms(rng, size: int = 1024):
     return chain.from_iterable(iter(lambda: rng.random(size).tolist(), None)).__next__
 
 
-def _propose(sites, ratios, member, odd, uniform) -> None:
-    """One Metropolis toggle proposal per site (e, tail, head, 8 e), in order."""
+def _propose(sites, ratios, arg, uniform) -> None:
+    """One Metropolis toggle proposal per site (e, |E| + t, |E| + h, 8 e), in order."""
     for e, t, h, row in sites:
-        ratio = ratios[row + 4 * member[e] + 2 * odd[t] + odd[h]]
+        ratio = ratios[row + 4 * arg[e] + 2 * arg[t] + arg[h]]
         if ratio >= 1.0 or uniform() < ratio:
-            member[e] ^= 1
-            odd[t] ^= 1
-            odd[h] ^= 1
+            arg[e] ^= 1
+            arg[t] ^= 1
+            arg[h] ^= 1
 
 
 def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Marginals:
-    """Subgraphs-world process: Metropolis single-edge toggles over U, stationary
-    on w(U) = prod_{e in U} tanh(bJ_e) * prod_{v in odd(U)} tanh(bH_v).
+    """Subgraphs-world process: Metropolis single-edge toggles on the factor
+    view of p's dual, stationary on the dual PMF, the product of the dual
+    tables w(y~) = prod_e psi~_e(y~_e) * prod_v phi~_v((M^T y~)_v) / Z_d.
 
-    That law is exactly the dual PMF of a ferromagnetic binary model in a
-    positive field, so the estimates it returns are dual-domain marginals:
-    pi~_d,e(1) is the frequency of e in U and pi~_d,v(1) the frequency of v
-    having odd degree in U.  Only a proposal with ratio < 1 draws a uniform;
-    a systematic sweep draws them in blocks (random sweeps interleave them
-    with their site draws).  audit_every cross-checks the incremental parity
-    bookkeeping against a recomputation every so many proposals.
+    A binary y~ is an edge subset U and M^T y~ marks the vertices of odd
+    degree in U; for an Ising model w(U) is proportional to
+    prod_{e in U} tanh(bJ_e) * prod_{v in odd(U)} tanh(bH_v).  The estimates
+    are dual marginals: pi~_d,e(1) is the frequency of e in U and pi~_d,v(1)
+    that of v having odd degree.  Every dual entry must be positive (Ising:
+    couplings and fields > 0), so every state has positive weight and single
+    toggles are irreducible.  Only a ratio < 1 draws a uniform; a systematic
+    sweep draws them in blocks.  audit_every (None or a positive integer)
+    cross-checks the state's x~ against M^T y~ every so many proposals.
     """
-    ratios = _toggle_ratios(p)
+    if audit_every is not None and not (isinstance(audit_every, int) and audit_every > 0):
+        raise ValueError(f"audit_every must be None or a positive integer, not {audit_every!r}")
+    ratios, sites = _toggle_ratios(p)
     g = p.graph
+    num_edges = g.num_edges
     rng = np.random.default_rng(cfg.seed)
     uniform = rng.random if cfg.sweep == "random" else _block_uniforms(rng)
-    state = SubgraphState.empty(g)
-    member, odd = state.member, state.odd
-    sites = [(e, t, h, 8 * e) for e, (t, h) in enumerate(g.edges)]
-    counts = np.zeros(g.num_edges + g.num_vertices, dtype=np.int64)
-    kept = []
+    arg = [0] * (num_edges + g.num_vertices)
+    incidence = build_incidence(g) if audit_every else None
 
-    def tally(configs: list) -> np.ndarray:
-        """Edge memberships and vertex parities summed over the given states."""
-        return np.array(configs, dtype=np.int64).reshape(len(configs), len(counts)).sum(axis=0)
-
-    burn = cfg.resolved_burn_in(g.num_edges)
-    total_sweeps = burn + cfg.samples * cfg.thinning
-    retained = 0
-    for sweep in range(total_sweeps):
-        order = [sites[e] for e in _site_order(g.num_edges, cfg.sweep, rng)]
+    def sweep(s: int) -> list:
+        order = [sites[e] for e in _site_order(num_edges, cfg.sweep, rng)]
         done = 0
         if audit_every:  # after every proposal whose running count divides by audit_every
-            for stop in range(audit_every - sweep * g.num_edges % audit_every,
-                              g.num_edges + 1, audit_every):
-                _propose(order[done:stop], ratios, member, odd, uniform)
+            for stop in range(audit_every - s * num_edges % audit_every,
+                              num_edges + 1, audit_every):
+                _propose(order[done:stop], ratios, arg, uniform)
                 done = stop
-                if odd != state.recompute_odd(g):
+                if arg[num_edges:] != dual_vertex_config(incidence, arg[:num_edges],
+                                                         p.alphabet).tolist():
                     raise AssertionError("parity bookkeeping diverged from recomputation")
-        _propose(order[done:], ratios, member, odd, uniform)
-        if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
-            retained += 1
-            kept.append(member + odd)
-            if len(kept) == _BLOCK:
-                counts += tally(kept)
-                kept.clear()
-    counts += tally(kept)
-    in_freq = counts[:g.num_edges] / retained
-    odd_freq = counts[g.num_edges:] / retained
-    return Marginals(
-        np.stack([1.0 - in_freq, in_freq], axis=1),
-        np.stack([1.0 - odd_freq, odd_freq], axis=1),
-        DUAL,
-    )
+        _propose(order[done:], ratios, arg, uniform)
+        return arg
+
+    def count(states: list) -> np.ndarray:
+        """Edge memberships and vertex parities summed over the given states."""
+        return np.array(states, dtype=np.int64).reshape(len(states), len(arg)).sum(axis=0)
+
+    in_freq, odd_freq = np.split(_run_chain(cfg, num_edges, sweep, count), [num_edges])
+    return Marginals(np.stack([1.0 - in_freq, in_freq], axis=1),
+                     np.stack([1.0 - odd_freq, odd_freq], axis=1), DUAL)
 
 
 def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
@@ -383,39 +359,34 @@ def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
     g = p.graph
     if g.num_edges > 20:
         raise SamplerError("state histogram is exponential in |E|; keep |E| <= 20")
-    ratios = _toggle_ratios(p)
+    ratios, sites = _toggle_ratios(p)
     uniform = _block_uniforms(np.random.default_rng(seed))
-    member, odd = [0] * g.num_edges, [0] * g.num_vertices
-    sites = [(e, t, h, 8 * e) for e, (t, h) in enumerate(g.edges)]
+    arg = [0] * (g.num_edges + g.num_vertices)
     for _ in range(10 * g.num_edges):
-        _propose(sites, ratios, member, odd, uniform)
+        _propose(sites, ratios, arg, uniform)
     counts = [0] * 2 ** g.num_edges
-    mask = sum(1 << e for e, inside in enumerate(member) if inside)
+    mask = sum(1 << e for e in range(g.num_edges) if arg[e])
     for e, t, h, row in islice(cycle(sites), steps):
-        ratio = ratios[row + 4 * member[e] + 2 * odd[t] + odd[h]]
+        ratio = ratios[row + 4 * arg[e] + 2 * arg[t] + arg[h]]
         if ratio >= 1.0 or uniform() < ratio:
-            member[e] ^= 1
-            odd[t] ^= 1
-            odd[h] ^= 1
+            arg[e] ^= 1
+            arg[t] ^= 1
+            arg[h] ^= 1
             mask ^= 1 << e
         counts[mask] += 1
     return np.array(counts, dtype=np.int64)
 
 
 def swp_state_weights(p: PrimalNFG) -> np.ndarray:
-    """Exact stationary weights w(U) over all 2^|E| states, for small graphs."""
+    """Unnormalized stationary weights over all 2^|E| states, for small graphs:
+    the product of the dual tables at each (bit e of a state's index is y~_e)."""
     g = p.graph
     if g.num_edges > 20:
         raise SamplerError("state weights are exponential in |E|; keep |E| <= 20")
-    tanh_j, tanh_h = _swp_parameters(p)
-    out = np.zeros(2 ** g.num_edges)
-    for mask in range(2 ** g.num_edges):
-        state = SubgraphState.empty(g)
-        for e, (t, h) in enumerate(g.edges):
-            if mask & (1 << e):
-                state.toggle(e, t, h)
-        out[mask] = subgraph_weight(state, tanh_j, tanh_h)
-    return out
+    scopes, num_edges, tables = _positive_dual_view(p)
+    y = (np.arange(2 ** num_edges)[:, None] >> np.arange(num_edges)) & 1
+    args = _arguments(scopes, 2)(y)
+    return tables.real[np.arange(len(scopes)), args].prod(axis=1)
 
 
 def estimate_primal_via_dual(
@@ -426,7 +397,7 @@ def estimate_primal_via_dual(
 ) -> Marginals:
     """Estimate in the dual domain, then transform every location at once.
 
-    method: "swp" (ferromagnetic binary, positive field), "gibbs_dual"
+    method: "swp" (binary, every dual entry positive), "gibbs_dual"
     (nonnegative dual), or "bp_dual" (any signs).  Edge estimates are always
     mapped; vertex estimates are mapped when every phi~ table is nonsingular
     and reported as None otherwise.  The primal record keeps the dual one as

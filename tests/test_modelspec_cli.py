@@ -189,6 +189,15 @@ class TestCli:
         assert main(["swp", "--spec", spec, "--samples", "500", "--map"]) == 0
         assert "mapped from the dual" in capsys.readouterr().out
 
+    def test_swp_on_binary_potts(self, tmp_path, capsys):
+        # a binary model with a positive dual but no [e^b, e^-b] tables
+        spec = write_spec(tmp_path, "m.json", {
+            "family": "potts", "q": 2,
+            "topology": {"type": "grid", "rows": 2, "cols": 2, "periodic": True},
+            "couplings": 0.6, "fields": 0.25})
+        assert main(["swp", "--spec", spec, "--samples", "500", "--map"]) == 0
+        assert "mapped from the dual" in capsys.readouterr().out
+
     def test_map_command(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "m.json", TRIANGLE_SPEC)
         assert main([

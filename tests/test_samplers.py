@@ -8,22 +8,23 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from nfgdual.graphs import Alphabet, Graph, betti, grid_graph, path_graph, ring_graph
+from nfgdual.graphs import (
+    Alphabet, Graph, betti, build_incidence, grid_graph, path_graph, ring_graph,
+)
 from nfgdual.mapping import SingularMapError, map_dual_to_primal
 from nfgdual.nfg import (
     DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _factor_view, clock_model, dualize,
     is_nonnegative, ising_model, potts_model,
 )
 from nfgdual.oracle import chain_ising_marginals, marginals_dual, marginals_primal
+from nfgdual import samplers
 from nfgdual.samplers import (
     SamplerConfig,
     SamplerError,
-    SubgraphState,
     _conditional,
     estimate_primal_via_dual,
     gibbs_dual,
     gibbs_primal,
-    subgraph_weight,
     swp,
     swp_state_histogram,
     swp_state_weights,
@@ -109,7 +110,7 @@ def reference_swp(p, cfg, audit_every=None):
     tanh_j = np.tanh(np.log(p.edge_tables[:, 0].real)).tolist()
     tanh_h = np.tanh(np.log(p.vertex_tables[:, 0].real)).tolist()
     rng = np.random.default_rng(cfg.seed)
-    state = SubgraphState([False] * g.num_edges, [0] * g.num_vertices)
+    member, odd = [0] * g.num_edges, [0] * g.num_vertices
     edge_counts = np.zeros(g.num_edges, dtype=np.int64)
     vertex_counts = np.zeros(g.num_vertices, dtype=np.int64)
     burn = cfg.resolved_burn_in(g.num_edges)
@@ -117,20 +118,24 @@ def reference_swp(p, cfg, audit_every=None):
     for sweep in range(burn + cfg.samples * cfg.thinning):
         for e in _reference_order(g.num_edges, cfg.sweep, rng):
             t, h = g.edges[e]
-            ratio = tanh_j[e] if not state.member[e] else 1.0 / tanh_j[e]
-            ratio *= 1.0 / tanh_h[t] if state.odd[t] else tanh_h[t]
-            ratio *= 1.0 / tanh_h[h] if state.odd[h] else tanh_h[h]
+            ratio = tanh_j[e] if not member[e] else 1.0 / tanh_j[e]
+            ratio *= 1.0 / tanh_h[t] if odd[t] else tanh_h[t]
+            ratio *= 1.0 / tanh_h[h] if odd[h] else tanh_h[h]
             if ratio >= 1.0 or rng.random() < ratio:
-                state.member[e] = not state.member[e]
-                state.odd[t] ^= 1
-                state.odd[h] ^= 1
+                member[e] ^= 1
+                odd[t] ^= 1
+                odd[h] ^= 1
             proposals += 1
             if audit_every and proposals % audit_every == 0:
-                assert state.odd == state.recompute_odd(g)
+                recomputed = [0] * g.num_vertices
+                for (a, b), inside in zip(g.edges, member):
+                    recomputed[a] ^= inside
+                    recomputed[b] ^= inside
+                assert odd == recomputed
         if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
             retained += 1
-            edge_counts += np.array(state.member, dtype=np.int64)
-            vertex_counts += np.array(state.odd, dtype=np.int64)
+            edge_counts += np.array(member, dtype=np.int64)
+            vertex_counts += np.array(odd, dtype=np.int64)
     in_freq, odd_freq = edge_counts / retained, vertex_counts / retained
     return Marginals(np.stack([1.0 - in_freq, in_freq], axis=1),
                      np.stack([1.0 - odd_freq, odd_freq], axis=1), DUAL)
@@ -365,32 +370,36 @@ class TestAgainstReference:
         cfg = REFERENCE_CONFIGS[config]
         want = reference_swp(p, cfg, audit_every=audit_every)
         audits = []
-        recompute = SubgraphState.recompute_odd
-        monkeypatch.setattr(SubgraphState, "recompute_odd",
-                            lambda state, g: audits.append(1) or recompute(state, g))
+        recompute = samplers.dual_vertex_config
+        monkeypatch.setattr(samplers, "dual_vertex_config",
+                            lambda *args: audits.append(1) or recompute(*args))
         assert_same(swp(p, cfg, audit_every=audit_every), want)
         proposals = (cfg.resolved_burn_in(18) + cfg.samples * cfg.thinning) * 18
         assert len(audits) == proposals // audit_every
 
 
-class TestSubgraphState:
-    def test_incremental_parity_matches_recompute(self):
-        g = grid_graph(2, 3)
-        state = SubgraphState.empty(g)
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            e = int(rng.integers(0, g.num_edges))
-            t, h = g.edges[e]
-            state.toggle(e, t, h)
-            assert state.odd == state.recompute_odd(g)
-
-    def test_weight_of_single_edge_state(self):
-        g = triangle()
-        p = ising_model(g, [0.8, 0.6, 0.7], [0.7, 0.5, 0.6])
-        state = SubgraphState.empty(g)
-        state.toggle(0, *g.edges[0])
-        w = subgraph_weight(state, np.tanh([0.8, 0.6, 0.7]), np.tanh([0.7, 0.5, 0.6]))
-        assert w == pytest.approx(np.tanh(0.8) * np.tanh(0.7) * np.tanh(0.5), rel=1e-12)
+SWP_ENTRY_POINTS = {
+    "swp": lambda p: swp(p, SamplerConfig(seed=1, samples=10)),
+    "swp_state_histogram": lambda p: swp_state_histogram(p, 10, seed=1),
+    "swp_state_weights": swp_state_weights,
+}
+SWP_REFUSALS = {  # model: (builder, the cause its refusal names)
+    "potts_q3": (lambda: potts_model(triangle(), 3, 0.5, 0.1), "binary"),
+    "negative_coupling": (lambda: ising_model(triangle(), -0.5, 0.3), "couplings"),
+    "zero_field": (lambda: ising_model(triangle(), 0.5, 0.0), "fields"),
+    "zero_dual_edge_entry": (lambda: PrimalNFG(triangle(), Alphabet(2), [[1, 1], [3, 1], [3, 1]],
+                                               [[2, 1]] * 3), "couplings"),
+    "negative_dual_edge_entry": (lambda: PrimalNFG(triangle(), Alphabet(2),
+                                                   [[3, 1], [1, 3], [3, 1]], [[2, 1]] * 3),
+                                 "couplings"),
+    "zero_dual_vertex_entry": (lambda: PrimalNFG(triangle(), Alphabet(2), [[3, 1]] * 3,
+                                                 [[2, 1], [2, 1], [1, 1]]), "fields"),
+}
+POSITIVE_DUAL_MODELS = {
+    "potts2_torus": lambda: potts_model(grid_graph(2, 2, periodic=True), 2, 0.6, 0.25),
+    "hand_built_triangle": lambda: PrimalNFG(triangle(), Alphabet(2), [[3, 1]] * 3,
+                                             [[2, 1]] * 3),
+}
 
 
 class TestSwp:
@@ -401,6 +410,30 @@ class TestSwp:
             swp(ising_model(triangle(), -0.5, 0.3), SamplerConfig(seed=1, samples=10))
         with pytest.raises(SamplerError, match="fields"):
             swp(ising_model(triangle(), 0.5, 0.0), SamplerConfig(seed=1, samples=10))
+
+    @pytest.mark.parametrize("run", sorted(SWP_ENTRY_POINTS))
+    @pytest.mark.parametrize("model", sorted(SWP_REFUSALS))
+    def test_refusals_name_their_cause(self, run, model):
+        build, cause = SWP_REFUSALS[model]
+        with pytest.raises(SamplerError, match=cause):
+            SWP_ENTRY_POINTS[run](build())
+
+    @pytest.mark.parametrize("audit_every", [-3, 0, 2.5])
+    def test_audit_every_must_be_positive(self, audit_every):
+        p = ising_model(triangle(), 0.5, 0.3)
+        with pytest.raises(ValueError, match="audit_every"):
+            swp(p, SamplerConfig(seed=1, samples=10), audit_every=audit_every)
+
+    @pytest.mark.parametrize("model", sorted(POSITIVE_DUAL_MODELS))
+    def test_binary_models_with_a_positive_dual(self, model):
+        # neither has [e^b, e^-b] tables; both have a positive dual
+        p = POSITIVE_DUAL_MODELS[model]()
+        dm = marginals_dual(dualize(p))
+        n = 100_000
+        est = swp(p, SamplerConfig(seed=12, samples=n))
+        for got, want in ((est.edge_values, dm.edge_values.real),
+                          (est.vertex_values, dm.vertex_values.real)):
+            assert (np.abs(got - want) < 3.5 * binomial_sigma(want, n)).all()
 
     def test_single_edge_exact_two_state_law(self):
         p = ising_model(path_graph(2), 0.5, 0.3)
@@ -434,6 +467,38 @@ class TestSwp:
         cfg = SamplerConfig(seed=77, samples=2_000)
         assert np.array_equal(swp(p, cfg).edge_values, swp(p, cfg).edge_values)
 
+    @pytest.mark.parametrize("model", ["triangle_ising", "hand_built_triangle"])
+    def test_state_weights_marginalize_to_the_dual_oracle(self, model):
+        p = (ising_model(triangle(), [0.8, 0.6, 0.7], [0.7, 0.5, 0.6]) if model == "triangle_ising"
+             else POSITIVE_DUAL_MODELS[model]())
+        probs = swp_state_weights(p)
+        probs = probs / probs.sum()
+        g = p.graph
+        y = (np.arange(2 ** g.num_edges)[:, None] >> np.arange(g.num_edges)) & 1
+        parity = y @ np.abs(build_incidence(g)) % 2
+        dm = marginals_dual(dualize(p))
+        for values, want in ((y, dm.edge_values), (parity, dm.vertex_values)):
+            got = np.stack([probs @ (1 - values), probs @ values], axis=1)
+            assert np.abs(got - want.real).max() < 1e-12
+
+    def test_state_weights_closed_form(self):
+        # w(U) / w(empty) = prod_{e in U} tanh bJ_e * prod_{v odd in U} tanh bH_v
+        bj, bh = [0.8, 0.6, 0.7], [0.7, 0.5, 0.6]
+        g = triangle()
+        weights = swp_state_weights(ising_model(g, bj, bh))
+        for mask in range(8):
+            odd = [0] * 3
+            w = 1.0
+            for e, (t, h) in enumerate(g.edges):
+                if mask >> e & 1:
+                    w *= np.tanh(bj[e])
+                    odd[t] ^= 1
+                    odd[h] ^= 1
+            for v in range(3):
+                if odd[v]:
+                    w *= np.tanh(bh[v])
+            assert weights[mask] / weights[0] == pytest.approx(w, rel=1e-12)
+
     def test_error_shrinks_with_more_samples(self):
         p = ising_model(grid_graph(2, 2, periodic=True), 0.5, 0.25)
         exact = marginals_dual(dualize(p)).edge_values.real
@@ -462,6 +527,14 @@ class TestEstimateViaDual:
         assert isinstance(est, Marginals)
         assert np.abs(est.edge_values - om.edge_values).max() < 5e-3
         assert np.abs(est.vertex_values - om.vertex_values).max() < 5e-3
+
+    def test_swp_on_binary_potts(self):
+        p = POSITIVE_DUAL_MODELS["potts2_torus"]()
+        om = marginals_primal(p)
+        n = 100_000
+        est = estimate_primal_via_dual(p, "swp", SamplerConfig(seed=13, samples=n))
+        for got, want in ((est.edge_values, om.edge_values), (est.vertex_values, om.vertex_values)):
+            assert (np.abs(got - want) < 3.5 * binomial_sigma(want, n)).all()
 
     def test_bp_dual_route(self):
         p = ising_model(grid_graph(3, 3, periodic=True), 0.25, 0.15)
