@@ -86,11 +86,11 @@ def _site_order(n: int, sweep: str, rng) -> list:
     return rng.integers(0, n, size=n).tolist()
 
 
-def _run_chain(cfg: SamplerConfig, num_vars: int, sweep, count) -> np.ndarray:
+def _run_chain(cfg: SamplerConfig, num_vars: int, sweep, tally) -> np.ndarray:
     """Mean counts over the retained states of a chain of cfg's length.
 
     sweep(s) runs sweep s and returns the state, a list copied when retained;
-    count(states) sums a list of states into an array of counts, and is
+    tally(states) sums a list of states into an array of counts, and is
     called once per _BLOCK retained states and once for the rest.
     """
     burn = cfg.resolved_burn_in(num_vars)
@@ -100,9 +100,9 @@ def _run_chain(cfg: SamplerConfig, num_vars: int, sweep, count) -> np.ndarray:
         if s >= burn and (s - burn) % cfg.thinning == 0:
             kept.append(state[:])
             if len(kept) == _BLOCK:
-                counts = counts + count(kept)
+                counts = counts + tally(kept)
                 kept.clear()
-    return (counts + count(kept)) / cfg.samples
+    return (counts + tally(kept)) / cfg.samples
 
 
 def _arguments(scopes, q: int):
@@ -184,7 +184,7 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     arguments = _arguments(scopes, q)
     offsets = q * np.arange(len(scopes))
 
-    def count(configs: list) -> np.ndarray:
+    def tally(configs: list) -> np.ndarray:
         """Counts of every factor at its argument, over the given configurations."""
         args = arguments(np.array(configs, dtype=np.int64).reshape(len(configs), num_vars))
         return np.bincount((args + offsets).ravel(), minlength=len(scopes) * q)
@@ -209,7 +209,7 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
                     key[other] += (b - old) * weight
         return z
 
-    freq = _run_chain(cfg, num_vars, sweep, count).reshape(len(scopes), q)
+    freq = _run_chain(cfg, num_vars, sweep, tally).reshape(len(scopes), q)
     e = model.graph.num_edges
     return Marginals(freq[:e], freq[e:], model.domain)
 
@@ -341,11 +341,11 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
         _propose(order[done:], ratios, arg, uniform)
         return arg
 
-    def count(states: list) -> np.ndarray:
+    def tally(states: list) -> np.ndarray:
         """Edge memberships and vertex parities summed over the given states."""
         return np.array(states, dtype=np.int64).reshape(len(states), len(arg)).sum(axis=0)
 
-    in_freq, odd_freq = np.split(_run_chain(cfg, num_edges, sweep, count), [num_edges])
+    in_freq, odd_freq = np.split(_run_chain(cfg, num_edges, sweep, tally), [num_edges])
     return Marginals(np.stack([1.0 - in_freq, in_freq], axis=1),
                      np.stack([1.0 - odd_freq, odd_freq], axis=1), DUAL)
 
