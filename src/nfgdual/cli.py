@@ -11,6 +11,7 @@ the enumeration budget.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -202,7 +203,12 @@ def cmd_experiment(args) -> int:
     if runner is None:
         known = ", ".join(sorted(EXPERIMENTS))
         raise SpecError(f"unknown experiment {args.name!r}; known: {known}")
-    report = runner(seed=args.seed, quick=args.quick, samples=args.samples)
+    kwargs = {"seed": args.seed, "quick": args.quick}
+    if args.samples is not None:
+        if "samples" not in inspect.signature(runner).parameters:
+            raise SpecError(f"experiment {args.name} takes no --samples")
+        kwargs["samples"] = args.samples
+    report = runner(**kwargs)
     out = args.out or f"{args.name}.csv"
     report.write(out)
     print(f"wrote {len(report.rows)} rows to {out} "
@@ -270,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", help="output CSV path (default <name>.csv)")
     p_exp.add_argument("--quick", action="store_true",
                        help="reduced sizes and realization counts")
-    p_exp.add_argument("--samples", type=int, default=None)
+    p_exp.add_argument("--samples", type=int, default=None,
+                       help="retained samples per chain (fig-ising-hom and fig-gaussian only)")
 
     p_val = add("validate", cmd_validate, "run the validation matrix", spec=False)
     p_val.add_argument("--quick", action="store_true", help="skip the slowest checks")

@@ -2,10 +2,15 @@
 
 Every runner is deterministic given its master seed: per-realization and
 per-chain generators are spawned as default_rng([master_seed, index]).  The
-exact-reference column always comes from the enumeration oracle or dense
-linear algebra, never from a sampler; when the model is over the enumeration
-budget the error columns are left as NaN and the estimates are still emitted
-(quick mode shrinks the lattice so the oracle is available).
+exact-reference column always comes from dense linear algebra or from
+`_oracle_pe0`, the one place a runner enumerates, never from a sampler; when
+the model is over the enumeration budget the exact and error cells are NaN
+and the estimates are still emitted (quick mode shrinks the lattice so the
+oracle is available).  The two random-coupling runners share one row builder
+and differ only in their parameter grid and coupling draw; the fixed-point
+and bound curves share one 0.01-step coupling grid and its critical mark,
+which `validate.check_fixed_point_grid` reads back.  Only the sampling
+runners, fig-ising-hom and fig-gaussian, take `samples`.
 """
 
 from __future__ import annotations
@@ -84,21 +89,19 @@ def _chain_seed(master: int, index: int) -> np.random.Generator:
     return np.random.default_rng([master, index])
 
 
-def _oracle_pe0(model):
-    """First-edge and per-edge exact pi_p,e(0), or None when over budget."""
+def _oracle_pe0(model) -> np.ndarray:
+    """Per-edge exact pi_p,e(0); all NaN when the model is over the enumeration
+    budget, so every error computed from it is NaN too."""
     try:
-        om = marginals_primal(model)
+        return marginals_primal(model).edge_values[:, 0].real
     except EnumerationBudgetError:
-        return None
-    return om.edge_values[:, 0].real
+        return np.full(model.graph.num_edges, np.nan)
 
 
-def _rel_err(estimate: np.ndarray, exact) -> tuple:
-    """(first-edge, max-over-edges) relative error on pi_p,e(0); NaN without exact."""
-    if exact is None:
-        return float("nan"), float("nan")
+def _rel_err(estimate: np.ndarray, exact: np.ndarray, edge: int = 0) -> tuple:
+    """(at-edge, max-over-edges) relative error on pi_p,e(0)."""
     err = np.abs(estimate.real - exact) / np.abs(exact)
-    return float(err[0]), float(err.max())
+    return float(err[edge]), float(err.max())
 
 
 def run_fig_ising_hom(
@@ -114,7 +117,7 @@ def run_fig_ising_hom(
     plus the subgraphs-world process, reported as pi_p,e(0) estimates."""
     size = 4 if quick else 6
     rows, cols = rows or size, cols or size
-    samples = samples or (10_000 if quick else 100_000)
+    samples = samples if samples is not None else (10_000 if quick else 100_000)
     betas = list(betas) if betas is not None else [round(0.05 + 0.1 * k, 2) for k in range(8)]
     g = grid_graph(rows, cols, periodic=True)
     out_rows = []
@@ -133,8 +136,7 @@ def run_fig_ising_hom(
         bd_first, bd_max = _rel_err(bp_dual, exact)
         sw_first, sw_max = _rel_err(swp_est, exact)
         out_rows.append([
-            bj,
-            float(exact[0]) if exact is not None else float("nan"),
+            bj, float(exact[0]),
             float(bp_primal[0]), bp_first, bp_max, rp.converged,
             float(bp_dual[0]), bd_first, bd_max, bool(bd.converged),
             float(swp_est[0]), sw_first, sw_max,
@@ -163,25 +165,41 @@ def run_fig_ising_hom(
     )
 
 
-def _bp_error_summary(models):
-    """Per-realization first-edge relative errors for primal BP and mapped dual BP."""
-    prim, dual, conv_p, conv_d = [], [], 0, 0
-    for model in models:
-        exact = _oracle_pe0(model)
-        rp = run_bp(model)
-        bd = estimate_primal_via_dual(model, "bp_dual")
-        conv_p += rp.converged
-        conv_d += bool(bd.converged)
-        if exact is not None:
-            prim.append(_rel_err(rp.edge_values[:, 0].real, exact)[0])
-            dual.append(_rel_err(bd.edge_values[:, 0].real, exact)[0])
-    return prim, dual, conv_p, conv_d
+_REALIZATION_COLUMNS = [
+    ("mean_rel_err_bp_primal", "mean over realizations, first-edge relative error"),
+    ("mean_rel_err_bp_dual", "mean over realizations, mapped dual-BP error"),
+    ("median_rel_err_bp_primal", "median over realizations"),
+    ("median_rel_err_bp_dual", "median over realizations"),
+    ("frac_converged_primal", "fraction of realizations where primal BP converged"),
+    ("frac_converged_dual", "fraction where dual BP converged"),
+]
+
+
+def _realization_rows(g, values, realizations: int, seed: int, draw) -> list:
+    """One row per parameter value: first-edge relative errors of primal BP and
+    mapped dual BP over zero-field Ising realizations on g, then the converged
+    fractions.  Realization r of value i has couplings draw(value, rng), with
+    rng = _chain_seed(seed, i * realizations + r)."""
+    out_rows = []
+    for i, value in enumerate(values):
+        prim, dual, conv_p, conv_d = [], [], 0, 0
+        for r in range(realizations):
+            model = ising_model(g, draw(value, _chain_seed(seed, i * realizations + r)), 0.0)
+            exact = _oracle_pe0(model)
+            rp = run_bp(model)
+            bd = estimate_primal_via_dual(model, "bp_dual")
+            conv_p += rp.converged
+            conv_d += bool(bd.converged)
+            prim.append(_rel_err(rp.edge_values[:, 0], exact)[0])
+            dual.append(_rel_err(bd.edge_values[:, 0], exact)[0])
+        stats = [float(f(errs)) for f in (np.mean, np.median) for errs in (prim, dual)]
+        out_rows.append([value, *stats, conv_p / realizations, conv_d / realizations])
+    return out_rows
 
 
 def run_fig_ising_halfnormal(
     seed: int = 0,
     quick: bool = False,
-    samples: int | None = None,
     rows: int | None = None,
     cols: int | None = None,
     sigma2_values=None,
@@ -196,34 +214,13 @@ def run_fig_ising_halfnormal(
         else [round(0.05 + 0.2 * k, 2) for k in range(10)]
     )
     g = grid_graph(rows, cols, periodic=True)
-    out_rows = []
-    for si, sigma2 in enumerate(sigma2_values):
-        models = []
-        for r in range(realizations):
-            rng = _chain_seed(seed, si * realizations + r)
-            couplings = np.abs(rng.normal(0.0, np.sqrt(sigma2), size=g.num_edges))
-            models.append(ising_model(g, couplings, 0.0))
-        prim, dual, conv_p, conv_d = _bp_error_summary(models)
-        out_rows.append([
-            sigma2,
-            float(np.mean(prim)) if prim else float("nan"),
-            float(np.mean(dual)) if dual else float("nan"),
-            float(np.median(prim)) if prim else float("nan"),
-            float(np.median(dual)) if dual else float("nan"),
-            conv_p / realizations,
-            conv_d / realizations,
-        ])
-    columns = [
-        ("sigma2", "half-normal coupling variance"),
-        ("mean_rel_err_bp_primal", "mean over realizations, first-edge relative error"),
-        ("mean_rel_err_bp_dual", "mean over realizations, mapped dual-BP error"),
-        ("median_rel_err_bp_primal", "median over realizations"),
-        ("median_rel_err_bp_dual", "median over realizations"),
-        ("frac_converged_primal", "fraction of realizations where primal BP converged"),
-        ("frac_converged_dual", "fraction where dual BP converged"),
-    ]
+    out_rows = _realization_rows(
+        g, sigma2_values, realizations, seed,
+        lambda sigma2, rng: np.abs(rng.normal(0.0, np.sqrt(sigma2), size=g.num_edges)),
+    )
     return ExperimentReport(
-        "fig-ising-halfnormal", columns, out_rows,
+        "fig-ising-halfnormal",
+        [("sigma2", "half-normal coupling variance"), *_REALIZATION_COLUMNS], out_rows,
         {"rows": rows, "cols": cols, "realizations": realizations, "seed": seed,
          "quick": quick},
     )
@@ -232,7 +229,6 @@ def run_fig_ising_halfnormal(
 def run_fig_ising_fully(
     seed: int = 0,
     quick: bool = False,
-    samples: int | None = None,
     n: int | None = None,
     beta_x_values=None,
     realizations: int | None = None,
@@ -245,31 +241,13 @@ def run_fig_ising_fully(
         else [round(0.05 + 0.1 * k, 2) for k in range(7)]
     )
     g = complete_graph(n)
-    out_rows = []
-    for bi, beta_x in enumerate(beta_x_values):
-        models = []
-        for r in range(realizations):
-            rng = _chain_seed(seed, bi * realizations + r)
-            couplings = rng.uniform(0.05, beta_x, size=g.num_edges)
-            models.append(ising_model(g, couplings, 0.0))
-        prim, dual, conv_p, conv_d = _bp_error_summary(models)
-        out_rows.append([
-            beta_x,
-            float(np.mean(prim)), float(np.mean(dual)),
-            float(np.median(prim)), float(np.median(dual)),
-            conv_p / realizations, conv_d / realizations,
-        ])
-    columns = [
-        ("beta_x", "upper end of the uniform coupling range"),
-        ("mean_rel_err_bp_primal", "mean over realizations, first-edge relative error"),
-        ("mean_rel_err_bp_dual", "mean over realizations, mapped dual-BP error"),
-        ("median_rel_err_bp_primal", "median over realizations"),
-        ("median_rel_err_bp_dual", "median over realizations"),
-        ("frac_converged_primal", "fraction of realizations where primal BP converged"),
-        ("frac_converged_dual", "fraction where dual BP converged"),
-    ]
+    out_rows = _realization_rows(
+        g, beta_x_values, realizations, seed,
+        lambda beta_x, rng: rng.uniform(0.05, beta_x, size=g.num_edges),
+    )
     return ExperimentReport(
-        "fig-ising-fully", columns, out_rows,
+        "fig-ising-fully",
+        [("beta_x", "upper end of the uniform coupling range"), *_REALIZATION_COLUMNS], out_rows,
         {"n": n, "realizations": realizations, "seed": seed, "quick": quick},
     )
 
@@ -300,7 +278,6 @@ def frustrated_grid_couplings(rows: int, cols: int, beta_ferr: float,
 def run_fig_potts_frustrated(
     seed: int = 0,
     quick: bool = False,
-    samples: int | None = None,
     rows: int | None = None,
     cols: int | None = None,
     beta_ferr_values=None,
@@ -319,21 +296,15 @@ def run_fig_potts_frustrated(
     for beta_ferr in beta_ferr_values:
         g, couplings, target = frustrated_grid_couplings(rows, cols, beta_ferr)
         p = potts_model(g, 3, couplings, 0.0)
-        try:
-            om = marginals_primal(p)
-            exact = float(om.edge_values[target, 0].real)
-        except EnumerationBudgetError:
-            exact = float("nan")
+        exact = _oracle_pe0(p)
         rp = run_bp(p)
         bd = estimate_primal_via_dual(p, "bp_dual")
         bp_pe0 = float(rp.edge_values[target, 0].real)
         bd_pe0 = float(bd.edge_values[target, 0].real)
-        err_p = abs(bp_pe0 - exact) / abs(exact) if np.isfinite(exact) else float("nan")
-        err_d = abs(bd_pe0 - exact) / abs(exact) if np.isfinite(exact) else float("nan")
         out_rows.append([
-            beta_ferr, target, exact,
-            bp_pe0, err_p, rp.converged,
-            bd_pe0, err_d, bool(bd.converged),
+            beta_ferr, target, float(exact[target]),
+            bp_pe0, _rel_err(rp.edge_values[:, 0], exact, target)[0], rp.converged,
+            bd_pe0, _rel_err(bd.edge_values[:, 0], exact, target)[0], bool(bd.converged),
             abs(bp_pe0 - bd_pe0),
         ])
     columns = [
@@ -367,7 +338,7 @@ def run_fig_gaussian(
     running variance estimates per chain against the dense-algebra exact value."""
     n = n or 15
     chains = chains or (2 if quick else 7)
-    samples = samples or (100 if quick else 1000)
+    samples = samples if samples is not None else (100 if quick else 1000)
     g = grid_graph(n, n, periodic=True)
     chain_defaults = SamplerConfig(seed=seed, samples=samples)  # burn-in as the chains resolve it
     out_rows = []
@@ -411,29 +382,35 @@ def run_fig_gaussian(
     )
 
 
-def run_fig_fixed_points(seed: int = 0, quick: bool = False,
-                         samples: int | None = None) -> ExperimentReport:
-    """Fixed-point curves over a 0.01-step coupling grid with criticality marks."""
-    grid = np.round(np.arange(0.01, 3.0001, 0.01), 10)
+_GRID = np.round(np.arange(0.01, 3.0001, 0.01), 10)  # couplings of the curve runners
+
+
+def _grid_rows(specs, values) -> list:
+    """[family, q, beta_j, *values(family, q, beta_j), at_critical_gridpoint]
+    for each (family, q, critical coupling) over the 0.01-step grid."""
     out_rows = []
+    for family, q, crit in specs:
+        nearest = float(_GRID[np.argmin(np.abs(_GRID - crit))])
+        for bj in _GRID:
+            out_rows.append([family, q, float(bj), *values(family, q, bj), bool(bj == nearest)])
+    return out_rows
+
+
+def run_fig_fixed_points(seed: int = 0, quick: bool = False) -> ExperimentReport:
+    """Fixed-point curves over a 0.01-step coupling grid with criticality marks."""
     specs = [("ising", 2, ISING_CRITICAL)]
     specs += [("potts", q, potts_critical(q)) for q in (3, 4, 5, 10, 100)]
     specs += [("clock", 4, CLOCK4_CRITICAL)]
-    for family, q, crit in specs:
-        nearest = float(grid[np.argmin(np.abs(grid - crit))])
-        for bj in grid:
-            if family == "ising":
-                fp = ising_fixed_point(bj)
-            elif family == "potts":
-                fp = potts_fixed_point(q, bj)
-            else:
-                fp = clock_fixed_point(q, bj)
-            out_rows.append([
-                family, q, float(bj),
-                float(fp[0]), float(fp[1]),
-                float(fp[2]) if q > 2 else float("nan"),
-                bool(bj == nearest),
-            ])
+
+    def fixed_point(family, q, bj):
+        if family == "ising":
+            fp = ising_fixed_point(bj)
+        elif family == "potts":
+            fp = potts_fixed_point(q, bj)
+        else:
+            fp = clock_fixed_point(q, bj)
+        return float(fp[0]), float(fp[1]), float(fp[2]) if q > 2 else float("nan")
+
     columns = [
         ("family", "ising | potts | clock"),
         ("q", "alphabet size"),
@@ -443,27 +420,20 @@ def run_fig_fixed_points(seed: int = 0, quick: bool = False,
         ("pi_star_2", "fixed point at 2 (nan for binary)"),
         ("at_critical_gridpoint", "grid point nearest the critical coupling"),
     ]
-    return ExperimentReport("fig-fixed-points", columns, out_rows, {"step": 0.01})
+    return ExperimentReport("fig-fixed-points", columns, _grid_rows(specs, fixed_point),
+                            {"step": 0.01})
 
 
-def run_fig_bounds(seed: int = 0, quick: bool = False,
-                   samples: int | None = None) -> ExperimentReport:
+def run_fig_bounds(seed: int = 0, quick: bool = False) -> ExperimentReport:
     """Ferromagnetic lower-bound curves; bounds intersect at criticality."""
-    grid = np.round(np.arange(0.01, 3.0001, 0.01), 10)
-    out_rows = []
     specs = [("ising", 2, ISING_CRITICAL)] + [
         ("potts", q, potts_critical(q)) for q in (3, 4, 5)
     ]
-    for family, q, crit in specs:
-        nearest = float(grid[np.argmin(np.abs(grid - crit))])
-        for bj in grid:
-            if family == "ising":
-                bp, bd = ising_lower_bounds(bj)
-            else:
-                bp, bd = potts_lower_bounds(q, bj)
-            out_rows.append([
-                family, q, float(bj), bp, bd, bp * bd, bool(bj == nearest),
-            ])
+
+    def bounds(family, q, bj):
+        bp, bd = ising_lower_bounds(bj) if family == "ising" else potts_lower_bounds(q, bj)
+        return bp, bd, bp * bd
+
     columns = [
         ("family", "ising | potts"),
         ("q", "alphabet size"),
@@ -473,7 +443,7 @@ def run_fig_bounds(seed: int = 0, quick: bool = False,
         ("product", "bound product (exactly 1/q)"),
         ("at_critical_gridpoint", "grid point nearest the critical coupling"),
     ]
-    return ExperimentReport("fig-bounds", columns, out_rows, {"step": 0.01})
+    return ExperimentReport("fig-bounds", columns, _grid_rows(specs, bounds), {"step": 0.01})
 
 
 EXPERIMENTS = {

@@ -96,9 +96,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for t, h in self.edges if v in (t, h))
-
     def incident_edges(self, v: int) -> list:
         """Edge indices incident to v, ascending."""
         return [e for e, (t, h) in enumerate(self.edges) if v in (t, h)]

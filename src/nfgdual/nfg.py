@@ -217,19 +217,9 @@ def ising_edge_table(beta_j: float) -> np.ndarray:
     return np.array([np.exp(beta_j), np.exp(-beta_j)], dtype=np.complex128)
 
 
-def ising_vertex_table(beta_h: float) -> np.ndarray:
-    return np.array([np.exp(beta_h), np.exp(-beta_h)], dtype=np.complex128)
-
-
 def potts_edge_table(q: int, beta_j: float) -> np.ndarray:
     t = np.ones(q, dtype=np.complex128)
     t[0] = np.exp(beta_j)
-    return t
-
-
-def potts_vertex_table(q: int, beta_h: float) -> np.ndarray:
-    t = np.ones(q, dtype=np.complex128)
-    t[0] = np.exp(beta_h)
     return t
 
 
@@ -250,49 +240,41 @@ def potts_dual_edge_table(q: int, beta_j: float) -> np.ndarray:
     return t
 
 
-def _per_edge(values, num_edges: int) -> np.ndarray:
+def _per_item(values, count: int, item: str) -> np.ndarray:
+    """values broadcast to one float per edge or vertex (item names which)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
-        arr = np.full(num_edges, float(arr))
-    if arr.shape != (num_edges,):
-        raise ValueError(f"expected {num_edges} per-edge values, got shape {arr.shape}")
-    return arr
-
-
-def _per_vertex(values, num_vertices: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.full(num_vertices, float(arr))
-    if arr.shape != (num_vertices,):
-        raise ValueError(f"expected {num_vertices} per-vertex values, got shape {arr.shape}")
+        arr = np.full(count, float(arr))
+    if arr.shape != (count,):
+        raise ValueError(f"expected {count} per-{item} values, got shape {arr.shape}")
     return arr
 
 
 def ising_model(g: Graph, couplings, fields=0.0) -> PrimalNFG:
     """Binary model with psi_e = [e^bJ, e^-bJ] and phi_v = [e^bH, e^-bH]."""
-    bj = _per_edge(couplings, g.num_edges)
-    bh = _per_vertex(fields, g.num_vertices)
+    bj = _per_item(couplings, g.num_edges, "edge")
+    bh = _per_item(fields, g.num_vertices, "vertex")
     edge_tables = np.stack([ising_edge_table(b) for b in bj]) if g.num_edges else \
         np.zeros((0, 2), dtype=np.complex128)
-    vertex_tables = np.stack([ising_vertex_table(b) for b in bh])
+    vertex_tables = np.stack([ising_edge_table(b) for b in bh])
     return PrimalNFG(g, Alphabet(2), edge_tables, vertex_tables)
 
 
 def potts_model(g: Graph, q: int, couplings, fields=0.0) -> PrimalNFG:
     """q-state model: psi_e(0) = e^bJ else 1; the field acts on state 0 only."""
-    bj = _per_edge(couplings, g.num_edges)
-    bh = _per_vertex(fields, g.num_vertices)
+    bj = _per_item(couplings, g.num_edges, "edge")
+    bh = _per_item(fields, g.num_vertices, "vertex")
     edge_tables = np.stack([potts_edge_table(q, b) for b in bj]) if g.num_edges else \
         np.zeros((0, q), dtype=np.complex128)
-    vertex_tables = np.stack([potts_vertex_table(q, b) for b in bh])
+    vertex_tables = np.stack([potts_edge_table(q, b) for b in bh])
     return PrimalNFG(g, Alphabet(q), edge_tables, vertex_tables)
 
 
 def clock_model(g: Graph, q: int, couplings, fields=0.0) -> PrimalNFG:
     """Cosine-interaction model psi_e(y) = exp(bJ cos(2 pi y / q)) in the field
     phi_v(x) = exp(bH cos(2 pi x / q)), a table of the same form."""
-    bj = _per_edge(couplings, g.num_edges)
-    bh = _per_vertex(fields, g.num_vertices)
+    bj = _per_item(couplings, g.num_edges, "edge")
+    bh = _per_item(fields, g.num_vertices, "vertex")
     edge_tables = np.stack([clock_edge_table(q, b) for b in bj]) if g.num_edges else \
         np.zeros((0, q), dtype=np.complex128)
     vertex_tables = np.stack([clock_edge_table(q, b) for b in bh])

@@ -24,6 +24,7 @@ uniform at a time.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, cycle, islice, product
@@ -60,12 +61,12 @@ class SamplerConfig:
     sweep: str = "systematic"  # or "random"
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        for name, least in (("samples", 1), ("thinning", 1), ("burn_in", 0)):
+            value = getattr(self, name)
+            if name == "burn_in" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if self.sweep not in ("systematic", "random"):
             raise ValueError(f"unknown sweep strategy {self.sweep!r}")
 

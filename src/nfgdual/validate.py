@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bp import BpConfig, run_bp
+from .experiments import run_fig_fixed_points
 from .gaussian import (
     GmrfModel,
     dual_precision,
@@ -186,25 +187,15 @@ def check_fixed_point_constants(seed):
 
 
 def check_fixed_point_grid(seed):
-    grid = np.round(np.arange(0.01, 3.0001, 0.01), 10)
+    """Each curve's extremum on the fig-fixed-points grid is the marked row."""
+    rows = run_fig_fixed_points().rows
     failures = []
-    curves = [("ising", 2, ISING_CRITICAL, 0, "min")]
-    curves += [("potts", q, potts_critical(q), 0, "min") for q in (3, 4, 5, 10, 100)]
-    curves += [
-        ("clock", 4, CLOCK4_CRITICAL, 0, "min"),
-        ("clock", 4, CLOCK4_CRITICAL, 1, "max"),
-        ("clock", 4, CLOCK4_CRITICAL, 2, "max"),
-    ]
-    for family, q, crit, comp, sense in curves:
-        if family == "ising":
-            vals = np.array([ising_fixed_point(b)[comp] for b in grid])
-        elif family == "potts":
-            vals = np.array([potts_fixed_point(q, b)[comp] for b in grid])
-        else:
-            vals = np.array([clock_fixed_point(q, b)[comp] for b in grid])
-        arg = int(np.argmin(vals) if sense == "min" else np.argmax(vals))
-        nearest = int(np.argmin(np.abs(grid - crit)))
-        if arg != nearest:
+    curves = [("ising", 2, 0, np.argmin)]
+    curves += [("potts", q, 0, np.argmin) for q in (3, 4, 5, 10, 100)]
+    curves += [("clock", 4, 0, np.argmin), ("clock", 4, 1, np.argmax), ("clock", 4, 2, np.argmax)]
+    for family, q, comp, extremum in curves:
+        curve = [r for r in rows if r[0] == family and r[1] == q]
+        if not curve[int(extremum([r[3 + comp] for r in curve]))][6]:
             failures.append(f"{family} q={q} component {comp}")
     return not failures, "grid extrema at criticality" + (
         f"; failed: {failures}" if failures else ""

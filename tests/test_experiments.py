@@ -1,11 +1,13 @@
 """Experiment runners: determinism, CSV format, and report semantics."""
 
 import csv
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from nfgdual import experiments
 from nfgdual.experiments import (
     EXPERIMENTS,
     frustrated_grid_couplings,
@@ -16,7 +18,8 @@ from nfgdual.experiments import (
     run_fig_ising_hom,
     run_fig_potts_frustrated,
 )
-from nfgdual.mapping import ISING_CRITICAL
+from nfgdual.mapping import ISING_CRITICAL, potts_fixed_point
+from nfgdual.validate import check_fixed_point_grid
 from nfgdual.graphs import grid_graph
 
 
@@ -27,6 +30,11 @@ class TestRegistry:
             "fig-potts-frustrated", "fig-gaussian", "fig-fixed-points",
             "fig-bounds",
         }
+
+    def test_only_the_sampling_runners_take_samples(self):
+        takes = {name for name, runner in EXPERIMENTS.items()
+                 if "samples" in inspect.signature(runner).parameters}
+        assert takes == {"fig-ising-hom", "fig-gaussian"}
 
 
 class TestCsvOutput:
@@ -79,6 +87,19 @@ class TestBoundsAndFixedPointCurves:
         row = next(r for r in report.rows if r[0] == "potts" and r[1] == 3 and r[6])
         assert row[2] == pytest.approx(1.005, abs=0.0051)  # nearest 0.01-grid point
         assert row[3] == pytest.approx(0.7887, abs=5e-4)
+
+
+class TestFixedPointGridCheck:
+    def test_fails_when_the_runner_moves_the_q3_minimum(self, monkeypatch):
+        # negative control: the check reads the fig-fixed-points rows, so a
+        # curve shifted by 0.2 in the coupling must be caught and named
+        def shifted(q, bj):
+            return potts_fixed_point(q, bj + 0.2 if q == 3 else bj)
+
+        monkeypatch.setattr(experiments, "potts_fixed_point", shifted)
+        passed, detail = check_fixed_point_grid(0)
+        assert not passed
+        assert detail.endswith("failed: ['potts q=3 component 0']")
 
 
 class TestFrustratedConstruction:

@@ -323,6 +323,17 @@ class TestCli:
         sidecar = json.loads((tmp_path / "bounds.schema.json").read_text())
         assert sidecar["experiment"] == "fig-bounds"
 
+    def test_experiment_without_samples_refuses_the_flag(self, tmp_path, capsys):
+        out = str(tmp_path / "bounds.csv")
+        assert main(["experiment", "fig-bounds", "--samples", "5", "--out", out]) == 4
+        assert "fig-bounds" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
+
+    def test_experiment_samples_zero_is_not_the_default(self, tmp_path, capsys):
+        out = str(tmp_path / "gaussian.csv")
+        assert main(["experiment", "fig-gaussian", "--quick", "--samples", "0", "--out", out]) == 4
+        assert "samples" in capsys.readouterr().err
+
     def test_validate_quick(self, capsys):
         assert main(["validate", "--quick", "--seed", "1234"]) == 0
         out = capsys.readouterr().out

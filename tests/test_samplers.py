@@ -150,6 +150,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SamplerConfig(seed=1, sweep="zigzag")
 
+    @pytest.mark.parametrize("field,value", [
+        ("samples", 2.5), ("samples", True), ("samples", "10"),
+        ("burn_in", 2.5), ("burn_in", False), ("thinning", 1.5), ("thinning", np.float64(2.0)),
+    ])
+    def test_non_integer_counts_refused_by_name(self, field, value):
+        # they used to be accepted and fail later inside the chain's range()
+        with pytest.raises(ValueError, match=field):
+            SamplerConfig(seed=1, **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        p = ising_model(triangle(), 0.5, 0.1)
+        want = gibbs_primal(p, SamplerConfig(seed=3, samples=50, burn_in=7, thinning=2))
+        got = gibbs_primal(p, SamplerConfig(seed=3, samples=np.int64(50), burn_in=np.int32(7),
+                                            thinning=np.uint8(2)))
+        assert np.array_equal(got.edge_values, want.edge_values)
+
     def test_negative_burn_in_refused(self):
         # it used to shorten the retained run, down to 0/0 = NaN marginals
         with pytest.raises(ValueError, match="burn_in"):
