@@ -192,8 +192,8 @@ def cmd_gaussian(args) -> int:
         cfg = SamplerConfig(seed=args.seed, samples=args.samples)
         res_p = gmrf_primal_gibbs(model, cfg)
         res_d = gmrf_dual_gibbs(model, cfg)
-        est = map_variance_dual_to_primal(model.sigma, res_d.derived_trajectory[-1])
-        print(f"gibbs primal estimate (site-averaged): {res_p.trajectory[-1]:.6g}")
+        est = map_variance_dual_to_primal(model.sigma, res_d.derived_variances.mean())
+        print(f"gibbs primal estimate (site-averaged): {res_p.variances.mean():.6g}")
         print(f"gibbs dual estimate mapped to primal:  {est:.6g}")
     return EXIT_OK
 
@@ -203,12 +203,11 @@ def cmd_experiment(args) -> int:
     if runner is None:
         known = ", ".join(sorted(EXPERIMENTS))
         raise SpecError(f"unknown experiment {args.name!r}; known: {known}")
-    kwargs = {"seed": args.seed, "quick": args.quick}
-    if args.samples is not None:
-        if "samples" not in inspect.signature(runner).parameters:
-            raise SpecError(f"experiment {args.name} takes no --samples")
-        kwargs["samples"] = args.samples
-    report = runner(**kwargs)
+    takes = inspect.signature(runner).parameters
+    if args.samples is not None and "samples" not in takes:
+        raise SpecError(f"experiment {args.name} takes no --samples")
+    options = {"seed": args.seed, "quick": args.quick, "samples": args.samples}
+    report = runner(**{name: value for name, value in options.items() if name in takes})
     out = args.out or f"{args.name}.csv"
     report.write(out)
     print(f"wrote {len(report.rows)} rows to {out} "

@@ -1,12 +1,13 @@
 """Named experiment runners emitting CSV reports.
 
-Every runner is deterministic given its master seed: per-realization and
-per-chain generators are spawned as default_rng([master_seed, index]).  The
-exact-reference column always comes from dense linear algebra or from
-`_oracle_pe0`, the one place a runner enumerates, never from a sampler; when
-the model is over the enumeration budget the exact and error cells are NaN
-and the estimates are still emitted (quick mode shrinks the lattice so the
-oracle is available).  The two random-coupling runners share one row builder
+Every sampling and realization runner is deterministic given its master
+seed: per-realization and per-chain generators are spawned as
+default_rng([master_seed, index]).  The two curve runners draw nothing and
+take neither a seed nor `quick`.  The exact-reference column always comes
+from dense linear algebra or from `_oracle_pe0`, the one place a runner
+enumerates, never from a sampler; when the model is over the enumeration
+budget the exact and error cells are NaN and the estimates are still emitted
+(quick mode shrinks the lattice so the oracle is available).  The two random-coupling runners share one row builder
 and differ only in their parameter grid and coupling draw; the fixed-point
 and bound curves share one 0.01-step coupling grid and its critical mark,
 which `validate.check_fixed_point_grid` reads back.  Only the sampling
@@ -396,7 +397,7 @@ def _grid_rows(specs, values) -> list:
     return out_rows
 
 
-def run_fig_fixed_points(seed: int = 0, quick: bool = False) -> ExperimentReport:
+def run_fig_fixed_points() -> ExperimentReport:
     """Fixed-point curves over a 0.01-step coupling grid with criticality marks."""
     specs = [("ising", 2, ISING_CRITICAL)]
     specs += [("potts", q, potts_critical(q)) for q in (3, 4, 5, 10, 100)]
@@ -424,7 +425,7 @@ def run_fig_fixed_points(seed: int = 0, quick: bool = False) -> ExperimentReport
                             {"step": 0.01})
 
 
-def run_fig_bounds(seed: int = 0, quick: bool = False) -> ExperimentReport:
+def run_fig_bounds() -> ExperimentReport:
     """Ferromagnetic lower-bound curves; bounds intersect at criticality."""
     specs = [("ising", 2, ISING_CRITICAL)] + [
         ("potts", q, potts_critical(q)) for q in (3, 4, 5)

@@ -24,15 +24,17 @@ incidence products bit for bit.
 The Gibbs chains are systematic-scan heat baths.  Such a sweep over a
 precision P = D + L + U (diagonal, strict lower and strict upper triangle) is
 one stochastic Gauss-Seidel step, (D + L) x_new = sqrt(D) z - U x_old, with z
-the sweep's standard normals (Goodman & Sokal, Phys. Rev. D 1989).  Each sweep
-is therefore one sparse product with U and one product with the inverse of the
-lower triangle, built once per chain: the same chain as the site-by-site
-update, fed the same normals in the same order.  The inverse comes from a
-blocked recursion whose blocks of at most 32 rows LAPACK inverts whole.  The
-normals are drawn _BLOCK sweeps at a time (the same stream as one draw per
-sweep), and the retained states of a block are squared, summed into the
-running totals and multiplied by a tracked statistic together, so the
-buffers stay _BLOCK rows long whatever the number of retained sweeps.
+the sweep's standard normals (Goodman & Sokal, Phys. Rev. D 1989).  Each
+sweep is therefore one sparse product with U and one product with the inverse
+of the lower triangle, built once per chain: the same chain as the
+site-by-site update, fed the same normals in the same order.  The inverse
+comes from a blocked recursion whose blocks of at most 32 rows LAPACK inverts
+whole.  The chain runs on `samplers._run_chain`, the driver of burn-in,
+thinning and retention that the discrete chains use too.  Its sweep draws the
+normals of _BLOCK sweeps at once (the same stream as one draw per sweep); its
+tally squares and sums a block of retained states and their tracked statistic,
+and records each state's site average for the trajectory.  So the buffers stay
+_BLOCK rows long whatever the number of retained sweeps.
 
 The exact variances come from the Cholesky factor C of the precision,
 inverted with the same recursion: diag(P^-1) is the column sums of (C^-1)^2,
@@ -48,11 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, build_incidence
-from .samplers import SamplerConfig
+from .samplers import _BLOCK, SamplerConfig, _run_chain
 
 
-# Sweeps per block of normals and of retained states: bounds the chains' buffers.
-_BLOCK = 64
 # Rows of the largest triangle that _invert_lower hands to LAPACK whole.
 _LEAF = 32
 
@@ -134,13 +134,18 @@ def _validate_spd(precision: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # P - P^T is antisymmetric, so its largest entry is its largest magnitude
     if (precision - precision.T).max() > 1e-12 * max(1.0, top, -bottom):
         raise ValueError("precision must be symmetric")
+    return precision, _cholesky(precision)
+
+
+def _cholesky(precision: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of a symmetric precision; one that is not positive
+    definite is refused with LinAlgError, which is a ValueError."""
     try:
-        chol = np.linalg.cholesky(precision)
+        return np.linalg.cholesky(precision)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "precision must be positive definite (its Cholesky factorization failed)"
         ) from exc
-    return precision, chol
 
 
 def _inverse_columns_sq(chol: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
@@ -162,7 +167,7 @@ def exact_variances(precision: np.ndarray) -> np.ndarray:
 def exact_dual_vertex_variances(m: GmrfModel) -> np.ndarray:
     """Exact Var(x~_v) under the dual model: diag(M^T Q^{-1} M), via Cholesky."""
     inc = build_incidence(m.graph).astype(np.float64)
-    return _inverse_columns_sq(np.linalg.cholesky(dual_precision(m)), inc)
+    return _inverse_columns_sq(_cholesky(dual_precision(m)), inc)
 
 
 def map_variance_dual_to_primal(sigma: float, var_d) -> np.ndarray:
@@ -215,20 +220,6 @@ def _invert_lower(p: np.ndarray, out: np.ndarray) -> None:
     out[h:, :h] = -(out[h:, h:] @ p[h:, :h]) @ out[:h, :h]
 
 
-def _accumulate(block: np.ndarray, sumsq: np.ndarray, trajectory: np.ndarray, done: int) -> None:
-    """Add a block of retained rows to the running sums of squares, in place.
-
-    Row j of the block is retained state done + j; its site-averaged running
-    estimate goes to trajectory[done + j].  The sums run row by row from the
-    carried sumsq, in the order of one update per retained sweep.
-    """
-    sq = block ** 2
-    sq[0] += sumsq
-    np.cumsum(sq, axis=0, out=sq)
-    trajectory[done:done + len(sq)] = sq.mean(axis=1) / np.arange(done + 1, done + len(sq) + 1)
-    sumsq[:] = sq[-1]
-
-
 def gibbs_gaussian(
     precision: np.ndarray,
     cfg: SamplerConfig,
@@ -255,39 +246,34 @@ def gibbs_gaussian(
     upper_values = precision[rows, cols]
     noise_scale = np.sqrt(np.diag(precision))
     rng = np.random.default_rng(cfg.seed)
-    x = np.zeros(n)
-    burn = cfg.resolved_burn_in(n)
-    total = burn + cfg.samples * cfg.thinning
-    kept = np.empty((min(_BLOCK, cfg.samples), n))
-    sumsq = np.zeros(n)
-    trajectory = np.empty(cfg.samples)
     track = derived_transform is not None
     if track:
         t_mat = np.asarray(derived_transform, dtype=np.float64)
-        if t_mat.ndim == 1:
-            t_mat = t_mat[:, None]
-        d_sumsq = np.zeros(t_mat.shape[1])
-        d_trajectory = np.empty(cfg.samples)
-    retained = 0
-    for start in range(0, total, _BLOCK):
-        noise = rng.standard_normal((min(_BLOCK, total - start), n))
-        noise *= noise_scale
-        fill = 0
-        for sweep, z in enumerate(noise, start):
-            x = lower_inv @ (z - np.bincount(rows, weights=upper_values * x[cols], minlength=n))
-            if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
-                kept[fill] = x
-                fill += 1
-        if fill:
-            _accumulate(kept[:fill], sumsq, trajectory, retained)
-            if track:
-                _accumulate(kept[:fill] @ t_mat, d_sumsq, d_trajectory, retained)
-            retained += fill
-    result = GaussianGibbsResult(sumsq / retained, trajectory)
+        t_mat = t_mat[:, None] if t_mat.ndim == 1 else t_mat
+    x, noise = np.zeros(n), None
+    averages = []  # site-averaged squares of each block's states, then of their statistic
+
+    def sweep(s: int) -> np.ndarray:
+        nonlocal x, noise
+        if s % _BLOCK == 0:
+            noise = rng.standard_normal((_BLOCK, n)) * noise_scale
+        x = lower_inv @ (noise[s % _BLOCK]
+                         - np.bincount(rows, weights=upper_values * x[cols], minlength=n))
+        return x
+
+    def tally(states: list) -> np.ndarray:
+        """Summed squares of the states and of their statistic T @ x."""
+        block = np.array(states).reshape(len(states), n)
+        squares = [block ** 2, (block @ t_mat) ** 2] if track else [block ** 2]
+        averages.append([sq.mean(axis=1) for sq in squares])
+        return np.concatenate([sq.sum(axis=0) for sq in squares])
+
+    means = _run_chain(cfg, n, sweep, tally)
+    retained = np.arange(1, cfg.samples + 1)
+    trajectories = [np.cumsum(np.concatenate(blocks)) / retained for blocks in zip(*averages)]
     if track:
-        result.derived_variances = d_sumsq / retained
-        result.derived_trajectory = d_trajectory
-    return result
+        return GaussianGibbsResult(means[:n], trajectories[0], means[n:], trajectories[1])
+    return GaussianGibbsResult(means, trajectories[0])
 
 
 def gmrf_primal_gibbs(m: GmrfModel, cfg: SamplerConfig) -> GaussianGibbsResult:

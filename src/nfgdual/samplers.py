@@ -5,21 +5,21 @@ All chains are driven by numpy's PCG64 generator (stable across versions, so
 seeded estimates can serve as golden fixtures) and use a systematic sweep by
 default: sites are updated in ascending index order, one full pass per sweep.
 `samples` counts retained sweeps; the default burn-in is ten times the number
-of variables in the sampled domain.  `_run_chain` runs every chain's burn-in,
-thinning and retention; a kernel supplies its sweep and counts a block of
-retained states.  Both kernels walk a factor view.  The Gibbs samplers run
-one heat bath on the view of their domain, and draw a sweep's uniforms at
-once, after its site order: one `rng.random(n)` gives the same PCG64 stream
-as n scalar draws.  A site update looks its conditional up by the variable's
-neighbour key (the table offsets of its factors, kept up to date as
-neighbours move); each key's cumulative weights are computed once, with the
-float operations of a product loop, and a draw bisects them.  The
-subgraphs-world process is a Metropolis kernel on the dual's view: its state
-lists every dual factor's argument, a toggle's ratio is read from a per-edge
-table of eight entries, and a systematic sweep draws uniforms in blocks.
-These change no seeded output: every chain returns the same frequencies, bit
-for bit, as a loop that recomputes each conditional and ratio and draws one
-uniform at a time.
+of variables in the sampled domain.  `_run_chain` runs the burn-in, thinning
+and retention of every chain, these and `gaussian.gibbs_gaussian`; a kernel
+supplies its sweep and tallies a block of retained states.  Both kernels here
+walk a factor view.  The Gibbs samplers run one heat bath on the view of their
+domain, and draw a sweep's uniforms at once, after its site order: one
+`rng.random(n)` gives the same PCG64 stream as n scalar draws.  A site update
+looks its conditional up by the variable's neighbour key (the table offsets of
+its factors, kept up to date as neighbours move); each key's cumulative
+weights are computed once, with the float operations of a product loop, and a
+draw bisects them.  The subgraphs-world process is a Metropolis kernel on the
+dual's view: its state lists every dual factor's argument, a toggle's ratio is
+read from a per-edge table of eight entries, and a systematic sweep draws
+uniforms in blocks.  These change no seeded output: every chain returns the
+same frequencies, bit for bit, as a loop that recomputes each conditional and
+ratio and draws one uniform at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .nfg import (
 )
 
 
-_BLOCK = 64  # retained configurations counted per numpy call
+_BLOCK = 64  # retained states tallied per numpy call (and Gaussian sweeps per draw)
 
 
 class SamplerError(ValueError):
@@ -88,18 +88,20 @@ def _site_order(n: int, sweep: str, rng) -> list:
 
 
 def _run_chain(cfg: SamplerConfig, num_vars: int, sweep, tally) -> np.ndarray:
-    """Mean counts over the retained states of a chain of cfg's length.
+    """Mean tallies over the retained states of a chain of cfg's length.
 
-    sweep(s) runs sweep s and returns the state, a list copied when retained;
-    tally(states) sums a list of states into an array of counts, and is
-    called once per _BLOCK retained states and once for the rest.
+    The one burn-in, thinning and retention loop, shared by the heat bath,
+    SWP and the Gaussian chains.  sweep(s) runs sweep s and returns the
+    state, a list or an array that is copied when retained; tally(states)
+    sums a list of states into an array, and is called once per _BLOCK
+    retained states and once for the rest, which may be none.
     """
     burn = cfg.resolved_burn_in(num_vars)
     counts, kept = 0, []
     for s in range(burn + cfg.samples * cfg.thinning):
         state = sweep(s)
         if s >= burn and (s - burn) % cfg.thinning == 0:
-            kept.append(state[:])
+            kept.append(state.copy())
             if len(kept) == _BLOCK:
                 counts = counts + tally(kept)
                 kept.clear()

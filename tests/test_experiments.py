@@ -36,6 +36,13 @@ class TestRegistry:
                  if "samples" in inspect.signature(runner).parameters}
         assert takes == {"fig-ising-hom", "fig-gaussian"}
 
+    def test_only_the_seeded_runners_take_seed_and_quick(self):
+        # the two curve runners draw nothing and have no reduced size
+        for option in ("seed", "quick"):
+            takes = {name for name, runner in EXPERIMENTS.items()
+                     if option in inspect.signature(runner).parameters}
+            assert takes == set(EXPERIMENTS) - {"fig-fixed-points", "fig-bounds"}, option
+
 
 class TestCsvOutput:
     def test_write_roundtrip(self, tmp_path):

@@ -22,6 +22,9 @@ from nfgdual.graphs import Graph, build_incidence, grid_graph, path_graph
 from nfgdual.samplers import SamplerConfig
 from tests.conftest import random_connected_graph
 
+# an empty-block mean or a 0/0 in a chain's bookkeeping fails instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def torus15():
@@ -169,6 +172,16 @@ class TestExactVariances:
         with pytest.raises(ValueError, match="symmetric"):
             exact_variances(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_dual_precision_that_is_not_positive_definite_refused_by_both_paths(self):
+        # s^2 is 1e-32 of sigma^2, so s^2 I + sigma^2 M M^T is the singular gram
+        # M M^T to working precision
+        m = GmrfModel(grid_graph(4, 4, periodic=True), 1e-8, 1e8)
+        for exact in (lambda: exact_variances(dual_precision(m)),
+                      lambda: exact_dual_vertex_variances(m)):
+            with pytest.raises(np.linalg.LinAlgError,
+                               match=r"positive definite \(its Cholesky factorization failed\)"):
+                exact()
+
     @pytest.mark.parametrize(
         "s,quoted", [(1.0, 0.5589), (20.0, 20.2046), (40.0, 23.5498)]
     )
@@ -301,6 +314,15 @@ class TestGibbs:
         ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),  # symmetric, indefinite
         ([[-1.0, 0.0], [0.0, 2.0]], "positive definite"),
         (np.zeros((0, 0)), "non-empty"),  # the dual of a one-vertex graph
+        # GmrfModel accepts these parameters, but the precisions it builds are
+        # singular in floating point: the ridge is lost against the gram or
+        # the Laplacian.  Only the chain's Cholesky factorization refuses them.
+        (dual_precision(GmrfModel(grid_graph(4, 4, periodic=True), 1e-8, 1e8)),
+         "positive definite"),
+        (primal_precision(GmrfModel(grid_graph(4, 4, periodic=True), 1e-150, 1e150)),
+         "positive definite"),
+        (dual_precision(GmrfModel(grid_graph(4, 4, periodic=True), 1e-150, 1e150)),
+         "positive definite"),
     ])
     def test_refuses_precision_that_is_not_spd(self, precision, problem):
         with pytest.raises(ValueError, match=problem):
@@ -357,14 +379,23 @@ class TestAgainstReference:
                                        SamplerConfig(seed=100 + k, samples=200))
 
     def test_thinning(self):
-        self.assert_same_chain(*chain_inputs(grid_graph(4, 4, periodic=True), 3.0, 2.0, "dual"),
-                               SamplerConfig(seed=23, samples=100, thinning=3))
+        inputs = chain_inputs(grid_graph(4, 4, periodic=True), 3.0, 2.0, "dual")
+        # the second keeps fewer states than one block: a single partial tally
+        for cfg in (SamplerConfig(seed=23, samples=100, thinning=3),
+                    SamplerConfig(seed=28, samples=40, thinning=3)):
+            self.assert_same_chain(*inputs, cfg)
 
     def test_burn_in_and_retention_off_block_boundaries(self, torus15):
         # 100 burn-in sweeps and 75 retained ones, every second sweep: neither
         # count is a multiple of a power of two
         self.assert_same_chain(*chain_inputs(torus15, 20.0, 5.0, "dual"),
                                SamplerConfig(seed=27, samples=75, burn_in=100, thinning=2))
+        # and on them: whole blocks of retained states, then an empty tally,
+        # with and without burn-in
+        inputs = chain_inputs(grid_graph(4, 4, periodic=True), 3.0, 2.0, "dual")
+        for cfg in (SamplerConfig(seed=29, samples=128, burn_in=37),
+                    SamplerConfig(seed=30, samples=64, burn_in=0)):
+            self.assert_same_chain(*inputs, cfg)
 
     def test_one_dimensional_transform(self):
         precision, _ = chain_inputs(grid_graph(3, 4), 1.5, 2.5, "primal")

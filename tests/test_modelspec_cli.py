@@ -249,6 +249,16 @@ class TestCli:
         assert main(["gaussian", "--spec", spec]) == 0
         assert "exact primal variances" in capsys.readouterr().out
 
+    def test_gaussian_dual_precision_not_positive_definite_exit_code(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "g.json", {
+            "family": "gaussian",
+            "topology": {"type": "grid", "rows": 4, "cols": 4, "periodic": True},
+            "gaussian": {"s": 1e-8, "sigma": 1e8},
+        })
+        assert main(["gaussian", "--spec", spec]) == 4
+        assert ("precision must be positive definite (its Cholesky factorization failed)"
+                in capsys.readouterr().err)
+
     def test_gaussian_with_infinite_s_exit_code(self, tmp_path, capsys):
         # JSON's Infinity passes the schema's exclusiveMinimum
         spec = write_spec(tmp_path, "g.json", {
@@ -322,6 +332,15 @@ class TestCli:
         assert (tmp_path / "bounds.csv").exists()
         sidecar = json.loads((tmp_path / "bounds.schema.json").read_text())
         assert sidecar["experiment"] == "fig-bounds"
+
+    @pytest.mark.parametrize("name", ["fig-fixed-points", "fig-bounds"])
+    def test_curve_experiments_ignore_seed_and_quick(self, tmp_path, name):
+        for sub, flags in (("plain", []), ("flagged", ["--seed", "7", "--quick"])):
+            (tmp_path / sub).mkdir()
+            assert main(["experiment", name, *flags, "--out", str(tmp_path / sub / "c.csv")]) == 0
+        for file in ("c.csv", "c.schema.json"):
+            assert (tmp_path / "plain" / file).read_bytes() == \
+                (tmp_path / "flagged" / file).read_bytes()
 
     def test_experiment_without_samples_refuses_the_flag(self, tmp_path, capsys):
         out = str(tmp_path / "bounds.csv")
