@@ -13,13 +13,14 @@ length-q DFT.  Signed and complex tables are allowed throughout; messages are
 normalized by the sum of absolute values, the one norm that only vanishes on
 an identically-zero message.
 
-Factors of one degree d are updated together on (d*k, q) arrays, k factors
-with their slots position-major.  Real tables have real messages, stored as
-float64; only their Fourier-domain products are complex.  Every DFT is one
-2-D matmul in real arithmetic, on the float64 view of the rows.  The gather
-of the variable-to-factor messages applies each slot's sign permutation, and
-the exclusive products of the transforms are slice multiplies in cumprod's
-order.
+Slots are numbered in update order: each batch of factors updated together,
+and in it each group of k factors of one degree d, is a row range of the
+message store, the group's (d*k, q) rows position-major.  Real tables have
+real messages, stored as float64; only their Fourier-domain products are
+complex.  Every DFT is one 2-D matmul in real arithmetic, on the float64 view
+of the rows.  The gather of the variable-to-factor messages applies each
+slot's sign permutation, and the exclusive products of the transforms are
+slice multiplies in cumprod's order.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class BpConfig:
     schedule: str = "flooding"  # or "sequential"
 
     def __post_init__(self):
+        for name, value in (("damping", self.damping), ("tol", self.tol)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must be in [0, 1)")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -100,42 +104,35 @@ def _real_form(m: np.ndarray, real_in: bool, real_out: bool) -> np.ndarray:
 
 
 class _Group:
-    """Factors of one degree d, updated together; slot rows are position-major, (d, k)."""
+    """Factors of one degree d, updated together; their slots are msgs[rows], position-major."""
 
-    def __init__(self, engine, factors):
+    def __init__(self, engine, factors, d, lo):
         self.factors = np.asarray(factors, dtype=np.intp)
-        k, d, q = len(factors), int(engine.degrees[factors[0]]), engine.q
+        k, q = len(factors), engine.q
         self.shape = (d, k, q)
-        self.flat = (engine.offsets[self.factors] + np.arange(d)[:, None]).ravel()
-        perm = engine.slot_perm[self.flat]  # (d*k, q): t -> s*t mod q, s the slot's sign
-        # gather[c] picks, for row j of the (d*k, q) incoming messages, row
-        # others[j, c] of msgs at s*t mod q: their product is sign-reindexed
-        self.gather = engine.others[self.flat].T[:, :, None] * q + perm
+        self.rows = slice(lo, lo + d * k)
+        self.gather = engine.gather(self.rows)
         # flat index of s*t mod q in row j of a (d*k, q) array: the sign reindex
-        self.sign_index = (np.arange(d * k)[:, None] * q + perm).ravel()
-        self.table = engine.tables[self.factors]
+        self.sign_index = (np.arange(d * k)[:, None] * q + engine.slot_perm[self.rows]).ravel()
+        table = engine.tables[self.factors]
         # the correlation's DFT is f^(k) C^(-k); summing over -k instead of k
         # puts the index on the table and the inverse DFT, both fixed
-        self.table_hat_neg = (self.table @ engine.w.T)[:, engine.neg]
+        self.table_hat_neg = (table @ engine.w.T)[:, engine.neg]
         self.const = None
         if d == 1:  # unary factors send their sign-reindexed table, whatever comes in
-            self.const = _normalize(self.table.ravel()[self.sign_index].reshape(k, q),
+            self.const = _normalize(table.ravel()[self.sign_index].reshape(k, q),
                                     lambda i: engine.site(factors[i]), engine.real_mode)
-
-    def reindex(self, msgs: np.ndarray) -> np.ndarray:
-        """Row j of the (d*k, q) result is msgs row j at s*t mod q, s the slot's sign."""
-        return msgs.reshape(-1)[self.sign_index].reshape(msgs.shape)
 
 
 class _Engine:
     """Message arrays and the batched update rules; factor-to-variable messages are the state.
 
-    Slots are (factor, position) pairs, numbered factor by factor.  Row s of
-    `msgs`, shape (n_slots + 1, q), float64 for real tables and complex128
-    otherwise, is the message from slot s's factor to its variable.  The last
-    row is all ones; it pads `others[s]`, the other slots of s's variable, to
-    one less than the largest variable degree, and the product of the rows in
-    `others[s]` is the variable-to-factor message into slot s.
+    Row s of `msgs`, (n_slots + 1, q), float64 for real tables and complex128
+    otherwise, is the message out of slot s, a (factor, position) pair; slots
+    are numbered batch by batch, degree group by degree group, position-major.
+    The last row is all ones; it pads `others[s]`, the other slots of s's
+    variable in factor order, to one less than the largest variable degree,
+    and the product of their rows is the variable-to-factor message into s.
     """
 
     def __init__(self, nfg, cfg: BpConfig):
@@ -150,63 +147,56 @@ class _Engine:
         # DFT and inverse DFT of the -k-indexed correlation, as real matmuls
         self.dft_form = _real_form(self.w.T, self.real_mode, False)
         self.idft_form = _real_form(self.winv.T[self.neg], False, self.real_mode)
-        self.degrees = np.array([len(vs) for vs, _ in scopes], dtype=np.intp)
-        self.offsets = np.concatenate([[0], np.cumsum(self.degrees)[:-1]]).astype(np.intp)
-        n_slots = int(self.degrees.sum())
-        self.slot_factor = np.repeat(np.arange(len(scopes)), self.degrees)
-        self.slot_var = np.array([v for vs, _ in scopes for v in vs], dtype=np.intp)
-        signs = np.array([s for _, ss in scopes for s in ss], dtype=np.intp)
+        # Flooding is one batch.  Sequential order is batched exactly: an
+        # update changes only the slots of its own variables, so a run of
+        # consecutive factors with disjoint scopes reads the same messages one
+        # by one or at once.  A batch maps each degree to its factors.
+        batches, seen = [{}], set()
+        for fi, (vs, _) in enumerate(scopes):
+            if cfg.schedule == "sequential" and seen.intersection(vs):
+                batches.append({})
+                seen = set()
+            batches[-1].setdefault(len(vs), []).append(fi)
+            seen.update(vs)
+        order = [(fi, j) for batch in batches for d, fis in batch.items()
+                 for j in range(d) for fi in fis]
+        n_slots = len(order)
+        self.slot_factor = np.array([fi for fi, _ in order], dtype=np.intp)
+        self.slot_var = np.array([scopes[fi][0][j] for fi, j in order], dtype=np.intp)
+        signs = np.array([scopes[fi][1][j] for fi, j in order], dtype=np.intp)
         self.slot_perm = (signs[:, None] * np.arange(q)) % q  # t -> s*t mod q
+        # each variable's slots in factor order, the order its messages multiply in
         var_slots = [[] for _ in range(num_vars)]
-        for slot, var in enumerate(self.slot_var):
-            var_slots[var].append(slot)
+        for (fi, j), slot in sorted(zip(order, range(n_slots))):
+            var_slots[scopes[fi][0][j]].append(slot)
         # at least two columns, so others keeps one even if it only holds pads
         width = max(2, max(map(len, var_slots), default=0))
-        padded = np.full((num_vars, width), n_slots, dtype=np.intp)
-        for var, slots in enumerate(var_slots):
-            padded[var, : len(slots)] = slots
-        mine = padded[self.slot_var]
-        # rows are ascending, so sorting moves the own slot, now a pad, last
-        others = np.sort(np.where(mine == np.arange(n_slots)[:, None], n_slots, mine), axis=1)
-        self.others = others[:, :-1]
+        padded = np.array([slots + [n_slots] * (width - len(slots)) for slots in var_slots],
+                          dtype=np.intp).reshape(num_vars, width)
+        mine = padded[self.slot_var]  # without the own slot, the pads stay last
+        self.others = mine[mine != np.arange(n_slots)[:, None]].reshape(n_slots, width - 1)
         self.msgs = np.full((n_slots + 1, q), 1.0 / q,
                             dtype=np.float64 if self.real_mode else np.complex128)
         self.msgs[n_slots] = 1.0
-        self.groups = self._by_degree(range(len(scopes)))
-        if cfg.schedule == "flooding":
-            runs = [range(len(scopes))]
-        else:
-            # Sequential order, batched exactly: an update changes only the
-            # slots of its own variables, so a run of consecutive factors with
-            # disjoint scopes reads the same messages one by one or at once.
-            runs, seen = [[]], set()
-            for fi, (vs, _) in enumerate(scopes):
-                if seen.intersection(vs):
-                    runs.append([])
-                    seen = set()
-                runs[-1].append(fi)
-                seen.update(vs)
-        self.batches = []
-        for run in runs:
-            groups = self._by_degree(run)
-            self.batches.append((groups, np.concatenate([grp.flat for grp in groups])))
-
-    def _by_degree(self, factors) -> list:
-        by_degree = {}
-        for fi in factors:
-            by_degree.setdefault(int(self.degrees[fi]), []).append(fi)
-        return [_Group(self, fis) for fis in by_degree.values()]
+        sizes = [d * len(fis) for batch in batches for d, fis in batch.items()]
+        starts = iter(np.cumsum([0] + sizes))
+        self.batches = [[_Group(self, fis, d, next(starts)) for d, fis in batch.items()]
+                        for batch in batches]
 
     def site(self, fi) -> str:
         return f"edge {fi}" if fi < self.num_edges else f"vertex {fi - self.num_edges}"
 
-    def _incoming(self, grp: _Group) -> np.ndarray:
-        """Variable-to-factor messages into the group's slots, sign-reindexed: (d*k, q)."""
-        gathered = self.msgs.reshape(-1)[grp.gather]
+    def gather(self, slots) -> np.ndarray:
+        """Flat msgs indices of the slots' inputs: [c, j] is row others[j, c] at s*t mod q."""
+        return self.others[slots].T[:, :, None] * self.q + self.slot_perm[slots]
+
+    def _incoming(self, gather: np.ndarray, slots) -> np.ndarray:
+        """Variable-to-factor messages into the slots, sign-reindexed: (len(slots), q)."""
+        gathered = self.msgs.reshape(-1)[gather]
         inc = gathered[0]
         for column in gathered[1:]:
             inc *= column
-        return _normalize(inc, lambda i: f"variable {self.slot_var[grp.flat[i]]}", self.real_mode)
+        return _normalize(inc, lambda i: f"variable {self.slot_var[slots][i]}", self.real_mode)
 
     def _dft(self, msgs: np.ndarray) -> np.ndarray:
         """Row-wise DFT of a (rows, q) real or complex message array, one real matmul."""
@@ -217,7 +207,7 @@ class _Engine:
         if grp.const is not None:
             return grp.const
         d, _, q = grp.shape
-        hats = self._dft(self._incoming(grp)).reshape(grp.shape)
+        hats = self._dft(self._incoming(grp.gather, grp.rows)).reshape(grp.shape)
         # exclusive products in cumprod's order, prefix left to right times
         # suffix right to left, leaving out the exact products by one
         excl = np.empty_like(hats)
@@ -232,40 +222,49 @@ class _Engine:
             excl[0] = suffix
         # g(u) = sum_w f(u + w) C(w) has DFT f^(k) * C^(-k)
         corr_hat = (grp.table_hat_neg * excl).reshape(-1, q)
-        msgs = (corr_hat.view(np.float64) @ self.idft_form).view(self.msgs.dtype)
-        return _normalize(grp.reindex(msgs),
-                          lambda i: self.site(self.slot_factor[grp.flat[i]]), self.real_mode)
+        msgs = (corr_hat.view(np.float64) @ self.idft_form).view(self.msgs.dtype).reshape(-1)
+        return _normalize(msgs[grp.sign_index].reshape(-1, q),
+                          lambda i: self.site(self.slot_factor[grp.rows][i]), self.real_mode)
 
     def iterate(self) -> float:
         """One sweep; each batch's new messages are computed from those before it."""
         keep = self.cfg.damping
         residual = 0.0
-        for groups, slots in self.batches:
-            new = np.concatenate([self._outgoing(grp) for grp in groups])
-            old = self.msgs[slots]
-            blended = _normalize((1 - keep) * new + keep * old,
-                                 lambda i: self.site(self.slot_factor[slots[i]]), self.real_mode)
+        new = np.empty_like(self.msgs)
+        for groups in self.batches:
+            for grp in groups:
+                new[grp.rows] = self._outgoing(grp)
+            rows = slice(groups[0].rows.start, groups[-1].rows.stop)
+            old = self.msgs[rows]
+            blended = _normalize((1 - keep) * new[rows] + keep * old,
+                                 lambda i: self.site(self.slot_factor[rows][i]), self.real_mode)
             residual = max(residual, float(np.abs(blended - old).max(initial=0.0)))
-            self.msgs[slots] = blended
+            self.msgs[rows] = blended
         return residual
 
     def beliefs(self) -> np.ndarray:
         """Kernel-argument beliefs per factor: B(u) proportional to f(u) * conv of inputs at u."""
+        # each degree is one position-major block in factor order under either schedule:
+        # a matmul's rounding can depend on its row count, and a block keeps that fixed
+        by_degree = {}
+        for grp in (grp for groups in self.batches for grp in groups):
+            by_degree.setdefault(grp.shape[0], []).append(grp)
         out = np.empty_like(self.tables)
-        for grp in self.groups:
-            inc = self._incoming(grp)
-            if grp.shape[0] == 1:
-                conv = inc
-            else:
-                conv = np.prod(self._dft(inc).reshape(grp.shape), axis=0) @ self.winv.T
-            b = grp.table * conv
+        for d, grps in by_degree.items():
+            factors = np.concatenate([grp.factors for grp in grps])
+            slots = np.concatenate([np.r_[grp.rows].reshape(grp.shape[:2]) for grp in grps],
+                                   axis=1).ravel()
+            inc = self._incoming(self.gather(slots), slots)
+            shape = (d, len(factors), self.q)
+            conv = inc if d == 1 else np.prod(self._dft(inc).reshape(shape), axis=0) @ self.winv.T
+            b = self.tables[factors] * conv
             total = b.sum(axis=1)
             bad = (np.abs(total) == 0.0) | ~np.isfinite(np.abs(total))
             if bad.any():
-                fi = grp.factors[int(np.argmax(bad))]
-                raise DegenerateMessageError(f"belief at {self.site(fi)} cancelled to zero")
+                raise DegenerateMessageError(
+                    f"belief at {self.site(factors[int(np.argmax(bad))])} cancelled to zero")
             b = b / total[:, None]
-            out[grp.factors] = b.real + 0.0j if self.real_mode else b
+            out[factors] = b.real + 0.0j if self.real_mode else b
         return out
 
 

@@ -11,6 +11,8 @@ from nfgdual.nfg import (
 )
 from nfgdual.oracle import marginals_dual, marginals_primal
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def factor_graph_diameter(nfg, domain):
     """BFS diameter of the bipartite (factor, variable) expansion."""
@@ -310,6 +312,16 @@ class TestSignedDual:
             with pytest.raises(DegenerateMessageError, match="message at vertex 1 "):
                 run_bp(d, BpConfig(schedule=schedule))
 
+    @pytest.mark.parametrize("schedule", ["flooding", "sequential"])
+    def test_zero_message_into_a_factor_names_the_variable(self, schedule):
+        # variable 0 (edge 0) hears [1, 0] from its unary factor and [0, 1]
+        # from vertex 0, so the message into vertex 1 along edge 0 vanishes
+        g = path_graph(3)
+        d = DualNFG(g, ising_model(g, 0.5).alphabet, [[1.0, 0.0], [1.0, 1.0]],
+                    [[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(DegenerateMessageError, match="message at variable 0 cancelled to zero"):
+            run_bp(d, BpConfig(damping=0.0, schedule=schedule))
+
     @pytest.mark.parametrize("domain", ["primal", "dual"])
     def test_overflowed_table_is_not_finite(self, domain):
         # exp(800) overflows: edge 0's primal table is [inf, 0]
@@ -354,10 +366,22 @@ class TestConfigValidation:
     def test_bad_damping(self):
         with pytest.raises(ValueError):
             BpConfig(damping=1.0)
+        for damping in (True, False, "0.5", None, 0.5 + 0j):
+            with pytest.raises(ValueError, match="damping"):
+                BpConfig(damping=damping)
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             BpConfig(tol=0.0)
+        for tol in (True, False, "1e-9", None, 1e-9 + 0j):
+            with pytest.raises(ValueError, match="tol"):
+                BpConfig(tol=tol)
+
+    def test_real_damping_and_tol_accepted(self):
+        cfg = BpConfig(damping=0, tol=1)
+        assert (cfg.damping, cfg.tol) == (0, 1)
+        cfg = BpConfig(damping=np.float64(0.5), tol=np.float32(1e-6))
+        assert (cfg.damping, cfg.tol) == (0.5, np.float32(1e-6))
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_tol(self, tol):
