@@ -292,11 +292,14 @@ def run_bp(nfg, cfg: BpConfig | None = None) -> Marginals:
 
 
 def relative_error(estimate, exact, mode: str = "first") -> float:
-    """|est(0) - exact(0)| / |exact(0)|, or the L1 variant over the full vector."""
+    """|est(0) - exact(0)| / |exact(0)|, or the L1 variant; a zero reference is refused."""
     est = estimate.values if isinstance(estimate, MarginalVector) else np.asarray(estimate)
     ref = exact.values if isinstance(exact, MarginalVector) else np.asarray(exact)
     if mode == "first":
-        return float(abs(est[0] - ref[0]) / abs(ref[0]))
-    if mode == "l1":
-        return float(np.abs(est - ref).sum() / np.abs(ref).sum())
-    raise ValueError(f"unknown mode {mode!r}")
+        est, ref = est[:1], ref[:1]
+    elif mode != "l1":
+        raise ValueError(f"unknown mode {mode!r}")
+    scale = np.abs(ref).sum()
+    if scale == 0:
+        raise ValueError(f"relative error ({mode!r}) of a zero reference is undefined")
+    return float(np.abs(est - ref).sum() / scale)

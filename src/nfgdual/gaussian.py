@@ -14,12 +14,12 @@ map sigma^2 (1 - sigma^2 Var(x~_v)) returns exactly the primal marginal
 variance (a Woodbury identity), so dual-chain estimates transport to the
 primal domain with one multiply per vertex.
 
-Both precisions are scattered from the edge list (Rue & Held, *Gaussian
-Markov Random Fields*, 2005, ch. 2): the Laplacian M^T M has the degrees on
-its diagonal and -1 at each edge's two vertex pairs, and the gram M M^T adds,
-for each ordered pair of edge ends at a common vertex, the product of their
-signs.  Every entry is a small integer sum, so the matrices equal the dense
-incidence products bit for bit.
+Both precisions are one Gram of the incidence entries (Rue & Held,
+*Gaussian Markov Random Fields*, 2005, ch. 2): each ordered pair of entries
+in a common group adds the product of their signs at (index, index).
+Grouped by edge, the entries give the Laplacian M^T M over vertices; grouped
+by vertex, the gram M M^T over edges.  Every entry is a small integer sum, so
+the matrices equal the dense incidence products bit for bit.
 
 The Gibbs chains are systematic-scan heat baths.  Such a sweep over a
 precision P = D + L + U (diagonal, strict lower and strict upper triangle) is
@@ -78,44 +78,49 @@ class GmrfModel:
                                  f"reciprocal square, not {value!r}")
 
 
+def _gram(group: np.ndarray, index: np.ndarray, sign: np.ndarray, n: int) -> np.ndarray:
+    """The n x n float matrix whose entry (i, j) sums sign[a] * sign[b] over
+    the ordered pairs of entries a, b in a common group with index i and j."""
+    order = np.argsort(group, kind="stable")  # the entries, grouped
+    group, index, sign = group[order], index[order], sign[order]
+    size = np.bincount(group)[group]
+    first = np.repeat(np.arange(len(group)), size)  # each entry, once per entry in its group
+    # partner j of an entry is the j-th entry of its group
+    rank = np.arange(len(first)) - np.repeat(np.cumsum(size) - size, size)
+    second = np.searchsorted(group, group)[first] + rank
+    # bincount returns integers when there are no entries
+    return np.bincount(index[first] * n + index[second], weights=sign[first] * sign[second],
+                       minlength=n * n).reshape(n, n).astype(np.float64, copy=False)
+
+
+def _incidence_entries(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edge, vertex, sign) of the nonzeros of M: the tails (+1), then the heads (-1)."""
+    ne = g.num_edges
+    vertex = np.array(g.edges, dtype=np.intp).reshape(ne, 2).T.ravel()
+    return np.tile(np.arange(ne), 2), vertex, np.repeat([1.0, -1.0], ne)
+
+
 def primal_precision(m: GmrfModel) -> np.ndarray:
     """(1/s^2) M^T M + (1/sigma^2) I, SPD of dimension |V|.
 
-    The Laplacian M^T M is scattered from the edge list: the degrees on the
-    diagonal, -1 at (tail, head) and (head, tail).
+    The Laplacian M^T M is the Gram of the incidence entries grouped by edge.
     """
-    nv = m.graph.num_vertices
-    ends = np.array(m.graph.edges, dtype=np.intp).reshape(-1, 2)
-    precision = np.zeros((nv, nv))
-    precision[ends[:, 0], ends[:, 1]] = precision[ends[:, 1], ends[:, 0]] = -1.0
-    diag = np.arange(nv)
-    precision[diag, diag] = np.bincount(ends.ravel(), minlength=nv)
+    edge, vertex, sign = _incidence_entries(m.graph)
+    precision = _gram(edge, vertex, sign, m.graph.num_vertices)
     precision /= m.s ** 2
-    precision[diag, diag] += 1 / m.sigma ** 2
+    precision.flat[::len(precision) + 1] += 1 / m.sigma ** 2
     return precision
 
 
 def dual_precision(m: GmrfModel) -> np.ndarray:
     """s^2 I + sigma^2 M M^T, SPD of dimension |E|.
 
-    The gram M M^T is scattered from the edge ends: each ordered pair of ends
-    at a common vertex adds the product of their signs at (edge, edge).
+    The gram M M^T is the Gram of the incidence entries grouped by vertex.
     """
-    g, ne = m.graph, m.graph.num_edges
-    ends = np.array(g.edges, dtype=np.intp).reshape(ne, 2).T.ravel()  # tails, then heads
-    order = np.argsort(ends, kind="stable")  # the ends grouped by vertex
-    vertex, edge, sign = ends[order], order % ne, np.where(order < ne, 1.0, -1.0)
-    degree = np.bincount(vertex, minlength=g.num_vertices)[vertex]
-    first = np.repeat(np.arange(2 * ne), degree)  # each end, once per end at its vertex
-    # partner j of an end is the j-th end at its vertex
-    rank = np.arange(len(first)) - np.repeat(np.cumsum(degree) - degree, degree)
-    second = np.searchsorted(vertex, vertex)[first] + rank
-    # bincount returns integers when there are no edges
-    precision = np.bincount(edge[first] * ne + edge[second], weights=sign[first] * sign[second],
-                            minlength=ne * ne).reshape(ne, ne).astype(np.float64, copy=False)
+    edge, vertex, sign = _incidence_entries(m.graph)
+    precision = _gram(vertex, edge, sign, m.graph.num_edges)
     precision *= m.sigma ** 2
-    diag = np.arange(ne)
-    precision[diag, diag] += m.s ** 2
+    precision.flat[::len(precision) + 1] += m.s ** 2
     return precision
 
 
@@ -173,15 +178,17 @@ def exact_dual_vertex_variances(m: GmrfModel) -> np.ndarray:
 def map_variance_dual_to_primal(sigma: float, var_d) -> np.ndarray:
     """sigma^2 (1 - sigma^2 var_d): the primal marginal variance implied by Var(x~_v).
 
-    Exact when var_d is exact (Woodbury); for estimates, values with
-    sigma^2 * var_d >= 1 are inconsistent with any valid primal variance and
-    are refused.
+    Exact when var_d is exact (Woodbury).  A sigma that is not positive and
+    finite is refused, and so are var_d values that are negative, not finite
+    or have sigma^2 * var_d >= 1: no valid primal variance is consistent with them.
     """
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, not {sigma!r}")
     var_d = np.asarray(var_d, dtype=np.float64)
-    if np.any(sigma ** 2 * var_d >= 1.0):
+    if not ((0 <= var_d) & (sigma ** 2 * var_d < 1.0)).all():
         raise ValueError(
-            "sigma^2 * var_d >= 1: dual variance estimate admits no positive "
-            "primal variance"
+            "var_d must be finite and nonnegative with sigma^2 * var_d < 1: a dual "
+            "variance estimate outside that range admits no positive primal variance"
         )
     return sigma ** 2 * (1.0 - sigma ** 2 * var_d)
 

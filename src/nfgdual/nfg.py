@@ -250,32 +250,27 @@ def _per_item(values, count: int, item: str) -> np.ndarray:
     return arr
 
 
-def ising_model(g: Graph, couplings, fields=0.0) -> PrimalNFG:
-    """Binary model with psi_e = [e^bJ, e^-bJ] and phi_v = [e^bH, e^-bH]."""
+def _family_model(g: Graph, q: int, table, couplings, fields) -> PrimalNFG:
+    """The q-state model with table(bJ) on each edge and table(bH) on each vertex."""
     bj = _per_item(couplings, g.num_edges, "edge")
     bh = _per_item(fields, g.num_vertices, "vertex")
-    edge_tables = np.stack([ising_edge_table(b) for b in bj]) if g.num_edges else \
-        np.zeros((0, 2), dtype=np.complex128)
-    vertex_tables = np.stack([ising_edge_table(b) for b in bh])
-    return PrimalNFG(g, Alphabet(2), edge_tables, vertex_tables)
+    # reshape gives a graph with no edges its (0, q) edge tables
+    edge_tables = np.array([table(b) for b in bj], dtype=np.complex128).reshape(-1, q)
+    vertex_tables = np.array([table(b) for b in bh], dtype=np.complex128)
+    return PrimalNFG(g, Alphabet(q), edge_tables, vertex_tables)
+
+
+def ising_model(g: Graph, couplings, fields=0.0) -> PrimalNFG:
+    """Binary model with psi_e = [e^bJ, e^-bJ] and phi_v = [e^bH, e^-bH]."""
+    return _family_model(g, 2, ising_edge_table, couplings, fields)
 
 
 def potts_model(g: Graph, q: int, couplings, fields=0.0) -> PrimalNFG:
     """q-state model: psi_e(0) = e^bJ else 1; the field acts on state 0 only."""
-    bj = _per_item(couplings, g.num_edges, "edge")
-    bh = _per_item(fields, g.num_vertices, "vertex")
-    edge_tables = np.stack([potts_edge_table(q, b) for b in bj]) if g.num_edges else \
-        np.zeros((0, q), dtype=np.complex128)
-    vertex_tables = np.stack([potts_edge_table(q, b) for b in bh])
-    return PrimalNFG(g, Alphabet(q), edge_tables, vertex_tables)
+    return _family_model(g, q, lambda b: potts_edge_table(q, b), couplings, fields)
 
 
 def clock_model(g: Graph, q: int, couplings, fields=0.0) -> PrimalNFG:
     """Cosine-interaction model psi_e(y) = exp(bJ cos(2 pi y / q)) in the field
     phi_v(x) = exp(bH cos(2 pi x / q)), a table of the same form."""
-    bj = _per_item(couplings, g.num_edges, "edge")
-    bh = _per_item(fields, g.num_vertices, "vertex")
-    edge_tables = np.stack([clock_edge_table(q, b) for b in bj]) if g.num_edges else \
-        np.zeros((0, q), dtype=np.complex128)
-    vertex_tables = np.stack([clock_edge_table(q, b) for b in bh])
-    return PrimalNFG(g, Alphabet(q), edge_tables, vertex_tables)
+    return _family_model(g, q, lambda b: clock_edge_table(q, b), couplings, fields)

