@@ -2,10 +2,10 @@
 
 Subcommands: model | exact | bp | gibbs | swp | map | gaussian | experiment |
 validate.  Exit codes: 0 success, 2 validation failure, 3 enumeration-budget
-refusal, 4 bad input (spec, arguments, NFG_DUAL_BUDGET, or model parameters
-or tables that are not finite), 5 BP failure (a sum-product message cancelled
-to zero or overflowed).  The environment variable NFG_DUAL_BUDGET overrides
-the enumeration budget.
+refusal, 4 bad input (spec, arguments, an --out path that cannot be written,
+NFG_DUAL_BUDGET, or model parameters or tables that are not finite), 5 BP
+failure (a sum-product message cancelled to zero or overflowed).  The
+environment variable NFG_DUAL_BUDGET overrides the enumeration budget.
 """
 
 from __future__ import annotations
@@ -209,7 +209,10 @@ def cmd_experiment(args) -> int:
     options = {"seed": args.seed, "quick": args.quick, "samples": args.samples}
     report = runner(**{name: value for name, value in options.items() if name in takes})
     out = args.out or f"{args.name}.csv"
-    report.write(out)
+    try:
+        report.write(out)
+    except OSError as exc:
+        raise SpecError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
     print(f"wrote {len(report.rows)} rows to {out} "
           f"(column schema in {out.removesuffix('.csv')}.schema.json)")
     return EXIT_OK

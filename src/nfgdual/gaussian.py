@@ -71,11 +71,15 @@ class GmrfModel:
 
     def __post_init__(self):
         for name in ("s", "sigma"):
-            value = getattr(self, name)
-            square = float(value) * float(value)
-            if not (value > 0 and 0 < square < math.inf and 1 / square < math.inf):
-                raise ValueError(f"{name} must be positive with a finite square and "
-                                 f"reciprocal square, not {value!r}")
+            _check_scale(name, getattr(self, name))
+
+
+def _check_scale(name: str, value: float) -> None:
+    """Refuse a std that is not positive with a finite square and reciprocal square."""
+    square = float(value) * float(value)
+    if not (value > 0 and 0 < square < math.inf and 1 / square < math.inf):
+        raise ValueError(f"{name} must be positive and finite, with a finite square and "
+                         f"reciprocal square, not {value!r}")
 
 
 def _gram(group: np.ndarray, index: np.ndarray, sign: np.ndarray, n: int) -> np.ndarray:
@@ -178,12 +182,12 @@ def exact_dual_vertex_variances(m: GmrfModel) -> np.ndarray:
 def map_variance_dual_to_primal(sigma: float, var_d) -> np.ndarray:
     """sigma^2 (1 - sigma^2 var_d): the primal marginal variance implied by Var(x~_v).
 
-    Exact when var_d is exact (Woodbury).  A sigma that is not positive and
-    finite is refused, and so are var_d values that are negative, not finite
-    or have sigma^2 * var_d >= 1: no valid primal variance is consistent with them.
+    Exact when var_d is exact (Woodbury).  A sigma that GmrfModel refuses
+    (not positive, or with a square or reciprocal square that is not finite)
+    is refused, and so are var_d values that are negative, not finite or have
+    sigma^2 * var_d >= 1: no valid primal variance is consistent with them.
     """
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, not {sigma!r}")
+    _check_scale("sigma", sigma)
     var_d = np.asarray(var_d, dtype=np.float64)
     if not ((0 <= var_d) & (sigma ** 2 * var_d < 1.0)).all():
         raise ValueError(

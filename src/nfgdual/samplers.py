@@ -7,23 +7,28 @@ default: sites are updated in ascending index order, one full pass per sweep.
 `samples` counts retained sweeps; the default burn-in is ten times the number
 of variables in the sampled domain.  `_run_chain` runs the burn-in, thinning
 and retention of every chain, these and `gaussian.gibbs_gaussian`; a kernel
-supplies its sweep and tallies a block of retained states.  Both kernels here
+supplies its sweep and tallies a block of retained states.  A sweep returns a
+snapshot that the chain will not mutate (here `bytes` of the configuration,
+two or more bytes a value when q > 256), so the driver keeps it uncopied and
+a tally reads a block of them with one `np.frombuffer`.  Both kernels here
 walk a factor view.  The Gibbs samplers run one heat bath on the view of their
 domain, and draw a sweep's uniforms at once, after its site order: one
 `rng.random(n)` gives the same PCG64 stream as n scalar draws.  A site update
 looks its conditional up by the variable's neighbour key (the table offsets of
-its factors, kept up to date as neighbours move); each key's cumulative
-weights are computed once, with the float operations of a product loop, and a
-draw bisects them.  The subgraphs-world process is a Metropolis kernel on the
-dual's view: its state lists every dual factor's argument, a toggle's ratio is
-read from a per-edge table of eight entries, and a systematic sweep draws
-uniforms in blocks.  These change no seeded output: every chain returns the
+its factors, kept up to date as neighbours move; for q = 2, one key bit per
+factor, toggled when a neighbour in that factor flips); each key's conditional
+is computed once, with the float operations of a product loop, and a draw
+bisects its cumulative weights, or for q = 2 makes one comparison.  The
+subgraphs-world process is a Metropolis kernel on the dual's view: its state
+lists every dual factor's argument, a toggle's ratio is read from a per-edge
+table of eight entries, and a systematic sweep draws uniforms in blocks.  These change no seeded output: every chain returns the
 same frequencies, bit for bit, as a loop that recomputes each conditional and
 ratio and draws one uniform at a time.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -85,20 +90,27 @@ def _run_chain(cfg: SamplerConfig, num_vars: int, sweep, tally) -> np.ndarray:
 
     The one burn-in, thinning and retention loop, shared by the heat bath,
     SWP and the Gaussian chains.  sweep(s) runs sweep s and returns the
-    state, a list or an array that is copied when retained; tally(states)
-    sums a list of states into an array, and is called once per _BLOCK
-    retained states and once for the rest, which may be none.
+    state as a snapshot that the chain will not mutate later (the discrete
+    chains return bytes, the Gaussian chain a fresh array), so a retained
+    state is kept as it is given; tally(states) sums a list of states into
+    an array, and is called once per _BLOCK retained states and once for the
+    rest, which may be none.
     """
     burn = cfg.resolved_burn_in(num_vars)
     counts, kept = 0, []
     for s in range(burn + cfg.samples * cfg.thinning):
         state = sweep(s)
         if s >= burn and (s - burn) % cfg.thinning == 0:
-            kept.append(state.copy())
+            kept.append(state)
             if len(kept) == _BLOCK:
                 counts = counts + tally(kept)
                 kept.clear()
     return (counts + tally(kept)) / cfg.samples
+
+
+def _rows(states: list, dtype, width: int) -> np.ndarray:
+    """The byte snapshots of a list of states as the rows of one array."""
+    return np.frombuffer(b"".join(states), dtype).reshape(len(states), width)
 
 
 def _arguments(scopes, q: int):
@@ -150,11 +162,16 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     b = s r_f mod q the weight of a is t2[b + a].  The digits of a variable,
     read in base q, are its neighbour key; when variable j moves by d, the
     digit of every other variable i in a factor it shares with j moves by
-    s_i s_j d mod q.  Each variable memoizes its conditional per key, so an
-    update is one dict lookup and one bisection of the cumulative weights.
-    A sweep returns the configuration; of the retained ones, a block at a
-    time, every factor is counted at its argument in each: these are the
-    edge and vertex frequencies.
+    s_i s_j d mod q.  Each variable memoizes its conditional per key visited,
+    so an update is one dict lookup and a draw.  For q > 2 the draw bisects
+    the cumulative weights and the move updates a list of digits.  For q = 2
+    every move is d = 1, which toggles bit p of each neighbour's key (its p-th
+    factor's digit), and a draw is one comparison u * total >= threshold,
+    where the memoized threshold is the first cumulative weight (inf when
+    value 1 has zero weight): what the bisection of that list returns.
+    A sweep returns an immutable snapshot of the configuration; of the
+    retained ones, a block at a time, every factor is counted at its argument
+    in each: these are the edge and vertex frequencies.
     """
     scopes, num_vars, tables = _factor_view(model)
     q = model.alphabet.q
@@ -174,40 +191,68 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     for f, (variables, signs) in enumerate(scopes):
         for j, sj in zip(variables, signs):
             moves[j] += [(*slot[f, i], i, si * sj) for i, si in zip(variables, signs) if i != j]
-    digit = [0] * start[-1]
     key = [0] * num_vars
     memo = [{} for _ in range(num_vars)]
     arguments = _arguments(scopes, q)
     offsets = q * np.arange(len(scopes))
+    dtype = np.min_scalar_type(q - 1)
+    snapshot = bytes if dtype.itemsize == 1 else lambda z: np.array(z, dtype).tobytes()
 
     def tally(configs: list) -> np.ndarray:
         """Counts of every factor at its argument, over the given configurations."""
-        args = arguments(np.array(configs, dtype=np.int64).reshape(len(configs), num_vars))
+        args = arguments(_rows(configs, dtype, num_vars))
         return np.bincount((args + offsets).ravel(), minlength=len(scopes) * q)
+
+    def conditional(i: int) -> tuple:
+        """Memoize and return variable i's (total, cumulative or threshold) at its key."""
+        k = key[i]
+        total, cumulative = _conditional(
+            t2s[i], [k // q ** p % q for p in range(len(t2s[i]))], q, kind, i)
+        if q == 2:
+            cumulative = cumulative[0] if cumulative else math.inf
+        memo[i][k] = total, cumulative
+        return total, cumulative
 
     rng = np.random.default_rng(cfg.seed)
     z = [0] * num_vars
 
-    def sweep(_) -> list:
-        for i, u in zip(_site_order(num_vars, cfg.sweep, rng), rng.random(num_vars).tolist()):
-            entry = memo[i].get(key[i])
-            if entry is None:
-                entry = memo[i][key[i]] = _conditional(
-                    t2s[i], digit[start[i]:start[i + 1]], q, kind, i)
-            total, cumulative = entry
-            new = bisect_right(cumulative, u * total)
-            d = new - z[i]
-            if d:
-                z[i] = new
-                for k, weight, other, mult in moves[i]:
-                    old = digit[k]
-                    digit[k] = b = (old + mult * d) % q
-                    key[other] += (b - old) * weight
-        return z
+    if q == 2:
+        flips = [[(other, weight) for _, weight, other, _ in m] for m in moves]
+
+        def sweep(_) -> bytes:
+            for i, u in zip(_site_order(num_vars, cfg.sweep, rng), rng.random(num_vars).tolist()):
+                total, threshold = memo[i].get(key[i]) or conditional(i)
+                if (u * total >= threshold) != z[i]:
+                    z[i] ^= 1
+                    for other, bit in flips[i]:
+                        key[other] ^= bit
+            return bytes(z)
+    else:
+        digit = [0] * start[-1]
+
+        def sweep(_) -> bytes:
+            for i, u in zip(_site_order(num_vars, cfg.sweep, rng), rng.random(num_vars).tolist()):
+                total, cumulative = memo[i].get(key[i]) or conditional(i)
+                new = bisect_right(cumulative, u * total)
+                d = new - z[i]
+                if d:
+                    z[i] = new
+                    for k, weight, other, mult in moves[i]:
+                        old = digit[k]
+                        digit[k] = b = (old + mult * d) % q
+                        key[other] += (b - old) * weight
+            return snapshot(z)
 
     freq = _run_chain(cfg, num_vars, sweep, tally).reshape(len(scopes), q)
     e = model.graph.num_edges
     return Marginals(freq[:e], freq[e:], model.domain)
+
+
+def _require_domain(model, domain: str) -> None:
+    """Refuse a model of the other domain, which the heat bath would sample as it is."""
+    if model.domain != domain:
+        raise SamplerError(f"gibbs_{domain} samples a {domain} model, "
+                           f"not a {model.domain} one")
 
 
 def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> Marginals:
@@ -221,6 +266,7 @@ def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> Marginals:
     # PrimalNFG refuses such tables when built, not tables assigned later or a dual model
     if not is_nonnegative(p):
         raise SamplerError("primal tables must be real and nonnegative for sampling")
+    _require_domain(p, PRIMAL)
     return _heat_bath(p, cfg)
 
 
@@ -239,6 +285,7 @@ def gibbs_dual(d: DualNFG, cfg: SamplerConfig) -> Marginals:
             "dual factors are signed or complex, so no dual PMF exists; "
             "estimate dual marginal functions with run_bp instead"
         )
+    _require_domain(d, DUAL)
     if (d.vertex_tables.real <= 0.0).any() and betti(d.graph) > 0:
         raise SamplerError(
             "dual vertex table has zero entries (zero external field): the "
@@ -324,7 +371,7 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
     arg = [0] * (num_edges + g.num_vertices)
     incidence = build_incidence(g) if audit_every else None
 
-    def sweep(s: int) -> list:
+    def sweep(s: int) -> bytes:
         order = [sites[e] for e in _site_order(num_edges, cfg.sweep, rng)]
         done = 0
         if audit_every:  # after every proposal whose running count divides by audit_every
@@ -336,11 +383,11 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
                                                          p.alphabet).tolist():
                     raise AssertionError("parity bookkeeping diverged from recomputation")
         _propose(order[done:], ratios, arg, uniform)
-        return arg
+        return bytes(arg)
 
     def tally(states: list) -> np.ndarray:
         """Edge memberships and vertex parities summed over the given states."""
-        return np.array(states, dtype=np.int64).reshape(len(states), len(arg)).sum(axis=0)
+        return _rows(states, np.uint8, len(arg)).sum(axis=0)
 
     in_freq, odd_freq = np.split(_run_chain(cfg, num_edges, sweep, tally), [num_edges])
     return Marginals(np.stack([1.0 - in_freq, in_freq], axis=1),

@@ -214,6 +214,15 @@ class TestVarianceMap:
     def test_zero_dual_variance_gives_sigma_squared(self):
         assert map_variance_dual_to_primal(5.0, 0.0) == pytest.approx(25.0)
 
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200, 1e-160])
+    def test_sigma_refused_as_the_model_refuses_it(self, sigma):
+        # sigma^2 overflows, underflows to zero, or is subnormal with 1/sigma^2 overflowing
+        with pytest.raises(ValueError, match="finite square") as model_error:
+            GmrfModel(path_graph(3), 1.0, sigma)
+        with pytest.raises(ValueError, match="finite square") as map_error:
+            map_variance_dual_to_primal(sigma, 0.0)
+        assert str(map_error.value) == str(model_error.value)
+
     def test_exact_dual_variance_maps_to_exact_primal(self, torus15):
         for s in (1.0, 20.0, 40.0):
             m = GmrfModel(torus15, s, 5.0)

@@ -346,6 +346,19 @@ class TestCli:
             assert (tmp_path / "plain" / file).read_bytes() == \
                 (tmp_path / "flagged" / file).read_bytes()
 
+    @pytest.mark.parametrize("where", ["directory", "under_a_file", "sidecar_is_a_directory"])
+    def test_experiment_unwritable_out_exit_code(self, tmp_path, capsys, where):
+        out, named = tmp_path / "c.csv", tmp_path / "c.schema.json"
+        if where == "directory":
+            out = named = tmp_path
+        elif where == "under_a_file":
+            (tmp_path / "f").write_text("")
+            out = named = tmp_path / "f" / "c.csv"
+        else:
+            named.mkdir()
+        assert main(["experiment", "fig-bounds", "--out", str(out)]) == 4
+        assert f"cannot write {named}" in capsys.readouterr().err
+
     def test_experiment_without_samples_refuses_the_flag(self, tmp_path, capsys):
         out = str(tmp_path / "bounds.csv")
         assert main(["experiment", "fig-bounds", "--samples", "5", "--out", out]) == 4

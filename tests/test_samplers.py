@@ -3,6 +3,7 @@ dual-estimate-then-map composition.  Statistical assertions run on frozen
 seeds chosen with comfortable z-margins.  The table-driven chains are also
 checked, bit for bit, against per-site reference loops kept here."""
 
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -239,6 +240,11 @@ class TestGibbsPrimal:
         with pytest.raises(SamplerError, match="nonnegative"):
             gibbs_primal(bad, SamplerConfig(seed=1, samples=10))
 
+    def test_dual_model_refused(self):
+        d = dualize(ising_model(path_graph(3), 0.5, 0.3))
+        with pytest.raises(SamplerError, match="not a dual"):
+            gibbs_primal(d, SamplerConfig(seed=1, samples=50))
+
 
 class TestGibbsDual:
     def test_free_chain_is_exact_immediately(self):
@@ -279,6 +285,11 @@ class TestGibbsDual:
         d = dualize(ising_model(ring_graph(4), 0.6))
         with pytest.raises(SamplerError, match="non-ergodic"):
             gibbs_dual(d, SamplerConfig(seed=1, samples=10))
+
+    def test_primal_model_refused(self):
+        p = ising_model(path_graph(3), 0.5, 0.3)
+        with pytest.raises(SamplerError, match="not a primal"):
+            gibbs_dual(p, SamplerConfig(seed=1, samples=50))
 
 
 REFERENCE_CONFIGS = {
@@ -347,6 +358,57 @@ class TestAgainstReference:
                 assert_same(swp(p, cfg), reference_swp(p, cfg))
             elif is_nonnegative(dualize(p)):
                 assert_same(gibbs_dual(dualize(p), cfg), reference_heat_bath(dualize(p), cfg))
+
+    @pytest.fixture(scope="class")
+    def benchmark_tori(self):
+        """Three 6x6 periodic Ising models drawn like the benchmark's mcmc_torus."""
+        rng = np.random.default_rng(1606)
+        g = grid_graph(6, 6, periodic=True)
+        return [ising_model(g, rng.uniform(0.2, 0.3, g.num_edges),
+                            rng.uniform(0.1, 0.2, g.num_vertices)) for _ in range(3)]
+
+    @pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
+    def test_binary_sweep_on_benchmark_tori(self, benchmark_tori, config):
+        cfg = REFERENCE_CONFIGS[config]
+        for p in benchmark_tori:
+            d = dualize(p)
+            assert_same(gibbs_primal(p, cfg), reference_heat_bath(p, cfg))
+            assert_same(gibbs_dual(d, cfg), reference_heat_bath(d, cfg))
+
+    def test_memo_grows_with_the_keys_visited(self):
+        # the hub's key has 31 bits, one per factor (30 edges and its field):
+        # a memo sized by the key space would hold 2**31 entries
+        star = Graph(31, [(0, leaf) for leaf in range(1, 31)])
+        p = ising_model(star, 0.3, 0.2)
+        cfg = SamplerConfig(seed=16, samples=200, burn_in=50)
+        tracemalloc.start()
+        try:
+            est = gibbs_primal(p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert_same(est, reference_heat_bath(p, cfg))
+        assert_same(gibbs_dual(dualize(p), cfg), reference_heat_bath(dualize(p), cfg))
+
+    @pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
+    def test_binary_value_with_zero_weight(self, config):
+        # x_0 = 1 and x_2 = 0 have zero weight: the draw at vertex 0 never
+        # reaches its threshold, and the one at vertex 2 always does
+        p = PrimalNFG(path_graph(3), Alphabet(2), [[2.0, 1.0], [1.0, 3.0]],
+                      [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        est = gibbs_primal(p, REFERENCE_CONFIGS[config])
+        assert est.vertex_values[0].tolist() == [1.0, 0.0]
+        assert est.vertex_values[2].tolist() == [0.0, 1.0]
+        assert_same(est, reference_heat_bath(p, REFERENCE_CONFIGS[config]))
+
+    def test_alphabet_wider_than_a_byte(self):
+        # values from 256 up do not fit a byte snapshot of the configuration
+        p = potts_model(path_graph(3), 300, 0.9, 0.4)
+        cfg = SamplerConfig(seed=17, samples=30, burn_in=10)
+        est = gibbs_primal(p, cfg)
+        assert est.vertex_values[:, 256:].sum() > 0
+        assert_same(est, reference_heat_bath(p, cfg))
 
     def test_zero_weight_conditional_at_the_same_update(self, monkeypatch):
         # x_0 is forced to 0 and every edge forbids a difference of 2; the
