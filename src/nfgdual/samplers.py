@@ -21,9 +21,10 @@ is computed once, with the float operations of a product loop, and a draw
 bisects its cumulative weights, or for q = 2 makes one comparison.  The
 subgraphs-world process is a Metropolis kernel on the dual's view: its state
 lists every dual factor's argument, a toggle's ratio is read from a per-edge
-table of eight entries, and a systematic sweep draws uniforms in blocks.  These change no seeded output: every chain returns the
-same frequencies, bit for bit, as a loop that recomputes each conditional and
-ratio and draws one uniform at a time.
+table of eight entries, and a systematic sweep draws uniforms in blocks.
+These change no seeded output: every chain returns the same frequencies, bit
+for bit, as a loop that recomputes each conditional and ratio and draws one
+uniform at a time.
 """
 
 from __future__ import annotations
