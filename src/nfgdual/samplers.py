@@ -9,8 +9,8 @@ of variables in the sampled domain.  `_run_chain` runs the burn-in, thinning
 and retention of every chain, these and `gaussian.gibbs_gaussian`; a kernel
 supplies its sweep and tallies a block of retained states.  A sweep returns a
 snapshot that the chain will not mutate (here `bytes` of the configuration,
-two or more bytes a value when q > 256), so the driver keeps it uncopied and
-a tally reads a block of them with one `np.frombuffer`.  Both kernels here
+two or more bytes a value when q > 256), so `_run_chain` keeps it uncopied
+and a tally reads a block of them with one `np.frombuffer`.  Both kernels here
 walk a factor view.  The Gibbs samplers run one heat bath on the view of their
 domain, and draw a sweep's uniforms at once, after its site order: one
 `rng.random(n)` gives the same PCG64 stream as n scalar draws.  A site update
