@@ -49,6 +49,7 @@ from .mapping import (
     ising_lower_bounds,
     magnetization_roundtrip,
     map_dual_to_primal,
+    map_marginals,
     map_primal_to_dual,
     potts_critical,
     potts_lower_bounds,

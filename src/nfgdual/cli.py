@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 
 import numpy as np
@@ -45,7 +46,7 @@ from .samplers import (
     gibbs_primal,
     swp,
 )
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, sidecar_path
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -206,15 +207,18 @@ def cmd_experiment(args) -> int:
     takes = inspect.signature(runner).parameters
     if args.samples is not None and "samples" not in takes:
         raise SpecError(f"experiment {args.name} takes no --samples")
+    out = args.out or f"{args.name}.csv"
+    for path in (out, sidecar_path(out)):  # refuse before the runner, not after it
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise SpecError(f"cannot write {path}: it is a directory, or its "
+                            f"parent is not one")
     options = {"seed": args.seed, "quick": args.quick, "samples": args.samples}
     report = runner(**{name: value for name, value in options.items() if name in takes})
-    out = args.out or f"{args.name}.csv"
     try:
         report.write(out)
     except OSError as exc:
         raise SpecError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
-    print(f"wrote {len(report.rows)} rows to {out} "
-          f"(column schema in {out.removesuffix('.csv')}.schema.json)")
+    print(f"wrote {len(report.rows)} rows to {out} (column schema in {sidecar_path(out)})")
     return EXIT_OK
 
 

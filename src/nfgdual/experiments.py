@@ -29,6 +29,7 @@ from .gaussian import (
     exact_variances,
     gmrf_dual_gibbs,
     gmrf_primal_gibbs,
+    map_variance_dual_to_primal,
     primal_precision,
 )
 from .graphs import complete_graph, grid_graph
@@ -69,12 +70,13 @@ class ExperimentReport:
             "params": self.params,
             "columns": [{"name": n, "description": d} for n, d in self.columns],
         }
-        with open(_sidecar_path(path), "w", encoding="utf-8") as handle:
+        with open(sidecar_path(path), "w", encoding="utf-8") as handle:
             json.dump(sidecar, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
 
-def _sidecar_path(path: str) -> str:
+def sidecar_path(path: str) -> str:
+    """Where ExperimentReport.write puts the column schema of the CSV at path."""
     return (path[:-4] if path.endswith(".csv") else path) + ".schema.json"
 
 
@@ -354,9 +356,9 @@ def run_fig_gaussian(
             # early noisy dual estimates can imply no valid primal variance
             # (sigma^2 var_d >= 1); report those points as nan, not an error
             traj = res_d.derived_trajectory
-            mapped = np.where(
-                sigma ** 2 * traj < 1.0, sigma ** 2 * (1.0 - sigma ** 2 * traj), np.nan
-            )
+            valid = sigma ** 2 * traj < 1.0
+            mapped = np.full(samples, np.nan)
+            mapped[valid] = map_variance_dual_to_primal(sigma, traj[valid])
             for k in range(samples):
                 out_rows.append([
                     float(s), chain, k + 1,

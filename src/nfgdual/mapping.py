@@ -4,18 +4,21 @@ The central identity: at every edge, (pi_p(a)/psi(a), a in A) is the forward
 DFT of (pi_d(a)/psi~(a), a in A), and the same holds per vertex with the
 phi tables.  The map is fully local -- it sees only the one marginal and the
 two tables at its site -- and it preserves the unit sum of its input exactly,
-so mapped sampler estimates stay normalized.
+so mapped sampler estimates stay normalized.  `map_marginals` maps a whole
+`Marginals` record at once; `map_dual_to_primal`/`map_primal_to_dual` one site.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Alphabet
-from .nfg import DUAL, PRIMAL, MarginalVector, SingularMapError, _truncate_imag
+from .nfg import (DUAL, PRIMAL, Marginals, MarginalVector, PrimalNFG, SingularMapError,
+                  _SINGULAR_CAUSE, _truncate_imag, dualize)
 
 _ZERO_REL_FLOOR = 1e-12
 
@@ -41,14 +44,6 @@ def _marginal_values(mv, domain: str) -> tuple:
     return np.asarray(mv, dtype=np.complex128), ("edge", -1), f"{domain} edge"
 
 
-# why a table of each site kind has a zero entry, for the singular-map refusal
-_SINGULAR_CAUSE = {
-    "edge": "zero-coupling edges must be perturbed by >= 1e-9",
-    "vertex": "a zero external field makes the dual vertex table vanish; "
-              "give the vertex a field of at least 1e-9",
-}
-
-
 def _require_nonzero(tables: np.ndarray, role: str) -> None:
     """Refuse any row with an entry below 1e-12 of that row's scale.
 
@@ -62,7 +57,7 @@ def _require_nonzero(tables: np.ndarray, role: str) -> None:
         where = "" if len(tables) == 1 else f" {int(np.argmax(bad))}"
         raise SingularMapError(
             f"{role} table{where} has a zero entry; the local map is singular "
-            f"({_SINGULAR_CAUSE[role.split()[1]]})"
+            f"({_SINGULAR_CAUSE[tuple(role.split()[:2])]})"
         )
 
 
@@ -104,6 +99,25 @@ def map_primal_to_dual(mv, primal_table, dual_table) -> MarginalVector:
     psi, psit = _table(primal_table), _table(dual_table)
     out = _map_rows(values[None], psi[None], psit[None], role, inverse=True)
     return MarginalVector(out[0], site, DUAL)
+
+
+def map_marginals(record: Marginals, p: PrimalNFG) -> Marginals:
+    """Carry a record of p, or of p's dual, to the other domain, every site at once.
+
+    A singular edge map raises SingularMapError; a singular vertex map, or no
+    vertex values, gives vertex_values=None.  converged is kept, and a dual
+    record becomes the result's dual_estimates."""
+    inverse = record.domain == PRIMAL
+    source, target = (p, dualize(p)) if inverse else (dualize(p), p)
+    edge_values = _map_rows(record.edge_values, source.edge_tables, target.edge_tables,
+                            f"{record.domain} edge", inverse)
+    vertex_values = None
+    if record.vertex_values is not None:
+        with suppress(SingularMapError):
+            vertex_values = _map_rows(record.vertex_values, source.vertex_tables,
+                                      target.vertex_tables, f"{record.domain} vertex", inverse)
+    return Marginals(edge_values, vertex_values, target.domain, converged=record.converged,
+                     dual_estimates=None if inverse else record)
 
 
 def fixed_point(primal_table, dual_table) -> MarginalVector:

@@ -49,7 +49,20 @@ class SingularMapError(ValueError):
     dual edge table vanish at 1); perturb the coupling by at least 1e-9.  At
     a vertex it is a zero external field (bH_v = 0 makes the dual vertex
     table vanish at every nonzero value); give the vertex a field instead.
+    A zero in a primal table is a hard constraint, and blocks the way back.
     """
+
+
+# why a table of each domain and site kind has a zero entry, for the singular-map refusals
+_SINGULAR_CAUSE = {
+    (DUAL, "edge"): "zero-coupling edges must be perturbed by >= 1e-9",
+    (DUAL, "vertex"): "a zero external field makes the dual vertex table vanish; "
+                      "give the vertex a field of at least 1e-9",
+    (PRIMAL, "edge"): "a zero in a primal edge table is a hard constraint, "
+                      "which the map to the dual cannot carry",
+    (PRIMAL, "vertex"): "a zero in a primal vertex table is a hard constraint, "
+                        "which the map to the dual cannot carry",
+}
 
 
 @dataclass
@@ -59,8 +72,9 @@ class Marginals:
     edge_values is (|E|, q) and vertex_values (|V|, q), or None when the
     vertex map was singular.  The diagnostics are None unless the engine
     fills them: the enumeration oracle sets partition, run_bp sets
-    converged, iterations and residual, and estimate_primal_via_dual sets
-    dual_estimates (the dual record it mapped) and passes on its converged.
+    converged, iterations and residual, and mapping.map_marginals passes on
+    converged and, mapping from the dual, sets dual_estimates (the dual
+    record it mapped).
     """
 
     edge_values: np.ndarray
@@ -76,9 +90,10 @@ class Marginals:
         return MarginalVector(self.edge_values[e], ("edge", e), self.domain)
 
     def vertex(self, v: int) -> MarginalVector:
-        if self.vertex_values is None:
-            raise SingularMapError("vertex map was singular for this model (a zero "
-                                   "external field makes a dual vertex table vanish)")
+        if self.vertex_values is None:  # mapped from the other domain's record
+            source = DUAL if self.domain == PRIMAL else PRIMAL
+            raise SingularMapError("vertex map was singular for this model "
+                                   f"({_SINGULAR_CAUSE[source, 'vertex']})")
         return MarginalVector(self.vertex_values[v], ("vertex", v), self.domain)
 
 
@@ -185,6 +200,8 @@ def _factor_view(model) -> tuple:
 
 def dualize(p: PrimalNFG) -> DualNFG:
     """Replace every factor table by its forward DFT; the graph is unchanged."""
+    if not isinstance(p, PrimalNFG):
+        raise TypeError(f"dualize takes a PrimalNFG, got {type(p).__name__}")
     w = p.alphabet.dft_matrix()
     return DualNFG(
         p.graph,
@@ -195,17 +212,17 @@ def dualize(p: PrimalNFG) -> DualNFG:
 
 
 def is_nonnegative(d: DualNFG) -> bool:
-    """True iff every dual table entry is real (|imag| < 1e-12) with nonnegative real part.
+    """True iff every dual table entry is real with nonnegative real part.
 
-    This is the gate for interpreting the dual global function as a PMF and
-    therefore for Gibbs sampling in the dual domain.
+    Imaginary parts and negative real parts count as rounding below 1e-12 of
+    the table's own scale, max(1, its largest magnitude), since dualize's
+    rounding grows with the table.  This is the gate for interpreting the
+    dual global function as a PMF and therefore for Gibbs sampling in the
+    dual domain.
     """
     for tables in (d.edge_tables, d.vertex_tables):
-        if tables.size == 0:
-            continue
-        if np.abs(tables.imag).max() >= IMAG_TRUNCATION:
-            return False
-        if tables.real.min() < -IMAG_TRUNCATION:
+        tol = IMAG_TRUNCATION * np.maximum(1.0, np.abs(tables).max(axis=1, keepdims=True))
+        if (np.abs(tables.imag) >= tol).any() or (tables.real < -tol).any():
             return False
     return True
 

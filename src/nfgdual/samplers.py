@@ -39,10 +39,9 @@ import numpy as np
 
 from .bp import BpConfig, run_bp
 from .graphs import betti, build_incidence, dual_vertex_config
-from .mapping import _map_rows
+from .mapping import map_marginals
 from .nfg import (
-    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, SingularMapError, _factor_view, dualize,
-    is_nonnegative,
+    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _factor_view, dualize, is_nonnegative,
 )
 
 
@@ -440,34 +439,17 @@ def estimate_primal_via_dual(
     cfg: SamplerConfig | None = None,
     bp_config: BpConfig | None = None,
 ) -> Marginals:
-    """Estimate in the dual domain, then transform every location at once.
-
-    method: "swp" (binary, every dual entry positive), "gibbs_dual"
-    (nonnegative dual), or "bp_dual" (any signs).  Edge estimates are always
-    mapped; vertex estimates are mapped when every phi~ table is nonsingular
-    and reported as None otherwise.  The primal record keeps the dual one as
-    dual_estimates and its converged flag (None for the samplers).
-    """
-    d = dualize(p)
+    """Estimate in the dual domain with method "swp" (binary, every dual entry
+    positive), "gibbs_dual" (nonnegative dual) or "bp_dual" (any signs), then
+    map the record to the primal with map_marginals."""
+    if method in ("swp", "gibbs_dual") and cfg is None:
+        raise ValueError(f"{method} needs a SamplerConfig")
     if method == "swp":
-        if cfg is None:
-            raise ValueError("swp needs a SamplerConfig")
         dual_est = swp(p, cfg)
     elif method == "gibbs_dual":
-        if cfg is None:
-            raise ValueError("gibbs_dual needs a SamplerConfig")
-        dual_est = gibbs_dual(d, cfg)
+        dual_est = gibbs_dual(dualize(p), cfg)
     elif method == "bp_dual":
-        dual_est = run_bp(d, bp_config or BpConfig())
+        dual_est = run_bp(dualize(p), bp_config or BpConfig())
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    edge_values = _map_rows(dual_est.edge_values, d.edge_tables, p.edge_tables, "dual edge")
-    try:
-        vertex_values = _map_rows(
-            dual_est.vertex_values, d.vertex_tables, p.vertex_tables, "dual vertex"
-        )
-    except SingularMapError:
-        vertex_values = None
-    return Marginals(edge_values, vertex_values, PRIMAL, converged=dual_est.converged,
-                     dual_estimates=dual_est)
+    return map_marginals(dual_est, p)

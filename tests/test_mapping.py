@@ -17,13 +17,15 @@ from nfgdual.mapping import (
     ising_lower_bounds,
     magnetization_roundtrip,
     map_dual_to_primal,
+    map_marginals,
     map_primal_to_dual,
     potts_critical,
     potts_fixed_point,
     potts_lower_bounds,
 )
 from nfgdual.nfg import (
-    clock_model, dft_table, dualize, ising_edge_table, ising_model, potts_model,
+    DUAL, PRIMAL, MarginalVector, Marginals, PrimalNFG, clock_model, dft_table, dualize,
+    ising_edge_table, ising_model, potts_model,
 )
 from nfgdual.oracle import marginals_dual, marginals_primal
 
@@ -103,6 +105,76 @@ class TestMapAgainstOracle:
         assert out.values.sum().real == pytest.approx(1.0, abs=1e-12)
 
 
+def _largest_gap(got, want) -> float:
+    return float(np.abs(got - want).max(initial=0.0))
+
+
+class TestMapMarginals:
+    """map_marginals carries a whole record, every edge and vertex, across."""
+
+    def test_both_directions_match_the_oracle(self, small_model_corpus):
+        for p, family in small_model_corpus[:10]:
+            om, dm = marginals_primal(p), marginals_dual(dualize(p))
+            to_p, to_d = map_marginals(dm, p), map_marginals(om, p)
+            assert (to_p.domain, to_d.domain) == (PRIMAL, DUAL)
+            assert _largest_gap(to_p.edge_values, om.edge_values) < 1e-10
+            assert _largest_gap(to_d.edge_values, dm.edge_values) < 1e-10
+            assert _largest_gap(to_d.vertex_values, dm.vertex_values) < 1e-10
+            # clock models carry no field, so only their dual vertex tables vanish
+            assert (to_p.vertex_values is None) == (family == "clock")
+            if family != "clock":
+                assert _largest_gap(to_p.vertex_values, om.vertex_values) < 1e-10
+
+    def test_every_site_equals_the_per_site_map(self, small_model_corpus):
+        for p, _family in small_model_corpus[:10]:
+            d = dualize(p)
+            for record, one_site in ((marginals_dual(d), map_dual_to_primal),
+                                     (marginals_primal(p), map_primal_to_dual)):
+                mapped = map_marginals(record, p)
+                for e in range(p.graph.num_edges):
+                    one = one_site(record.edge(e), p.edge_tables[e], d.edge_tables[e])
+                    assert _largest_gap(one.values, mapped.edge_values[e]) < 1e-14
+                if mapped.vertex_values is None:
+                    continue
+                for v in range(p.graph.num_vertices):
+                    one = one_site(record.vertex(v), p.vertex_tables[v], d.vertex_tables[v])
+                    assert _largest_gap(one.values, mapped.vertex_values[v]) < 1e-14
+
+    def test_round_trip_gives_the_record_back(self, small_model_corpus):
+        for p, family in small_model_corpus[:10]:
+            for record in (marginals_primal(p), marginals_dual(dualize(p))):
+                back = map_marginals(map_marginals(record, p), p)
+                assert back.domain == record.domain
+                assert _largest_gap(back.edge_values, record.edge_values) < 1e-12
+                if family == "clock":
+                    assert back.vertex_values is None  # lost on the way to the primal
+                else:
+                    assert _largest_gap(back.vertex_values, record.vertex_values) < 1e-12
+
+    def test_missing_vertex_block_stays_missing(self):
+        p = ising_model(ring_graph(3), 0.5, 0.2)
+        om = marginals_primal(p)
+        record = Marginals(om.edge_values, None, PRIMAL)
+        there = map_marginals(record, p)
+        assert there.vertex_values is None
+        assert map_marginals(there, p).vertex_values is None
+
+    def test_refuses_a_dual_model(self):
+        p = ising_model(ring_graph(4), 0.5, 0.2)
+        d = dualize(p)
+        with pytest.raises(TypeError, match="DualNFG"):
+            map_marginals(marginals_dual(d), d)
+
+    def test_singular_primal_vertex_names_a_hard_constraint(self):
+        # a zero in a primal vertex table blocks the map to the dual; it is no field
+        p = PrimalNFG(path_graph(3), Alphabet(2), [[2, 1]] * 2, [[1, 0], [1, 1], [1, 1]])
+        to_d = map_marginals(marginals_primal(p), p)
+        assert to_d.vertex_values is None
+        with pytest.raises(SingularMapError, match="hard constraint") as err:
+            to_d.vertex(0)
+        assert "field" not in str(err.value)
+
+
 class TestRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 10 ** 9))
@@ -137,6 +209,13 @@ class TestRoundTrip:
         psit = dft_table(psi, Alphabet(2))
         with pytest.raises(SingularMapError):
             map_primal_to_dual(np.array([0.5, 0.5]), psi, psit)
+        # the refusal names a hard constraint, not a zero coupling or field
+        for site, other_cause in ((("edge", 1), "coupling"), (("vertex", 2), "field")):
+            mv = MarginalVector([0.5, 0.5], site, PRIMAL)
+            with pytest.raises(SingularMapError, match=f"primal {site[0]} {site[1]} table "
+                                                       ".*hard constraint") as err:
+                map_primal_to_dual(mv, psi, psit)
+            assert other_cause not in str(err.value)
 
 
 class TestFixedPoints:

@@ -5,6 +5,7 @@ import pytest
 
 from nfgdual.bp import run_bp
 from nfgdual.graphs import ring_graph
+from nfgdual.mapping import map_marginals
 from nfgdual.nfg import DUAL, PRIMAL, Marginals, dualize, ising_model
 from nfgdual.oracle import chain_ising_marginals, marginals_dual, marginals_primal
 from nfgdual.samplers import (
@@ -30,6 +31,9 @@ ENGINES = {
     "via dual gibbs_dual": (lambda: estimate_primal_via_dual(TRIANGLE, "gibbs_dual", CFG),
                             PRIMAL),
     "via dual bp_dual": (lambda: estimate_primal_via_dual(TRIANGLE, "bp_dual"), PRIMAL),
+    "map_marginals to primal": (lambda: map_marginals(marginals_dual(dualize(TRIANGLE)), TRIANGLE),
+                                PRIMAL),
+    "map_marginals to dual": (lambda: map_marginals(marginals_primal(TRIANGLE), TRIANGLE), DUAL),
     "chain primal": (lambda: chain_ising_marginals([0.5, 0.7, 0.9], "periodic")[0], PRIMAL),
     "chain dual": (lambda: chain_ising_marginals([0.5, 0.7, 0.9], "periodic")[1], DUAL),
 }
@@ -63,4 +67,9 @@ def test_diagnostics_name_their_engine():
     assert mapped.dual_estimates.domain == DUAL
     assert mapped.converged is mapped.dual_estimates.converged
     assert estimate_primal_via_dual(TRIANGLE, "swp", CFG).converged is None
+    dual_bp = run_bp(dualize(TRIANGLE))
+    to_primal = map_marginals(dual_bp, TRIANGLE)
+    assert to_primal.dual_estimates is dual_bp and to_primal.converged is dual_bp.converged
+    to_dual = map_marginals(exact, TRIANGLE)
+    assert to_dual.dual_estimates is None and to_dual.converged is None
 

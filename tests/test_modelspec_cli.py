@@ -29,6 +29,21 @@ def write_spec(tmp_path, name, spec):
     return str(path)
 
 
+def unwritable_out(tmp_path, where):
+    """(an --out path that cannot be written, the path its refusal names)."""
+    out, named = tmp_path / "c.csv", tmp_path / "c.schema.json"
+    if where == "directory":
+        out = named = tmp_path
+    elif where == "missing_parent":
+        out = named = tmp_path / "missing" / "c.csv"
+    elif where == "under_a_file":
+        (tmp_path / "f").write_text("")
+        out = named = tmp_path / "f" / "c.csv"
+    else:
+        named.mkdir()
+    return out, named
+
+
 TRIANGLE_SPEC = {
     "family": "ising",
     "topology": {"type": "ring", "n": 3},
@@ -348,14 +363,19 @@ class TestCli:
 
     @pytest.mark.parametrize("where", ["directory", "under_a_file", "sidecar_is_a_directory"])
     def test_experiment_unwritable_out_exit_code(self, tmp_path, capsys, where):
-        out, named = tmp_path / "c.csv", tmp_path / "c.schema.json"
-        if where == "directory":
-            out = named = tmp_path
-        elif where == "under_a_file":
-            (tmp_path / "f").write_text("")
-            out = named = tmp_path / "f" / "c.csv"
-        else:
-            named.mkdir()
+        out, named = unwritable_out(tmp_path, where)
+        assert main(["experiment", "fig-bounds", "--out", str(out)]) == 4
+        assert f"cannot write {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent", "under_a_file",
+                                       "sidecar_is_a_directory"])
+    def test_experiment_unwritable_out_refused_before_the_runner(
+            self, tmp_path, monkeypatch, capsys, where):
+        def runner():
+            raise AssertionError("the runner ran before --out was checked")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig-bounds", runner)
+        out, named = unwritable_out(tmp_path, where)
         assert main(["experiment", "fig-bounds", "--out", str(out)]) == 4
         assert f"cannot write {named}" in capsys.readouterr().err
 

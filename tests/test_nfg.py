@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nfgdual.graphs import Alphabet, Graph, path_graph, ring_graph
 from nfgdual.nfg import (
+    DualNFG,
     PrimalNFG,
     clock_edge_table,
     clock_model,
@@ -140,6 +141,11 @@ class TestBuilders:
 
 
 class TestDualize:
+    def test_refuses_a_dual_model(self):
+        d = dualize(ising_model(ring_graph(4), 0.5, 0.2))
+        with pytest.raises(TypeError, match="DualNFG"):
+            dualize(d)
+
     def test_ising_dual_tables(self):
         bj, bh = 0.8, 0.3
         d = dualize(ising_model(path_graph(2), bj, bh))
@@ -208,4 +214,16 @@ class TestNonnegativity:
 
     def test_frustrated_potts_signed(self):
         d = dualize(potts_model(triangle(), 3, [-0.25, 0.8, 0.8]))
+        assert not is_nonnegative(d)
+
+    def test_rounding_is_measured_against_the_table_scale(self):
+        # dualize's rounding grows with q: imaginary parts above 1e-12
+        # against entries up to 65 are rounding, not a complex dual
+        d = dualize(potts_model(path_graph(3), 64, 0.9, 0.4))
+        assert np.abs(d.edge_tables.imag).max() > 1e-12
+        assert is_nonnegative(d)
+
+    def test_imaginary_part_above_the_table_scale_is_complex(self):
+        edge = [[65.0, 1.0 + 1e-9j]]
+        d = DualNFG(path_graph(2), Alphabet(2), edge, [[1.0, 1.0]] * 2)
         assert not is_nonnegative(d)

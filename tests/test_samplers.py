@@ -291,6 +291,17 @@ class TestGibbsDual:
         with pytest.raises(SamplerError, match="not a primal"):
             gibbs_dual(p, SamplerConfig(seed=1, samples=50))
 
+    def test_large_q_dual_samples(self):
+        # its dual tables carry imaginary rounding of 1.8e-12 against entries
+        # up to 65, which is no reason to refuse the chain
+        d = dualize(potts_model(path_graph(3), 64, 0.9, 0.4))
+        exact = marginals_dual(d).edge_values.real
+        n = 5_000
+        est = gibbs_dual(d, SamplerConfig(seed=64, samples=n))
+        # nearly all mass sits on value 0, so its frequency carries the test
+        want = exact[:, 0]
+        assert (np.abs(est.edge_values[:, 0] - want) < 3.5 * binomial_sigma(want, n)).all()
+
 
 REFERENCE_CONFIGS = {
     "systematic": SamplerConfig(seed=31, samples=80),
@@ -481,6 +492,11 @@ POSITIVE_DUAL_MODELS = {
 
 
 class TestSwp:
+    def test_dual_model_refused(self):
+        d = dualize(ising_model(ring_graph(4), 0.5, 0.2))
+        with pytest.raises(TypeError, match="DualNFG"):
+            swp(d, SamplerConfig(seed=1, samples=10))
+
     def test_preconditions(self):
         with pytest.raises(SamplerError, match="binary"):
             swp(potts_model(triangle(), 3, 0.5, 0.1), SamplerConfig(seed=1, samples=10))
@@ -663,6 +679,13 @@ class TestEstimateViaDual:
         p = ising_model(grid_graph(2, 2, periodic=True), 0.6, 0.3)
         est = estimate_primal_via_dual(p, "swp", SamplerConfig(seed=9, samples=5_000))
         assert np.abs(est.edge_values.sum(axis=1) - 1).max() < 1e-10
+
+    @pytest.mark.parametrize("method", ["swp", "gibbs_dual", "bp_dual"])
+    def test_dual_model_refused(self, method):
+        # dualizing the dual again would map to a wrong primal record
+        d = dualize(ising_model(ring_graph(4), 0.5, 0.2))
+        with pytest.raises(TypeError, match="DualNFG"):
+            estimate_primal_via_dual(d, method, SamplerConfig(seed=1, samples=10))
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
