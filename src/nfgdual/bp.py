@@ -13,14 +13,14 @@ length-q DFT.  Signed and complex tables are allowed throughout; messages are
 normalized by the sum of absolute values, the one norm that only vanishes on
 an identically-zero message.
 
-Slots are numbered in update order: each batch of factors updated together,
-and in it each group of k factors of one degree d, is a row range of the
-message store, the group's (d*k, q) rows position-major.  Real tables have
-real messages, stored as float64; only their Fourier-domain products are
-complex.  Every DFT is one 2-D matmul in real arithmetic, on the float64 view
-of the rows.  The gather of the variable-to-factor messages applies each
-slot's sign permutation, and the exclusive products of the transforms are
-slice multiplies in cumprod's order.
+Every sweep floods: all factors update at once from the previous sweep's
+messages.  The k factors of one degree d, in factor order, are one group, a
+row range of the message store, the group's (d*k, q) rows position-major.
+Real tables have real messages, stored as float64; only their Fourier-domain
+products are complex.  Every DFT is one 2-D matmul in real arithmetic, on the
+float64 view of the rows.  The gather of the variable-to-factor messages
+applies each slot's sign permutation, and the exclusive products of the
+transforms are slice multiplies in cumprod's order.
 """
 
 from __future__ import annotations
@@ -43,14 +43,13 @@ class BpConfig:
     """Sum-product knobs.
 
     The source material for this solver does not fix a schedule, damping or
-    stopping rule; these defaults (flooding, damping 0.5, tol 1e-9) are this
-    library's choices, sized for small lattices, and all overridable.
+    stopping rule; the flooding sweep and these defaults (damping 0.5, tol
+    1e-9) are this library's choices, sized for small lattices.
     """
 
     damping: float = 0.5
     tol: float = 1e-9
     max_iters: int = 10_000
-    schedule: str = "flooding"  # or "sequential"
 
     def __post_init__(self):
         for name, value in (("damping", self.damping), ("tol", self.tol)):
@@ -63,8 +62,6 @@ class BpConfig:
         if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool) \
                 or self.max_iters < 1:
             raise ValueError("max_iters must be an integer of at least 1")
-        if self.schedule not in ("flooding", "sequential"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
 def _normalize(msgs: np.ndarray, name, real_mode: bool = False) -> np.ndarray:
@@ -111,7 +108,8 @@ class _Group:
         k, q = len(factors), engine.q
         self.shape = (d, k, q)
         self.rows = slice(lo, lo + d * k)
-        self.gather = engine.gather(self.rows)
+        # flat msgs indices of the inputs: [c, j] is row others[j, c] at s*t mod q
+        self.gather = engine.others[self.rows].T[:, :, None] * q + engine.slot_perm[self.rows]
         # flat index of s*t mod q in row j of a (d*k, q) array: the sign reindex
         self.sign_index = (np.arange(d * k)[:, None] * q + engine.slot_perm[self.rows]).ravel()
         table = engine.tables[self.factors]
@@ -125,11 +123,11 @@ class _Group:
 
 
 class _Engine:
-    """Message arrays and the batched update rules; factor-to-variable messages are the state.
+    """Message arrays and the flooding update rules; factor-to-variable messages are the state.
 
     Row s of `msgs`, (n_slots + 1, q), float64 for real tables and complex128
     otherwise, is the message out of slot s, a (factor, position) pair; slots
-    are numbered batch by batch, degree group by degree group, position-major.
+    are numbered degree group by degree group, position-major.
     The last row is all ones; it pads `others[s]`, the other slots of s's
     variable in factor order, to one less than the largest variable degree,
     and the product of their rows is the variable-to-factor message into s.
@@ -147,19 +145,10 @@ class _Engine:
         # DFT and inverse DFT of the -k-indexed correlation, as real matmuls
         self.dft_form = _real_form(self.w.T, self.real_mode, False)
         self.idft_form = _real_form(self.winv.T[self.neg], False, self.real_mode)
-        # Flooding is one batch.  Sequential order is batched exactly: an
-        # update changes only the slots of its own variables, so a run of
-        # consecutive factors with disjoint scopes reads the same messages one
-        # by one or at once.  A batch maps each degree to its factors.
-        batches, seen = [{}], set()
+        by_degree = {}  # each degree's factors in factor order
         for fi, (vs, _) in enumerate(scopes):
-            if cfg.schedule == "sequential" and seen.intersection(vs):
-                batches.append({})
-                seen = set()
-            batches[-1].setdefault(len(vs), []).append(fi)
-            seen.update(vs)
-        order = [(fi, j) for batch in batches for d, fis in batch.items()
-                 for j in range(d) for fi in fis]
+            by_degree.setdefault(len(vs), []).append(fi)
+        order = [(fi, j) for d, fis in by_degree.items() for j in range(d) for fi in fis]
         n_slots = len(order)
         self.slot_factor = np.array([fi for fi, _ in order], dtype=np.intp)
         self.slot_var = np.array([scopes[fi][0][j] for fi, j in order], dtype=np.intp)
@@ -178,25 +167,19 @@ class _Engine:
         self.msgs = np.full((n_slots + 1, q), 1.0 / q,
                             dtype=np.float64 if self.real_mode else np.complex128)
         self.msgs[n_slots] = 1.0
-        sizes = [d * len(fis) for batch in batches for d, fis in batch.items()]
-        starts = iter(np.cumsum([0] + sizes))
-        self.batches = [[_Group(self, fis, d, next(starts)) for d, fis in batch.items()]
-                        for batch in batches]
+        starts = iter(np.cumsum([0] + [d * len(fis) for d, fis in by_degree.items()]))
+        self.groups = [_Group(self, fis, d, next(starts)) for d, fis in by_degree.items()]
 
     def site(self, fi) -> str:
         return f"edge {fi}" if fi < self.num_edges else f"vertex {fi - self.num_edges}"
 
-    def gather(self, slots) -> np.ndarray:
-        """Flat msgs indices of the slots' inputs: [c, j] is row others[j, c] at s*t mod q."""
-        return self.others[slots].T[:, :, None] * self.q + self.slot_perm[slots]
-
-    def _incoming(self, gather: np.ndarray, slots) -> np.ndarray:
-        """Variable-to-factor messages into the slots, sign-reindexed: (len(slots), q)."""
-        gathered = self.msgs.reshape(-1)[gather]
+    def _incoming(self, grp: _Group) -> np.ndarray:
+        """Variable-to-factor messages into the group's slots, sign-reindexed: (d*k, q)."""
+        gathered = self.msgs.reshape(-1)[grp.gather]
         inc = gathered[0]
         for column in gathered[1:]:
             inc *= column
-        return _normalize(inc, lambda i: f"variable {self.slot_var[slots][i]}", self.real_mode)
+        return _normalize(inc, lambda i: f"variable {self.slot_var[grp.rows][i]}", self.real_mode)
 
     def _dft(self, msgs: np.ndarray) -> np.ndarray:
         """Row-wise DFT of a (rows, q) real or complex message array, one real matmul."""
@@ -207,7 +190,7 @@ class _Engine:
         if grp.const is not None:
             return grp.const
         d, _, q = grp.shape
-        hats = self._dft(self._incoming(grp.gather, grp.rows)).reshape(grp.shape)
+        hats = self._dft(self._incoming(grp)).reshape(grp.shape)
         # exclusive products in cumprod's order, prefix left to right times
         # suffix right to left, leaving out the exact products by one
         excl = np.empty_like(hats)
@@ -227,44 +210,33 @@ class _Engine:
                           lambda i: self.site(self.slot_factor[grp.rows][i]), self.real_mode)
 
     def iterate(self) -> float:
-        """One sweep; each batch's new messages are computed from those before it."""
+        """One flooding sweep: every new message is computed from the previous sweep's."""
         keep = self.cfg.damping
-        residual = 0.0
-        new = np.empty_like(self.msgs)
-        for groups in self.batches:
-            for grp in groups:
-                new[grp.rows] = self._outgoing(grp)
-            rows = slice(groups[0].rows.start, groups[-1].rows.stop)
-            old = self.msgs[rows]
-            blended = _normalize((1 - keep) * new[rows] + keep * old,
-                                 lambda i: self.site(self.slot_factor[rows][i]), self.real_mode)
-            residual = max(residual, float(np.abs(blended - old).max(initial=0.0)))
-            self.msgs[rows] = blended
+        new = np.empty_like(self.msgs[:-1])
+        for grp in self.groups:
+            new[grp.rows] = self._outgoing(grp)
+        old = self.msgs[:-1]  # a view: the residual is taken before the write-back
+        blended = _normalize((1 - keep) * new + keep * old,
+                             lambda i: self.site(self.slot_factor[i]), self.real_mode)
+        residual = float(np.abs(blended - old).max(initial=0.0))
+        self.msgs[:-1] = blended
         return residual
 
     def beliefs(self) -> np.ndarray:
         """Kernel-argument beliefs per factor: B(u) proportional to f(u) * conv of inputs at u."""
-        # each degree is one position-major block in factor order under either schedule:
-        # a matmul's rounding can depend on its row count, and a block keeps that fixed
-        by_degree = {}
-        for grp in (grp for groups in self.batches for grp in groups):
-            by_degree.setdefault(grp.shape[0], []).append(grp)
         out = np.empty_like(self.tables)
-        for d, grps in by_degree.items():
-            factors = np.concatenate([grp.factors for grp in grps])
-            slots = np.concatenate([np.r_[grp.rows].reshape(grp.shape[:2]) for grp in grps],
-                                   axis=1).ravel()
-            inc = self._incoming(self.gather(slots), slots)
-            shape = (d, len(factors), self.q)
-            conv = inc if d == 1 else np.prod(self._dft(inc).reshape(shape), axis=0) @ self.winv.T
-            b = self.tables[factors] * conv
+        for grp in self.groups:  # one position-major block per degree, in factor order
+            inc = self._incoming(grp)
+            conv = inc if grp.shape[0] == 1 else \
+                np.prod(self._dft(inc).reshape(grp.shape), axis=0) @ self.winv.T
+            b = self.tables[grp.factors] * conv
             total = b.sum(axis=1)
             bad = (np.abs(total) == 0.0) | ~np.isfinite(np.abs(total))
             if bad.any():
                 raise DegenerateMessageError(
-                    f"belief at {self.site(factors[int(np.argmax(bad))])} cancelled to zero")
+                    f"belief at {self.site(grp.factors[int(np.argmax(bad))])} cancelled to zero")
             b = b / total[:, None]
-            out[factors] = b.real + 0.0j if self.real_mode else b
+            out[grp.factors] = b.real + 0.0j if self.real_mode else b
         return out
 
 

@@ -2,17 +2,17 @@
 
 Subcommands: model | exact | bp | gibbs | swp | map | gaussian | experiment |
 validate.  Exit codes: 0 success, 2 validation failure, 3 enumeration-budget
-refusal, 4 bad input (spec, arguments, an --out path that cannot be written,
-NFG_DUAL_BUDGET, or model parameters or tables that are not finite), 5 BP
-failure (a sum-product message cancelled to zero or overflowed).  The
-environment variable NFG_DUAL_BUDGET overrides the enumeration budget.
+refusal, 4 bad input (a spec that cannot be read or is invalid, an unknown
+or malformed argument, an --out path that cannot be written, NFG_DUAL_BUDGET,
+or model parameters or tables that are not finite), 5 BP failure (a
+sum-product message cancelled to zero or overflowed).  The environment
+variable NFG_DUAL_BUDGET overrides the enumeration budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import os
 import sys
 
@@ -193,9 +193,16 @@ def cmd_gaussian(args) -> int:
         cfg = SamplerConfig(seed=args.seed, samples=args.samples)
         res_p = gmrf_primal_gibbs(model, cfg)
         res_d = gmrf_dual_gibbs(model, cfg)
-        est = map_variance_dual_to_primal(model.sigma, res_d.derived_variances.mean())
+        var_d = res_d.derived_variances.mean()
         print(f"gibbs primal estimate (site-averaged): {res_p.variances.mean():.6g}")
-        print(f"gibbs dual estimate mapped to primal:  {est:.6g}")
+        # a short dual chain can estimate sigma^2 var_d >= 1, which maps to no
+        # primal variance; that is noise, not bad input, as in fig-gaussian
+        ratio = model.sigma ** 2 * var_d
+        if ratio < 1.0:
+            est = f"{map_variance_dual_to_primal(model.sigma, var_d):.6g}"
+        else:
+            est = f"nan (sigma^2 * var_d = {ratio:.6g} >= 1 maps to no variance)"
+        print(f"gibbs dual estimate mapped to primal:  {est}")
     return EXIT_OK
 
 
@@ -231,8 +238,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are bad input, exit code 4, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SpecError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nfgdual",
         description="Pairwise graphical models, their Fourier duals, and "
                     "marginal mappings between the two domains.",
@@ -240,12 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, spec=True):
+    def add(name, fn, help_, spec=True, seed=False):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         if spec:
             p.add_argument("--spec", required=True, help="model spec JSON file")
-        p.add_argument("--seed", type=int, default=1234)
+        if seed:
+            p.add_argument("--seed", type=int, default=1234)
         return p
 
     add("model", cmd_model, "build a model, print factor tables and topology constants")
@@ -257,11 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bp.add_argument("--tol", type=float, default=1e-9)
     p_bp.add_argument("--max-iters", type=int, default=10_000)
 
-    p_gibbs = add("gibbs", cmd_gibbs, "heat-bath Gibbs estimates in either domain")
+    p_gibbs = add("gibbs", cmd_gibbs, "heat-bath Gibbs estimates in either domain", seed=True)
     p_gibbs.add_argument("--domain", choices=["primal", "dual"], default="primal")
     p_gibbs.add_argument("--samples", type=int, default=10_000)
 
-    p_swp = add("swp", cmd_swp, "subgraphs-world estimates (dual domain)")
+    p_swp = add("swp", cmd_swp, "subgraphs-world estimates (dual domain)", seed=True)
     p_swp.add_argument("--samples", type=int, default=10_000)
     p_swp.add_argument("--map", action="store_true",
                        help="map the dual estimates to the primal domain")
@@ -273,11 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--marginal", required=True,
                        help="comma-separated marginal values")
 
-    p_gauss = add("gaussian", cmd_gaussian, "thin-membrane model variances")
+    p_gauss = add("gaussian", cmd_gaussian, "thin-membrane model variances", seed=True)
     p_gauss.add_argument("--samples", type=int, default=0,
                          help="also run Gibbs chains with this many retained sweeps")
 
-    p_exp = add("experiment", cmd_experiment, "run a named experiment to CSV", spec=False)
+    p_exp = add("experiment", cmd_experiment, "run a named experiment to CSV",
+                spec=False, seed=True)
     p_exp.add_argument("name", help="experiment name, e.g. fig-ising-hom")
     p_exp.add_argument("--out", help="output CSV path (default <name>.csv)")
     p_exp.add_argument("--quick", action="store_true",
@@ -285,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--samples", type=int, default=None,
                        help="retained samples per chain (fig-ising-hom and fig-gaussian only)")
 
-    p_val = add("validate", cmd_validate, "run the validation matrix", spec=False)
+    p_val = add("validate", cmd_validate, "run the validation matrix", spec=False, seed=True)
     p_val.add_argument("--quick", action="store_true", help="skip the slowest checks")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except EnumerationBudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
@@ -300,8 +317,7 @@ def main(argv=None) -> int:
     except DegenerateMessageError as exc:
         print(f"BP failure: {exc}", file=sys.stderr)
         return EXIT_BP
-    except (SpecError, SamplerError, SingularMapError, FileNotFoundError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (SpecError, SamplerError, SingularMapError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

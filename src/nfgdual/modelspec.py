@@ -168,11 +168,13 @@ def build_model(spec: dict):
 
 
 def load_spec(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"spec file is not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"spec file is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SpecError(f"cannot read spec {path}: {exc.strerror or exc}") from exc
 
 
 def model_from_file(path: str):

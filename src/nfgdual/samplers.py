@@ -33,7 +33,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, cycle, islice, product
+from itertools import chain, cycle, islice, product
 
 import numpy as np
 
@@ -164,7 +164,8 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     digit of every other variable i in a factor it shares with j moves by
     s_i s_j d mod q.  Each variable memoizes its conditional per key visited,
     so an update is one dict lookup and a draw.  For q > 2 the draw bisects
-    the cumulative weights and the move updates a list of digits.  For q = 2
+    the cumulative weights and the move reads each neighbour's digit back
+    from its key and rewrites it there.  For q = 2
     every move is d = 1, which toggles bit p of each neighbour's key (its p-th
     factor's digit), and a draw is one comparison u * total >= threshold,
     where the memoized threshold is the first cumulative weight (inf when
@@ -183,14 +184,12 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
         for var, sign in zip(*scopes[f]):
             factors_of[var].append(f)
             t2s[var].append(real[f][(sign * np.arange(2 * q)) % q].tolist())
-    # digit slot of variable i's p-th factor: start[i] + p, worth q**p in i's key
-    start = [0, *accumulate(len(fs) for fs in factors_of)]
-    slot = {(f, i): (start[i] + p, q ** p) for i, fs in enumerate(factors_of)
-            for p, f in enumerate(fs)}
+    # the digit of variable i's p-th factor has place value q**p in i's key
+    place = {(f, i): q ** p for i, fs in enumerate(factors_of) for p, f in enumerate(fs)}
     moves = [[] for _ in range(num_vars)]
     for f, (variables, signs) in enumerate(scopes):
         for j, sj in zip(variables, signs):
-            moves[j] += [(*slot[f, i], i, si * sj) for i, si in zip(variables, signs) if i != j]
+            moves[j] += [(place[f, i], i, si * sj) for i, si in zip(variables, signs) if i != j]
     key = [0] * num_vars
     memo = [{} for _ in range(num_vars)]
     arguments = _arguments(scopes, q)
@@ -217,7 +216,7 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     z = [0] * num_vars
 
     if q == 2:
-        flips = [[(other, weight) for _, weight, other, _ in m] for m in moves]
+        flips = [[(other, bit) for bit, other, _ in m] for m in moves]
 
         def sweep(_) -> bytes:
             for i, u in zip(_site_order(num_vars, cfg.sweep, rng), rng.random(num_vars).tolist()):
@@ -228,8 +227,6 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
                         key[other] ^= bit
             return bytes(z)
     else:
-        digit = [0] * start[-1]
-
         def sweep(_) -> bytes:
             for i, u in zip(_site_order(num_vars, cfg.sweep, rng), rng.random(num_vars).tolist()):
                 total, cumulative = memo[i].get(key[i]) or conditional(i)
@@ -237,10 +234,9 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
                 d = new - z[i]
                 if d:
                     z[i] = new
-                    for k, weight, other, mult in moves[i]:
-                        old = digit[k]
-                        digit[k] = b = (old + mult * d) % q
-                        key[other] += (b - old) * weight
+                    for weight, other, mult in moves[i]:
+                        old = key[other] // weight % q
+                        key[other] += ((old + mult * d) % q - old) * weight
             return snapshot(z)
 
     freq = _run_chain(cfg, num_vars, sweep, tally).reshape(len(scopes), q)
@@ -361,7 +357,9 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
     sweep draws them in blocks.  audit_every (None or a positive integer)
     cross-checks the state's x~ against M^T y~ every so many proposals.
     """
-    if audit_every is not None and not (isinstance(audit_every, int) and audit_every > 0):
+    if audit_every is not None and (isinstance(audit_every, bool)
+                                    or not isinstance(audit_every, numbers.Integral)
+                                    or audit_every < 1):
         raise ValueError(f"audit_every must be None or a positive integer, not {audit_every!r}")
     ratios, sites = _toggle_ratios(p)
     g = p.graph

@@ -46,9 +46,9 @@ def factor_graph_diameter(nfg, domain):
 def reference_bp(nfg, cfg):
     """Sum-product one message at a time, with the engine's update rules.
 
-    The batched engine must reproduce this loop: the same iteration count and
-    beliefs to 1e-12 (the products and DFTs are grouped differently, so the
-    two can differ in the last bits).
+    The engine's flooding sweep must reproduce this loop: the same iteration
+    count and beliefs to 1e-12 (the products and DFTs are grouped differently,
+    so the two can differ in the last bits).
     """
     g, q = nfg.graph, nfg.alphabet.q
     if isinstance(nfg, PrimalNFG):
@@ -105,12 +105,8 @@ def reference_bp(nfg, cfg):
         return res
 
     for it in range(1, cfg.max_iters + 1):
-        if cfg.schedule == "flooding":
-            residual = store({(f, j): m for f in range(len(scopes))
-                              for j, m in enumerate(updates(f))})
-        else:
-            residual = max(store({(f, j): m for j, m in enumerate(updates(f))})
-                           for f in range(len(scopes)))
+        residual = store({(f, j): m for f in range(len(scopes))
+                          for j, m in enumerate(updates(f))})
         if residual < cfg.tol:
             break
     beliefs = []
@@ -153,7 +149,9 @@ class TestTreeExactness:
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("schedule", ["flooding", "sequential"])
+    # the "flooding" ids name the sweep that run_bp and reference_bp both run
+    @pytest.mark.parametrize("cfg", [BpConfig(damping=0.3, tol=1e-10, max_iters=500)],
+                             ids=["flooding"])
     @pytest.mark.parametrize("make", [
         lambda: ising_model(grid_graph(3, 4, periodic=True), 0.45, 0.1),
         lambda: dualize(ising_model(grid_graph(3, 3, periodic=True), 0.4, 0.2)),
@@ -163,9 +161,8 @@ class TestAgainstReference:
                         [[1, 0.5j, -0.2], [0.7, 1j, 0.3], [1 + 1j, 0.2, 0.4]],
                         np.exp(1j * np.arange(9).reshape(3, 3))),
     ], ids=["primal-torus", "dual-torus", "signed-potts-dual", "clock-dual", "complex-dual"])
-    def test_matches_message_by_message_loop(self, make, schedule):
+    def test_matches_message_by_message_loop(self, make, cfg):
         nfg = make()
-        cfg = BpConfig(damping=0.3, tol=1e-10, max_iters=500, schedule=schedule)
         res = run_bp(nfg, cfg)
         iterations, beliefs = reference_bp(nfg, cfg)
         assert res.iterations == iterations
@@ -199,14 +196,14 @@ class TestAgainstReference:
         assert np.abs(res.edge_values - exact.edge_values).max(initial=0.0) < 1e-10
         assert np.abs(res.vertex_values - exact.vertex_values).max() < 1e-10
 
-    @pytest.mark.parametrize("schedule", ["flooding", "sequential"])
-    def test_tree_with_factor_degrees_one_to_four(self, schedule):
+    @pytest.mark.parametrize("cfg", [BpConfig(damping=0.0)], ids=["flooding"])
+    def test_tree_with_factor_degrees_one_to_four(self, cfg):
         # dual vertex factors of degree 4, 3, 2 and 1 run as separate groups
         g = Graph(8, [(0, 1), (0, 2), (0, 3), (4, 0), (1, 5), (6, 1), (2, 7)])
         p = potts_model(g, 3, [0.7, -0.4, 0.3, 0.9, -0.6, 0.5, 0.2], 0.25)
         d = dualize(p)
         assert sorted({len(g.incident_edges(v)) for v in range(8)}) == [1, 2, 3, 4]
-        res = run_bp(d, BpConfig(damping=0.0, schedule=schedule))
+        res = run_bp(d, cfg)
         oracle = marginals_dual(d)
         assert res.converged
         assert np.abs(res.edge_values - oracle.edge_values).max() < 1e-10
@@ -227,13 +224,6 @@ class TestLoopyBehavior:
         assert r0.converged and r5.converged
         assert np.abs(r0.edge_values - r5.edge_values).max() < 1e-6
 
-    def test_schedules_share_fixed_point(self):
-        p = ising_model(ring_graph(6), 0.7, 0.2)
-        rf = run_bp(p, BpConfig(schedule="flooding"))
-        rs = run_bp(p, BpConfig(schedule="sequential"))
-        assert rf.converged and rs.converged
-        assert np.abs(rf.edge_values - rs.edge_values).max() < 1e-6
-
     def test_loopy_close_to_oracle_high_temperature(self):
         # the 3x3 torus has girth-3 loops, so a few percent of bias is expected
         p = ising_model(grid_graph(3, 3, periodic=True), 0.2, 0.15)
@@ -249,17 +239,6 @@ class TestLoopyBehavior:
         assert not res.converged
         assert res.iterations == 40
         assert np.isfinite(res.residual)
-
-    def test_schedules_share_fixed_point_on_torus(self):
-        rng = np.random.default_rng(3)
-        g = grid_graph(6, 6, periodic=True)
-        p = ising_model(g, rng.uniform(0.2, 0.3, g.num_edges), rng.uniform(0.1, 0.2, 36))
-        cfg = BpConfig(tol=1e-12)
-        rf = run_bp(p, cfg)
-        rs = run_bp(p, BpConfig(tol=1e-12, schedule="sequential"))
-        assert rf.converged and rs.converged
-        assert np.abs(rf.edge_values - rs.edge_values).max() < 1e-10
-        assert np.abs(rf.vertex_values - rs.vertex_values).max() < 1e-10
 
     def test_primal_and_dual_fixed_points_correspond(self):
         # the local map carries one domain's BP fixed point onto the other's
@@ -306,19 +285,18 @@ class TestSignedDual:
         g = path_graph(3)
         d = DualNFG(g, ising_model(g, 0.5).alphabet, np.ones((2, 2)),
                     [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-        for schedule in ("flooding", "sequential"):
-            with pytest.raises(DegenerateMessageError, match="message at vertex 1 "):
-                run_bp(d, BpConfig(schedule=schedule))
+        with pytest.raises(DegenerateMessageError, match="message at vertex 1 "):
+            run_bp(d)
 
-    @pytest.mark.parametrize("schedule", ["flooding", "sequential"])
-    def test_zero_message_into_a_factor_names_the_variable(self, schedule):
+    @pytest.mark.parametrize("cfg", [BpConfig(damping=0.0)], ids=["flooding"])
+    def test_zero_message_into_a_factor_names_the_variable(self, cfg):
         # variable 0 (edge 0) hears [1, 0] from its unary factor and [0, 1]
         # from vertex 0, so the message into vertex 1 along edge 0 vanishes
         g = path_graph(3)
         d = DualNFG(g, ising_model(g, 0.5).alphabet, [[1.0, 0.0], [1.0, 1.0]],
                     [[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DegenerateMessageError, match="message at variable 0 cancelled to zero"):
-            run_bp(d, BpConfig(damping=0.0, schedule=schedule))
+            run_bp(d, cfg)
 
     @pytest.mark.parametrize("domain", ["primal", "dual"])
     def test_overflowed_table_is_not_finite(self, domain):
@@ -399,7 +377,3 @@ class TestConfigValidation:
     def test_integer_max_iters_accepted(self):
         assert BpConfig(max_iters=1).max_iters == 1
         assert BpConfig(max_iters=np.int64(7)).max_iters == 7
-
-    def test_bad_schedule(self):
-        with pytest.raises(ValueError):
-            BpConfig(schedule="roundrobin")

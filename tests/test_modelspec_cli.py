@@ -314,6 +314,43 @@ class TestCli:
         assert main(["model", "--spec", spec]) == 4
         assert main(["model", "--spec", str(tmp_path / "missing.json")]) == 4
 
+    def test_unreadable_spec_exit_code(self, tmp_path, capsys):
+        assert main(["model", "--spec", str(tmp_path)]) == 4
+        assert f"cannot read spec {tmp_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["bp", "--spec", str(SPECS / "ising_ring.json"), "--domain", "bogus"], "--domain"),
+        (["gibbs", "--spec", str(SPECS / "ising_ring.json"), "--samples", "ten"], "--samples"),
+        ([], "command"),
+        (["exact", "--seed", "3", "--spec", str(SPECS / "ising_ring.json")], "--seed"),
+    ], ids=["invalid-choice", "non-integer", "no-subcommand", "unread-flag"])
+    def test_bad_argument_exit_code(self, capsys, argv, named):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "usage: nfgdual" in err
+        assert "bad input: " in err and named in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["bp", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_gaussian_unmappable_dual_estimate_is_nan(self, tmp_path, capsys):
+        # two retained sweeps of the dual chain estimate sigma^2 var_d >= 1
+        spec = write_spec(tmp_path, "g.json", {
+            "family": "gaussian",
+            "topology": {"type": "grid", "rows": 15, "cols": 15, "periodic": True},
+            "gaussian": {"s": 1.0, "sigma": 5.0},
+        })
+        assert main(["gaussian", "--spec", spec, "--samples", "2", "--seed", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == ("gibbs dual estimate mapped to primal:  "
+                                                 "nan (sigma^2 * var_d = 1.06201 >= 1 maps to "
+                                                 "no variance)")
+        assert captured.err == ""
+
     def test_bp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def degenerate(nfg, cfg):
             raise DegenerateMessageError("message at vertex 0 cancelled to zero")

@@ -512,11 +512,25 @@ class TestSwp:
         with pytest.raises(SamplerError, match=cause):
             SWP_ENTRY_POINTS[run](build())
 
-    @pytest.mark.parametrize("audit_every", [-3, 0, 2.5])
+    @pytest.mark.parametrize("audit_every", [-3, 0, 2.5, True])
     def test_audit_every_must_be_positive(self, audit_every):
         p = ising_model(triangle(), 0.5, 0.3)
         with pytest.raises(ValueError, match="audit_every"):
             swp(p, SamplerConfig(seed=1, samples=10), audit_every=audit_every)
+
+    def test_numpy_integer_audit_every_audits_like_an_int(self, monkeypatch):
+        p = ising_model(grid_graph(3, 3, periodic=True), 0.44, 0.15)
+        cfg = SamplerConfig(seed=5, samples=20)
+        recompute = samplers.dual_vertex_config
+        results = []
+        for audit_every in (5, np.int64(5)):
+            audits = []
+            monkeypatch.setattr(samplers, "dual_vertex_config",
+                                lambda *args: audits.append(1) or recompute(*args))
+            results.append((swp(p, cfg, audit_every=audit_every), len(audits)))
+        (want, want_audits), (got, got_audits) = results
+        assert_same(got, want)
+        assert got_audits == want_audits == (cfg.resolved_burn_in(18) + cfg.samples) * 18 // 5
 
     @pytest.mark.parametrize("model", sorted(POSITIVE_DUAL_MODELS))
     def test_binary_models_with_a_positive_dual(self, model):
