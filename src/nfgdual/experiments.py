@@ -101,6 +101,13 @@ def _oracle_pe0(model) -> np.ndarray:
         return np.full(model.graph.num_edges, np.nan)
 
 
+def _count(name: str, value, default: int) -> int:
+    """value, or default when value is None; a value below 1 is refused by name."""
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+    return default if value is None else value
+
+
 def _rel_err(estimate: np.ndarray, exact: np.ndarray, edge: int = 0) -> tuple:
     """(at-edge, max-over-edges) relative error on pi_p,e(0)."""
     err = np.abs(estimate.real - exact) / np.abs(exact)
@@ -119,7 +126,7 @@ def run_fig_ising_hom(
     """Homogeneous periodic lattice in a constant field: BP in both domains
     plus the subgraphs-world process, reported as pi_p,e(0) estimates."""
     size = 4 if quick else 6
-    rows, cols = rows or size, cols or size
+    rows, cols = _count("rows", rows, size), _count("cols", cols, size)
     samples = samples if samples is not None else (10_000 if quick else 100_000)
     betas = list(betas) if betas is not None else [round(0.05 + 0.1 * k, 2) for k in range(8)]
     g = grid_graph(rows, cols, periodic=True)
@@ -210,8 +217,8 @@ def run_fig_ising_halfnormal(
 ) -> ExperimentReport:
     """Zero-field lattice with half-normal random couplings: primal vs dual BP."""
     size = 4 if quick else 6
-    rows, cols = rows or size, cols or size
-    realizations = realizations or (20 if quick else 200)
+    rows, cols = _count("rows", rows, size), _count("cols", cols, size)
+    realizations = _count("realizations", realizations, 20 if quick else 200)
     sigma2_values = (
         list(sigma2_values) if sigma2_values is not None
         else [round(0.05 + 0.2 * k, 2) for k in range(10)]
@@ -237,8 +244,8 @@ def run_fig_ising_fully(
     realizations: int | None = None,
 ) -> ExperimentReport:
     """Fully connected zero-field model, couplings uniform in [0.05, beta_x]."""
-    n = n or (8 if quick else 10)
-    realizations = realizations or (10 if quick else 50)
+    n = _count("n", n, 8 if quick else 10)
+    realizations = _count("realizations", realizations, 10 if quick else 50)
     beta_x_values = (
         list(beta_x_values) if beta_x_values is not None
         else [round(0.05 + 0.1 * k, 2) for k in range(7)]
@@ -287,10 +294,8 @@ def run_fig_potts_frustrated(
 ) -> ExperimentReport:
     """Free-boundary 3-state model with every plaquette frustrated: BP in the
     signed dual vs primal BP on the middle-plaquette ferromagnetic edge."""
-    if quick:
-        rows, cols = rows or 3, cols or 4
-    else:
-        rows, cols = rows or 6, cols or 6
+    rows = _count("rows", rows, 3 if quick else 6)
+    cols = _count("cols", cols, 4 if quick else 6)
     beta_ferr_values = (
         list(beta_ferr_values) if beta_ferr_values is not None
         else [round(0.15 + 0.3 * k, 2) for k in range(10)]
@@ -339,8 +344,8 @@ def run_fig_gaussian(
 ) -> ExperimentReport:
     """Periodic-lattice thin-membrane field: primal Gibbs vs dual Gibbs mapped,
     running variance estimates per chain against the dense-algebra exact value."""
-    n = n or 15
-    chains = chains or (2 if quick else 7)
+    n = _count("n", n, 15)
+    chains = _count("chains", chains, 2 if quick else 7)
     samples = samples if samples is not None else (100 if quick else 1000)
     g = grid_graph(n, n, periodic=True)
     chain_defaults = SamplerConfig(seed=seed, samples=samples)  # burn-in as the chains resolve it

@@ -20,13 +20,13 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """The configuration alphabet Z/qZ."""
+    """The configuration alphabet Z/qZ; q is an integer (numpy integers too) of at least 2."""
 
     q: int
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.q}")
+        if not isinstance(self.q, (int, np.integer)) or self.q < 2:
+            raise ValueError(f"alphabet size must be an integer >= 2, got {self.q!r}")
 
     @property
     def omega(self) -> complex:

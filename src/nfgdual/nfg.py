@@ -8,7 +8,8 @@ evaluated at x_v for every vertex.  Dualization replaces every table by its
 unnormalized forward DFT and flips the role of vertex and edge configurations:
 in the dual domain the free variables are the edge values y~ and the vertex
 values are derived as x~ = M^T y~.  `_factor_view` states both domains in the
-one shape that BP, the enumeration oracle and the Gibbs samplers read.
+one shape that BP, the enumeration oracle and the Gibbs samplers read; a model
+is frozen and checks its tables once, when it is built.
 """
 
 from __future__ import annotations
@@ -120,44 +121,37 @@ def idft_table(values: np.ndarray, a: Alphabet) -> np.ndarray:
     return _truncate_imag(np.conj(a.dft_matrix()) @ values / a.q)
 
 
+@dataclass(frozen=True, eq=False)
 class _BaseNFG:
-    """Graph plus one table per edge and per vertex, stored as stacked arrays."""
+    """Graph plus one table per edge and per vertex, stored as stacked read-only copies,
+    checked once when built: shape, finite entries, and real nonnegative primal ones."""
 
-    domain: str
+    graph: Graph
+    alphabet: Alphabet
+    edge_tables: np.ndarray
+    vertex_tables: np.ndarray
 
-    def __init__(self, graph: Graph, alphabet: Alphabet, edge_tables, vertex_tables):
-        self.graph = graph
-        self.alphabet = alphabet
-        # private copies, frozen: models are immutable after construction
-        self.edge_tables = np.array(edge_tables, dtype=np.complex128)
-        self.vertex_tables = np.array(vertex_tables, dtype=np.complex128)
-        self.edge_tables.setflags(write=False)
-        self.vertex_tables.setflags(write=False)
-        q = alphabet.q
-        if self.edge_tables.shape != (graph.num_edges, q):
-            raise ValueError(
-                f"edge tables have shape {self.edge_tables.shape}, "
-                f"expected {(graph.num_edges, q)}"
-            )
-        if self.vertex_tables.shape != (graph.num_vertices, q):
-            raise ValueError(
-                f"vertex tables have shape {self.vertex_tables.shape}, "
-                f"expected {(graph.num_vertices, q)}"
-            )
+    def __post_init__(self):
+        for kind, count in (("edge", self.graph.num_edges), ("vertex", self.graph.num_vertices)):
+            tables = np.array(getattr(self, f"{kind}_tables"), dtype=np.complex128)
+            tables.setflags(write=False)
+            shape = (count, self.alphabet.q)
+            if tables.shape != shape:
+                raise ValueError(f"{kind} tables have shape {tables.shape}, expected {shape}")
+            if not np.isfinite(tables).all():
+                row = np.argmin(np.isfinite(tables).all(axis=1))
+                raise ValueError(f"{kind} {row} table is not finite")
+            if self.domain == PRIMAL and np.abs(tables.imag).max(initial=0.0) > IMAG_TRUNCATION:
+                raise ValueError(f"primal {kind} tables must be real")
+            if self.domain == PRIMAL and tables.real.min(initial=0.0) < 0:
+                raise ValueError(f"primal {kind} tables must be nonnegative")
+            object.__setattr__(self, f"{kind}_tables", tables)
 
 
 class PrimalNFG(_BaseNFG):
     """Primal model: pi_p(x) proportional to prod_e psi_e(y_e(x)) * prod_v phi_v(x_v)."""
 
     domain = PRIMAL
-
-    def __init__(self, graph, alphabet, edge_tables, vertex_tables):
-        super().__init__(graph, alphabet, edge_tables, vertex_tables)
-        for name, tables in (("edge", self.edge_tables), ("vertex", self.vertex_tables)):
-            if np.abs(tables.imag).max(initial=0.0) > IMAG_TRUNCATION:
-                raise ValueError(f"primal {name} tables must be real")
-            if tables.real.min(initial=0.0) < 0:
-                raise ValueError(f"primal {name} tables must be nonnegative")
 
 
 class DualNFG(_BaseNFG):
@@ -269,12 +263,11 @@ def _per_item(values, count: int, item: str) -> np.ndarray:
 
 def _family_model(g: Graph, q: int, table, couplings, fields) -> PrimalNFG:
     """The q-state model with table(bJ) on each edge and table(bH) on each vertex."""
+    a = Alphabet(q)  # refuses a q that is not an integer before a table is built
     bj = _per_item(couplings, g.num_edges, "edge")
     bh = _per_item(fields, g.num_vertices, "vertex")
     # reshape gives a graph with no edges its (0, q) edge tables
-    edge_tables = np.array([table(b) for b in bj], dtype=np.complex128).reshape(-1, q)
-    vertex_tables = np.array([table(b) for b in bh], dtype=np.complex128)
-    return PrimalNFG(g, Alphabet(q), edge_tables, vertex_tables)
+    return PrimalNFG(g, a, np.reshape([table(b) for b in bj], (-1, q)), [table(b) for b in bh])
 
 
 def ising_model(g: Graph, couplings, fields=0.0) -> PrimalNFG:

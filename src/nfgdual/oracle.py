@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -63,15 +64,12 @@ def _check_budget(num_states: int, budget: int | None, what: str) -> None:
         )
 
 
-def _enumerate(model, budget=None, skip_factor: int | None = None):
+def _enumerate(model, budget=None):
     """One pass over every configuration of the model's free variables.
 
     Returns (Z, sums), where row i of sums accumulates the weight of each
     configuration at factor i's argument (factor numbering of _factor_view:
-    edge rows first, then vertex rows).  With skip_factor set, that factor's
-    table is struck from the product, so for an edge e its row is the
-    extrinsic vector S_e.  A factor table in the product with a non-finite
-    entry is refused with a ValueError naming the factor.
+    edge rows first, then vertex rows).
 
     The first k variables form a low block of q**k <= _BLOCK states, walked
     once per assignment of the others.  Each factor's argument is its low
@@ -81,13 +79,6 @@ def _enumerate(model, budget=None, skip_factor: int | None = None):
     states of that order.
     """
     scopes, num_vars, tables = _factor_view(model)
-    finite = np.isfinite(tables).all(axis=1)
-    if skip_factor is not None:
-        finite[skip_factor] = True
-    if not finite.all():
-        i, ne = int(np.argmin(finite)), model.graph.num_edges
-        site = f"edge {i}" if i < ne else f"vertex {i - ne}"
-        raise ValueError(f"{site} table is not finite")
     q = model.alphabet.q
     total = q ** num_vars
     _check_budget(total, budget, f"{model.domain} enumeration")
@@ -111,13 +102,12 @@ def _enumerate(model, budget=None, skip_factor: int | None = None):
         else:
             low_args.append(sum(s * digits[v] for v, s in low) % q)
     doubled = np.concatenate([tables, tables], axis=1)  # doubled[i, c:][a] = table at a + c mod q
-    factors = [i for i in range(len(scopes)) if i != skip_factor]
     # A leading run of factors with no high variable weighs every block alike.
     lead = 0
-    while lead < len(factors) and not high_scopes[factors[lead]]:
+    while lead < len(scopes) and not high_scopes[lead]:
         lead += 1
     head = np.ones(size, dtype=np.complex128)
-    for i in factors[:lead]:
+    for i in range(lead):
         head *= tables[i][0] if low_args[i] is None else tables[i][low_args[i]]
     sums = np.zeros((len(scopes), q), dtype=np.complex128)
     z = 0.0 + 0.0j
@@ -126,7 +116,7 @@ def _enumerate(model, budget=None, skip_factor: int | None = None):
     for high in itertools.product(range(q), repeat=num_vars - k):
         offsets = [sum(s * high[v] for v, s in hs) % q for hs in high_scopes]
         w = head.copy()
-        for i in factors[lead:]:
+        for i in range(lead, len(scopes)):
             arg = low_args[i]
             w *= tables[i][offsets[i]] if arg is None else doubled[i, offsets[i]:][arg]
         done = 0
@@ -202,12 +192,23 @@ def marginals_dual(d: DualNFG, budget: int | None = None) -> Marginals:
     return _marginals(d, budget, _dual_indicator_norm(d.graph, d.alphabet))
 
 
+def _struck(model, e: int):
+    """A copy of model with edge e's table set to ones, which multiply every
+    configuration's weight exactly as leaving the table out would."""
+    ne = model.graph.num_edges
+    if isinstance(e, bool) or not isinstance(e, numbers.Integral) or not 0 <= e < ne:
+        raise ValueError(f"edge {e!r} is not in [0, {ne}): the model has {ne} edges")
+    struck = np.arange(ne)[:, None] == e
+    return replace(model, edge_tables=np.where(struck, 1.0, model.edge_tables))
+
+
 def extrinsic_vector(p: PrimalNFG, e: int, budget: int | None = None) -> np.ndarray:
     """S_e(a): enumeration with psi_e struck out, summed over configs with y_e = a.
 
     The sum-product rule Z_p = sum_a S_e(a) psi_e(a) holds at every edge.
+    An e outside [0, |E|), or a bool, is refused with a ValueError.
     """
-    return _enumerate(p, budget, skip_factor=e)[1][e]
+    return _enumerate(_struck(p, e), budget)[1][e]
 
 
 def intermediate_dual_partition(p: PrimalNFG, e: int, budget: int | None = None) -> np.ndarray:
@@ -220,7 +221,7 @@ def intermediate_dual_partition(p: PrimalNFG, e: int, budget: int | None = None)
     """
     a = p.alphabet
     d = dualize(p)
-    row = _enumerate(d, budget, skip_factor=e)[1][e]
+    row = _enumerate(_struck(d, e), budget)[1][e]
     norm = _dual_indicator_norm(d.graph, a)
     return np.array([norm * (row @ dft_table(delta, a)) for delta in np.eye(a.q)])
 

@@ -56,6 +56,7 @@ class SamplerError(ValueError):
 class SamplerConfig:
     """seed/burn-in/samples/thinning; deterministic given seed.
 
+    Each is an integer, not a bool, refused by name below 0, 0, 1 and 1;
     burn_in=None means 10x the number of variables in the sampled domain.
     """
 
@@ -66,7 +67,7 @@ class SamplerConfig:
     sweep: str = "systematic"  # or "random"
 
     def __post_init__(self):
-        for name, least in (("samples", 1), ("thinning", 1), ("burn_in", 0)):
+        for name, least in (("seed", 0), ("samples", 1), ("thinning", 1), ("burn_in", 0)):
             value = getattr(self, name)
             if name == "burn_in" and value is None:
                 continue
@@ -257,11 +258,8 @@ def gibbs_primal(p: PrimalNFG, cfg: SamplerConfig) -> Marginals:
     Each update resamples x_v from its exact conditional given the neighbors:
     weight(a) = phi_v(a) * prod over incident edges of psi_e at the implied
     edge value.  Estimates are empirical frequencies of x_v and y_e(x) over
-    retained sweeps.
+    retained sweeps of a PrimalNFG, whose tables are nonnegative as built.
     """
-    # PrimalNFG refuses such tables when built, not tables assigned later or a dual model
-    if not is_nonnegative(p):
-        raise SamplerError("primal tables must be real and nonnegative for sampling")
     _require_domain(p, PRIMAL)
     return _heat_bath(p, cfg)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nfgdual.bp import BpConfig, DegenerateMessageError, relative_error, run_bp
-from nfgdual.graphs import Graph, grid_graph, path_graph, ring_graph
+from nfgdual.graphs import Alphabet, Graph, grid_graph, path_graph, ring_graph
 from nfgdual.mapping import map_dual_to_primal, map_primal_to_dual
 from nfgdual.nfg import (
     DualNFG, Marginals, PrimalNFG, clock_model, dualize, ising_model, potts_model,
@@ -299,12 +299,13 @@ class TestSignedDual:
             run_bp(d, cfg)
 
     @pytest.mark.parametrize("domain", ["primal", "dual"])
-    def test_overflowed_table_is_not_finite(self, domain):
-        # exp(800) overflows: edge 0's primal table is [inf, 0]
+    def test_overflowing_message_is_not_finite(self, domain):
+        # edge 0's table [1e308, 1e308] is finite, but its DFT and its norm,
+        # which every message out of edge 0 reads, overflow
+        build = PrimalNFG if domain == "primal" else DualNFG
+        nfg = build(ring_graph(4), Alphabet(2), [[1e308, 1e308]] + [[1.0, 2.0]] * 3,
+                    [[1.0, 2.0]] * 4)
         with np.errstate(over="ignore", invalid="ignore"):
-            p = ising_model(ring_graph(4), [800, 0.3, 0.2, 0.1], 0.1)
-            assert np.isinf(p.edge_tables[0, 0])
-            nfg = p if domain == "primal" else dualize(p)
             with pytest.raises(DegenerateMessageError, match="message at edge 0 is not finite"):
                 run_bp(nfg)
 

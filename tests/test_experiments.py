@@ -43,6 +43,17 @@ class TestRegistry:
                      if option in inspect.signature(runner).parameters}
             assert takes == set(EXPERIMENTS) - {"fig-fixed-points", "fig-bounds"}, option
 
+    @pytest.mark.parametrize("name,count", [
+        (name, count) for name, runner in EXPERIMENTS.items()
+        for count in ("rows", "cols", "n", "realizations", "chains")
+        if count in inspect.signature(runner).parameters
+    ])
+    def test_counts_below_one_refused_by_name(self, name, count):
+        # an explicit zero used to fall back to the default (chains=0 ran 2 chains)
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"^{count} must be at least 1"):
+                EXPERIMENTS[name](quick=True, **{count: value})
+
 
 class TestCsvOutput:
     def test_write_roundtrip(self, tmp_path):

@@ -51,6 +51,15 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             Alphabet(1)
 
+    @pytest.mark.parametrize("q", [2.5, 3.0, "3"])
+    def test_alphabet_refuses_a_q_that_is_not_an_integer(self, q):
+        # Alphabet(2.5) used to build a 3x3 DFT matrix from exp(-2 pi i / 2.5)
+        with pytest.raises(ValueError, match="alphabet size must be an integer"):
+            Alphabet(q)
+
+    def test_alphabet_accepts_numpy_integers(self):
+        assert np.array_equal(Alphabet(np.int64(3)).dft_matrix(), Alphabet(3).dft_matrix())
+
 
 class TestIncidence:
     def test_triangle_rows(self):

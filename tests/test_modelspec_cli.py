@@ -301,6 +301,23 @@ class TestCli:
             assert main(["exact", "--spec", spec]) == 4
         assert "edge 0 table is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["model"], ["bp"], ["bp", "--domain", "dual"], ["gibbs"], ["gibbs", "--domain", "dual"],
+        ["swp"], ["swp", "--map"], ["map", "--location", "edge:0", "--marginal", "0.5,0.5"],
+    ], ids=" ".join)
+    def test_non_finite_table_refused_by_every_command(self, tmp_path, capsys, command):
+        # the model refuses the overflowed table when it is built; bp used to
+        # exit 5 and gibbs to exit 0 with the vertex marginals [0, 1]
+        spec = write_spec(tmp_path, "m.json", {
+            "family": "ising",
+            "topology": {"type": "ring", "n": 4},
+            "couplings": [800, 0.3, 0.2, 0.1],
+            "fields": 0.1,
+        })
+        with np.errstate(over="ignore"):
+            assert main([command[0], "--spec", spec, *command[1:]]) == 4
+        assert "bad input: edge 0 table is not finite" in capsys.readouterr().err
+
     def test_budget_exit_code(self, tmp_path):
         spec = write_spec(tmp_path, "big.json", {
             "family": "ising",

@@ -1,5 +1,7 @@
 """Factor tables, DFT/IDFT, model builders, dualization, and dual-sign gating."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,61 @@ from nfgdual.nfg import (
 
 def triangle():
     return Graph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def _tables_with(kind: str, row) -> tuple:
+    """Triangle edge and vertex tables of ones, with row 1 of kind's tables set to row."""
+    tables = {"edge": np.ones((3, 2)), "vertex": np.ones((3, 2))}
+    tables[kind][1] = row
+    return tables["edge"], tables["vertex"]
+
+
+# (site, build) of a model with a table that is not finite at that site
+_NON_FINITE = {
+    f"{build.__name__}-{kind}-{name}": (
+        f"{kind} 1", lambda build=build, kind=kind, value=value:
+        build(triangle(), Alphabet(2), *_tables_with(kind, [1.0, value])))
+    for build in (PrimalNFG, DualNFG) for kind in ("edge", "vertex")
+    for name, value in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf))
+}
+_NON_FINITE.update({
+    "ising_model-coupling-overflow": ("edge 1", lambda: ising_model(triangle(), [0.1, 800, 0.2])),
+    "ising_model-coupling-nan": ("edge 1", lambda: ising_model(triangle(), [0.1, np.nan, 0.2])),
+    "ising_model-field-overflow": ("vertex 1",
+                                   lambda: ising_model(triangle(), 0.1, [0.1, -800, 0.2])),
+    "potts_model-coupling-overflow": ("edge 1", lambda: potts_model(triangle(), 3, [0, 800, 0])),
+    "clock_model-field-overflow": ("vertex 1",
+                                   lambda: clock_model(triangle(), 4, 0.1, [0, 800, 0])),
+    # finite primal tables whose DFT overflows
+    "dualize-edge-overflow": ("edge 1", lambda: dualize(
+        PrimalNFG(triangle(), Alphabet(2), *_tables_with("edge", [1e308, 1e308])))),
+    "dualize-vertex-overflow": ("vertex 1", lambda: dualize(
+        PrimalNFG(triangle(), Alphabet(2), *_tables_with("vertex", [1e308, 1e308])))),
+})
+
+
+class TestFrozenModels:
+    @pytest.mark.parametrize("site,build", _NON_FINITE.values(), ids=_NON_FINITE)
+    def test_non_finite_table_refused_when_built(self, site, build):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=f"^{site} table is not finite$"):
+                build()
+
+    @pytest.mark.parametrize("domain", ["primal", "dual"])
+    def test_tables_cannot_be_rebound_or_written(self, domain):
+        p = ising_model(triangle(), 0.5, 0.1)
+        model = p if domain == "primal" else dualize(p)
+        for name in ("graph", "alphabet", "edge_tables", "vertex_tables"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(model, name, getattr(model, name))
+        with pytest.raises(ValueError, match="read-only"):
+            model.vertex_tables[0, 0] = 2.0
+
+    def test_tables_are_private_copies(self):
+        edge, vertex = _tables_with("edge", [2.0, 1.0])
+        p = PrimalNFG(triangle(), Alphabet(2), edge, vertex)
+        edge[1] = 5.0
+        assert np.array_equal(p.edge_tables[1], [2.0, 1.0])
 
 
 class TestDft:
@@ -121,6 +178,12 @@ class TestBuilders:
     def test_wrong_length_couplings_rejected(self):
         with pytest.raises(ValueError):
             ising_model(triangle(), [0.1, 0.2])
+
+    def test_builders_refuse_a_q_that_is_not_an_integer(self):
+        # potts_model(g, 2.5) used to fail inside numpy with a TypeError
+        for build in (potts_model, clock_model):
+            with pytest.raises(ValueError, match="alphabet size must be an integer"):
+                build(triangle(), 2.5, 0.1)
 
     def test_primal_rejects_negative_tables(self):
         with pytest.raises(ValueError, match="nonnegative"):

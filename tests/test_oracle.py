@@ -95,15 +95,18 @@ class TestEnumerateMatchesReference:
     q=3 dual of 3^12 states (several 2^17-state chunks), a q=4 clock grid
     (four blocks of 4^6 states in the dual), models of a few
     states, a one-edge graph and the dual of a one-vertex, zero-edge graph.
-    Each runs with no factor struck, factor 0 struck and the last edge struck.
+    Each runs as it is, with edge 0 struck and with the last edge struck: the
+    struck edge's table set to ones, as extrinsic_vector does it, against
+    the reference that leaves the table out of the product.
     """
 
     @pytest.mark.parametrize("model", REFERENCE_CORPUS,
                              ids=[f"{m.domain}-q{m.alphabet.q}-e{m.graph.num_edges}"
                                   for m in REFERENCE_CORPUS])
     def test_bit_identical(self, model):
-        for skip in dict.fromkeys([None, 0, max(model.graph.num_edges - 1, 0)]):
-            z, sums = _enumerate(model, skip_factor=skip)
+        ne = model.graph.num_edges
+        for skip in dict.fromkeys([None, 0, ne - 1] if ne else [None]):
+            z, sums = _enumerate(model if skip is None else oracle._struck(model, skip))
             z_ref, sums_ref = reference_enumerate(model, skip_factor=skip)
             assert z == z_ref
             assert np.array_equal(sums, sums_ref)
@@ -206,29 +209,19 @@ class TestDuality:
 class TestMarginals:
     @pytest.mark.parametrize("domain", ["primal", "dual"])
     def test_overflowed_table_refused(self, domain):
-        # exp(800) overflows: edge 0's primal table is [inf, 0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = ising_model(ring_graph(4), [800, 0.3, 0.2, 0.1], 0.1)
-            model = p if domain == "primal" else dualize(p)
-        marginals = marginals_primal if domain == "primal" else marginals_dual
-        with pytest.raises(ValueError, match="edge 0 table is not finite"):
-            marginals(model)
+        # exp(800) overflows edge 0's primal table to [inf, 0]; the model
+        # refuses it when it is built, so no enumeration reads it
+        marginals = marginals_primal if domain == "primal" else lambda p: marginals_dual(dualize(p))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="edge 0 table is not finite"):
+                marginals(ising_model(ring_graph(4), [800, 0.3, 0.2, 0.1], 0.1))
 
     def test_non_finite_vertex_table_refused(self):
         p = ising_model(ring_graph(3), 0.3, 0.1)
         vertex_tables = p.vertex_tables.copy()
         vertex_tables[2, 1] = np.nan
-        p = PrimalNFG(p.graph, p.alphabet, p.edge_tables, vertex_tables)
         with pytest.raises(ValueError, match="vertex 2 table is not finite"):
-            partition_primal(p)
-
-    def test_skipped_table_is_not_checked(self):
-        p = ising_model(ring_graph(3), 0.3, 0.1)
-        want = _enumerate(p, skip_factor=0)[1][0]
-        edge_tables = p.edge_tables.copy()
-        edge_tables[0, 0] = np.inf
-        p = PrimalNFG(p.graph, p.alphabet, edge_tables, p.vertex_tables)
-        assert np.array_equal(_enumerate(p, skip_factor=0)[1][0], want)
+            partition_primal(PrimalNFG(p.graph, p.alphabet, p.edge_tables, vertex_tables))
 
     def test_single_free_edge(self):
         bj = 0.8
@@ -293,15 +286,23 @@ class TestSumProductDecomposition:
         calls = []
         enumerate_ = oracle._enumerate
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("skip_factor"))
-            return enumerate_(*args, **kwargs)
+        def counted(model, *args, **kwargs):
+            calls.append(model)
+            return enumerate_(model, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "_enumerate", counted)
         p = potts_model(triangle(), 3, [0.4, -0.2, 0.7], 0.3)
         zi = intermediate_dual_partition(p, 1)
-        assert calls == [1]
+        assert [m.domain for m in calls] == ["dual"]
+        assert np.array_equal(calls[0].edge_tables[1], np.ones(3))
         assert zi.shape == (3,)
+
+    @pytest.mark.parametrize("e", [-1, 3, True, 1.0])
+    def test_edge_index_out_of_range_refused(self, e):
+        p = ising_model(triangle(), 0.3, 0.1)
+        for strike in (extrinsic_vector, intermediate_dual_partition):
+            with pytest.raises(ValueError, match=r"not in \[0, 3\): the model has 3 edges"):
+                strike(p, e)
 
 
 class TestClosedForms:

@@ -5,6 +5,7 @@ checked, bit for bit, against per-site reference loops kept here."""
 
 import tracemalloc
 from bisect import bisect_right
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -152,13 +153,15 @@ class TestConfig:
             SamplerConfig(seed=1, sweep="zigzag")
 
     @pytest.mark.parametrize("field,value", [
+        ("seed", True), ("seed", 1.0), ("seed", -1),
         ("samples", 2.5), ("samples", True), ("samples", "10"),
         ("burn_in", 2.5), ("burn_in", False), ("thinning", 1.5), ("thinning", np.float64(2.0)),
     ])
     def test_non_integer_counts_refused_by_name(self, field, value):
-        # they used to be accepted and fail later inside the chain's range()
+        # they used to be accepted and fail later, inside the chain's range()
+        # or numpy's generator, or (seed=True) run as seed 1
         with pytest.raises(ValueError, match=field):
-            SamplerConfig(seed=1, **{field: value})
+            SamplerConfig(**{"seed": 1, field: value})
 
     def test_numpy_integer_counts_accepted(self):
         p = ising_model(triangle(), 0.5, 0.1)
@@ -232,13 +235,15 @@ class TestGibbsPrimal:
             gibbs_primal(p, SamplerConfig(seed=1, samples=10))
 
     def test_signed_model_refused(self):
+        # a primal model refuses a signed table when it is built and cannot
+        # have its tables rebound after, so no signed model reaches the chain
         p = ising_model(triangle(), 0.5)
-        bad = DualNFG(p.graph, p.alphabet, p.edge_tables, p.vertex_tables)
-        bad_tables = p.edge_tables.copy()
-        bad_tables[0, 0] = -1.0
-        bad.edge_tables = bad_tables
-        with pytest.raises(SamplerError, match="nonnegative"):
-            gibbs_primal(bad, SamplerConfig(seed=1, samples=10))
+        tables = p.edge_tables.copy()
+        tables[0, 0] = -1.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            PrimalNFG(p.graph, p.alphabet, tables, p.vertex_tables)
+        with pytest.raises(FrozenInstanceError):
+            p.edge_tables = tables
 
     def test_dual_model_refused(self):
         d = dualize(ising_model(path_graph(3), 0.5, 0.3))
