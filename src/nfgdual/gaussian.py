@@ -248,8 +248,6 @@ def gibbs_gaussian(
     # the Cholesky factor is zero above its diagonal, so its memory can hold (D + L)^-1
     precision, lower_inv = _validate_spd(precision)
     n = precision.shape[0]
-    if cfg.sweep != "systematic":
-        raise ValueError("gaussian chains implement the systematic sweep only")
     _invert_lower(precision, lower_inv)
     rows, cols = np.divmod(np.flatnonzero(precision != 0), n)
     upper = cols > rows

@@ -118,30 +118,17 @@ def build_graph(topology: dict) -> Graph:
         raise SpecError(f"topology {kind!r} is missing field {exc}") from exc
 
 
-def resolve_couplings(spec_value, num_edges: int) -> np.ndarray:
-    """Scalar, per-edge list, or seeded random draw -> per-edge array."""
-    if isinstance(spec_value, dict):
-        rng = np.random.default_rng(spec_value["seed"])
-        if spec_value["random"] == "half_normal":
-            sigma2 = spec_value.get("sigma2", 1.0)
-            return np.abs(rng.normal(0.0, np.sqrt(sigma2), size=num_edges))
-        low, high = spec_value.get("low", 0.05), spec_value.get("high", 1.0)
-        return rng.uniform(low, high, size=num_edges)
-    arr = np.asarray(spec_value, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(num_edges, float(arr))
-    if arr.shape != (num_edges,):
-        raise SpecError(f"expected {num_edges} couplings, got {arr.shape[0]}")
-    return arr
-
-
-def resolve_fields(spec_value, num_vertices: int) -> np.ndarray:
-    arr = np.asarray(spec_value, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(num_vertices, float(arr))
-    if arr.shape != (num_vertices,):
-        raise SpecError(f"expected {num_vertices} fields, got {arr.shape[0]}")
-    return arr
+def resolve_couplings(spec_value, num_edges: int):
+    """A seeded random draw -> per-edge array; a scalar or per-edge list is
+    returned unchanged, for the model builder to broadcast and check."""
+    if not isinstance(spec_value, dict):
+        return spec_value
+    rng = np.random.default_rng(spec_value["seed"])
+    if spec_value["random"] == "half_normal":
+        sigma2 = spec_value.get("sigma2", 1.0)
+        return np.abs(rng.normal(0.0, np.sqrt(sigma2), size=num_edges))
+    low, high = spec_value.get("low", 0.05), spec_value.get("high", 1.0)
+    return rng.uniform(low, high, size=num_edges)
 
 
 def build_model(spec: dict):
@@ -154,7 +141,7 @@ def build_model(spec: dict):
             raise SpecError("gaussian family needs a 'gaussian' {s, sigma} block")
         return GmrfModel(g, spec["gaussian"]["s"], spec["gaussian"]["sigma"])
     couplings = resolve_couplings(spec.get("couplings", 0.0), g.num_edges)
-    fields = resolve_fields(spec.get("fields", 0.0), g.num_vertices)
+    fields = spec.get("fields", 0.0)
     if family == "ising":
         if spec.get("q", 2) != 2:
             raise SpecError("ising is a binary family; use potts or clock for q > 2")

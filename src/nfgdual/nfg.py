@@ -147,6 +147,11 @@ class _BaseNFG:
                 raise ValueError(f"primal {kind} tables must be nonnegative")
             object.__setattr__(self, f"{kind}_tables", tables)
 
+    def __reduce__(self):
+        """Copies and pickles rebuild the model through its constructor, so
+        their tables are read-only and checked like the original's."""
+        return type(self), (self.graph, self.alphabet, self.edge_tables, self.vertex_tables)
+
 
 class PrimalNFG(_BaseNFG):
     """Primal model: pi_p(x) proportional to prod_e psi_e(y_e(x)) * prod_v phi_v(x_v)."""
@@ -266,8 +271,11 @@ def _family_model(g: Graph, q: int, table, couplings, fields) -> PrimalNFG:
     a = Alphabet(q)  # refuses a q that is not an integer before a table is built
     bj = _per_item(couplings, g.num_edges, "edge")
     bh = _per_item(fields, g.num_vertices, "vertex")
-    # reshape gives a graph with no edges its (0, q) edge tables
-    return PrimalNFG(g, a, np.reshape([table(b) for b in bj], (-1, q)), [table(b) for b in bh])
+    # reshape gives a graph with no edges its (0, q) edge tables; an exponential
+    # that overflows is left for the model's finiteness check to refuse
+    with np.errstate(over="ignore"):
+        return PrimalNFG(g, a, np.reshape([table(b) for b in bj], (-1, q)),
+                         [table(b) for b in bh])
 
 
 def ising_model(g: Graph, couplings, fields=0.0) -> PrimalNFG:

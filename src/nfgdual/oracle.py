@@ -33,16 +33,11 @@ class EnumerationBudgetError(RuntimeError):
     """The configuration space exceeds the enumeration budget; refuse, never truncate."""
 
 
-def enumeration_budget(budget: int | None = None) -> int:
-    """Effective state budget: explicit argument, else NFG_DUAL_BUDGET, else 2**26.
+def enumeration_budget() -> int:
+    """Effective state budget: NFG_DUAL_BUDGET, else 2**26.
 
-    A budget argument or an NFG_DUAL_BUDGET that is not an integer of at
-    least 1 raises ValueError.
+    An NFG_DUAL_BUDGET that is not an integer of at least 1 raises ValueError.
     """
-    if budget is not None:
-        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
-            raise ValueError(f"budget={budget!r} is not an integer state count of at least 1")
-        return int(budget)
     env = os.environ.get(BUDGET_ENV_VAR)
     if not env:
         return DEFAULT_BUDGET
@@ -55,8 +50,8 @@ def enumeration_budget(budget: int | None = None) -> int:
     return limit
 
 
-def _check_budget(num_states: int, budget: int | None, what: str) -> None:
-    limit = enumeration_budget(budget)
+def _check_budget(num_states: int, what: str) -> None:
+    limit = enumeration_budget()
     if num_states > limit:
         raise EnumerationBudgetError(
             f"{what} needs {num_states} states, over the budget of {limit}; "
@@ -64,7 +59,7 @@ def _check_budget(num_states: int, budget: int | None, what: str) -> None:
         )
 
 
-def _enumerate(model, budget=None):
+def _enumerate(model):
     """One pass over every configuration of the model's free variables.
 
     Returns (Z, sums), where row i of sums accumulates the weight of each
@@ -81,7 +76,7 @@ def _enumerate(model, budget=None):
     scopes, num_vars, tables = _factor_view(model)
     q = model.alphabet.q
     total = q ** num_vars
-    _check_budget(total, budget, f"{model.domain} enumeration")
+    _check_budget(total, f"{model.domain} enumeration")
     k = min(num_vars, 1)
     while k < num_vars and q ** (k + 1) <= _BLOCK:
         k += 1
@@ -142,8 +137,8 @@ def _enumerate(model, budget=None):
     return z, sums
 
 
-def _marginals(model, budget, norm: float = 1.0) -> Marginals:
-    z, sums = _enumerate(model, budget)
+def _marginals(model, norm: float = 1.0) -> Marginals:
+    z, sums = _enumerate(model)
     e = model.graph.num_edges
     return Marginals(sums[:e] / z, sums[e:] / z, model.domain, partition=z * norm)
 
@@ -159,37 +154,37 @@ def _dual_indicator_norm(g: Graph, a: Alphabet) -> float:
     return float(a.q) ** (1 - g.num_vertices)
 
 
-def partition_primal(p: PrimalNFG, budget: int | None = None) -> complex:
+def partition_primal(p: PrimalNFG) -> complex:
     """Exact primal partition function by enumeration over A^|V|."""
-    return _enumerate(p, budget)[0]
+    return _enumerate(p)[0]
 
 
-def partition_dual(d: DualNFG, budget: int | None = None) -> complex:
+def partition_dual(d: DualNFG) -> complex:
     """Exact dual partition function by enumeration over A^|E|.
 
     Includes the dualized-indicator normalization q**(1-|V|) (see
     _dual_indicator_norm), so partition_dual(dualize(p)) equals
     scale_factor(g, a) * partition_primal(p) for symmetric factor tables.
     """
-    return _enumerate(d, budget)[0] * _dual_indicator_norm(d.graph, d.alphabet)
+    return _enumerate(d)[0] * _dual_indicator_norm(d.graph, d.alphabet)
 
 
-def duality_check(p: PrimalNFG, budget: int | None = None) -> float:
+def duality_check(p: PrimalNFG) -> float:
     """Relative residual |Z_d - alpha * Z_p| / |Z_p| of the duality theorem."""
-    zp = partition_primal(p, budget)
-    zd = partition_dual(dualize(p), budget)
+    zp = partition_primal(p)
+    zd = partition_dual(dualize(p))
     alpha = scale_factor(p.graph, p.alphabet)
     return abs(zd - alpha * zp) / abs(zp)
 
 
-def marginals_primal(p: PrimalNFG, budget: int | None = None) -> Marginals:
+def marginals_primal(p: PrimalNFG) -> Marginals:
     """All primal edge and vertex marginals in a single enumeration pass."""
-    return _marginals(p, budget)
+    return _marginals(p)
 
 
-def marginals_dual(d: DualNFG, budget: int | None = None) -> Marginals:
+def marginals_dual(d: DualNFG) -> Marginals:
     """All dual edge and vertex marginals (marginal functions if d is signed)."""
-    return _marginals(d, budget, _dual_indicator_norm(d.graph, d.alphabet))
+    return _marginals(d, _dual_indicator_norm(d.graph, d.alphabet))
 
 
 def _struck(model, e: int):
@@ -202,16 +197,16 @@ def _struck(model, e: int):
     return replace(model, edge_tables=np.where(struck, 1.0, model.edge_tables))
 
 
-def extrinsic_vector(p: PrimalNFG, e: int, budget: int | None = None) -> np.ndarray:
+def extrinsic_vector(p: PrimalNFG, e: int) -> np.ndarray:
     """S_e(a): enumeration with psi_e struck out, summed over configs with y_e = a.
 
     The sum-product rule Z_p = sum_a S_e(a) psi_e(a) holds at every edge.
     An e outside [0, |E|), or a bool, is refused with a ValueError.
     """
-    return _enumerate(_struck(p, e), budget)[1][e]
+    return _enumerate(_struck(p, e))[1][e]
 
 
-def intermediate_dual_partition(p: PrimalNFG, e: int, budget: int | None = None) -> np.ndarray:
+def intermediate_dual_partition(p: PrimalNFG, e: int) -> np.ndarray:
     """Z_d^I(a): dual partition with psi~_e replaced by the DFT of delta(y - a).
 
     Satisfies Z_d^I(a) = alpha * S_e(a) for every a.  Z_d^I is linear in the
@@ -221,7 +216,7 @@ def intermediate_dual_partition(p: PrimalNFG, e: int, budget: int | None = None)
     """
     a = p.alphabet
     d = dualize(p)
-    row = _enumerate(_struck(d, e), budget)[1][e]
+    row = _enumerate(_struck(d, e))[1][e]
     norm = _dual_indicator_norm(d.graph, a)
     return np.array([norm * (row @ dft_table(delta, a)) for delta in np.eye(a.q)])
 

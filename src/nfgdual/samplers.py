@@ -2,8 +2,8 @@
 subgraphs-world process for binary models whose dual is a positive PMF.
 
 All chains are driven by numpy's PCG64 generator (stable across versions, so
-seeded estimates can serve as golden fixtures) and use a systematic sweep by
-default: sites are updated in ascending index order, one full pass per sweep.
+seeded estimates can serve as golden fixtures) and sweep systematically: sites
+are updated in ascending index order, one full pass per sweep.
 `samples` counts retained sweeps; the default burn-in is ten times the number
 of variables in the sampled domain.  `_run_chain` runs the burn-in, thinning
 and retention of every chain, these and `gaussian.gibbs_gaussian`; a kernel
@@ -12,16 +12,16 @@ snapshot that the chain will not mutate (here `bytes` of the configuration,
 two or more bytes a value when q > 256), so `_run_chain` keeps it uncopied
 and a tally reads a block of them with one `np.frombuffer`.  Both kernels here
 walk a factor view.  The Gibbs samplers run one heat bath on the view of their
-domain, and draw a sweep's uniforms at once, after its site order: one
-`rng.random(n)` gives the same PCG64 stream as n scalar draws.  A site update
-looks its conditional up by the variable's neighbour key (the table offsets of
-its factors, kept up to date as neighbours move; for q = 2, one key bit per
-factor, toggled when a neighbour in that factor flips); each key's conditional
-is computed once, with the float operations of a product loop, and a draw
-bisects its cumulative weights, or for q = 2 makes one comparison.  The
+domain, and draw a sweep's uniforms at once: one `rng.random(n)` gives the
+same PCG64 stream as n scalar draws.  A site update looks its conditional up
+by the variable's neighbour key (the table offsets of its factors, kept up to
+date as neighbours move; for q = 2, one key bit per factor, toggled when a
+neighbour in that factor flips); each key's conditional is computed once,
+with the float operations of a product loop, and a draw bisects its
+cumulative weights, or for q = 2 makes one comparison.  The
 subgraphs-world process is a Metropolis kernel on the dual's view: its state
 lists every dual factor's argument, a toggle's ratio is read from a per-edge
-table of eight entries, and a systematic sweep draws uniforms in blocks.
+table of eight entries, and uniforms are drawn in blocks.
 These change no seeded output: every chain returns the same frequencies, bit
 for bit, as a loop that recomputes each conditional and ratio and draws one
 uniform at a time.
@@ -64,7 +64,6 @@ class SamplerConfig:
     samples: int = 10_000
     burn_in: int | None = None
     thinning: int = 1
-    sweep: str = "systematic"  # or "random"
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("samples", 1), ("thinning", 1), ("burn_in", 0)):
@@ -73,17 +72,9 @@ class SamplerConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-        if self.sweep not in ("systematic", "random"):
-            raise ValueError(f"unknown sweep strategy {self.sweep!r}")
 
     def resolved_burn_in(self, num_variables: int) -> int:
         return 10 * num_variables if self.burn_in is None else self.burn_in
-
-
-def _site_order(n: int, sweep: str, rng) -> list:
-    if sweep == "systematic":
-        return list(range(n))
-    return rng.integers(0, n, size=n).tolist()
 
 
 def _run_chain(cfg: SamplerConfig, num_vars: int, sweep, tally) -> np.ndarray:
@@ -220,7 +211,7 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
         flips = [[(other, bit) for bit, other, _ in m] for m in moves]
 
         def sweep(_) -> bytes:
-            for i, u in zip(_site_order(num_vars, cfg.sweep, rng), rng.random(num_vars).tolist()):
+            for i, u in enumerate(rng.random(num_vars).tolist()):
                 total, threshold = memo[i].get(key[i]) or conditional(i)
                 if (u * total >= threshold) != z[i]:
                     z[i] ^= 1
@@ -229,7 +220,7 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
             return bytes(z)
     else:
         def sweep(_) -> bytes:
-            for i, u in zip(_site_order(num_vars, cfg.sweep, rng), rng.random(num_vars).tolist()):
+            for i, u in enumerate(rng.random(num_vars).tolist()):
                 total, cumulative = memo[i].get(key[i]) or conditional(i)
                 new = bisect_right(cumulative, u * total)
                 d = new - z[i]
@@ -351,8 +342,8 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
     are dual marginals: pi~_d,e(1) is the frequency of e in U and pi~_d,v(1)
     that of v having odd degree.  Every dual entry must be positive (Ising:
     couplings and fields > 0), so every state has positive weight and single
-    toggles are irreducible.  Only a ratio < 1 draws a uniform; a systematic
-    sweep draws them in blocks.  audit_every (None or a positive integer)
+    toggles are irreducible.  Only a ratio < 1 draws a uniform, and the
+    uniforms are drawn in blocks.  audit_every (None or a positive integer)
     cross-checks the state's x~ against M^T y~ every so many proposals.
     """
     if audit_every is not None and (isinstance(audit_every, bool)
@@ -362,23 +353,23 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
     ratios, sites = _toggle_ratios(p)
     g = p.graph
     num_edges = g.num_edges
-    rng = np.random.default_rng(cfg.seed)
-    uniform = rng.random if cfg.sweep == "random" else _block_uniforms(rng)
+    uniform = _block_uniforms(np.random.default_rng(cfg.seed))
     arg = [0] * (num_edges + g.num_vertices)
     incidence = build_incidence(g) if audit_every else None
 
     def sweep(s: int) -> bytes:
-        order = [sites[e] for e in _site_order(num_edges, cfg.sweep, rng)]
-        done = 0
+        rest = sites
         if audit_every:  # after every proposal whose running count divides by audit_every
+            done = 0
             for stop in range(audit_every - s * num_edges % audit_every,
                               num_edges + 1, audit_every):
-                _propose(order[done:stop], ratios, arg, uniform)
+                _propose(sites[done:stop], ratios, arg, uniform)
                 done = stop
                 if arg[num_edges:] != dual_vertex_config(incidence, arg[:num_edges],
                                                          p.alphabet).tolist():
                     raise AssertionError("parity bookkeeping diverged from recomputation")
-        _propose(order[done:], ratios, arg, uniform)
+            rest = sites[done:]
+        _propose(rest, ratios, arg, uniform)
         return bytes(arg)
 
     def tally(states: list) -> np.ndarray:
@@ -406,13 +397,10 @@ def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
         _propose(sites, ratios, arg, uniform)
     counts = [0] * 2 ** g.num_edges
     mask = sum(1 << e for e in range(g.num_edges) if arg[e])
-    for e, t, h, row in islice(cycle(sites), steps):
-        ratio = ratios[row + 4 * arg[e] + 2 * arg[t] + arg[h]]
-        if ratio >= 1.0 or uniform() < ratio:
-            arg[e] ^= 1
-            arg[t] ^= 1
-            arg[h] ^= 1
-            mask ^= 1 << e
+    for site in islice(cycle(sites), steps):
+        e, before = site[0], arg[site[0]]
+        _propose((site,), ratios, arg, uniform)
+        mask ^= (arg[e] ^ before) << e
         counts[mask] += 1
     return np.array(counts, dtype=np.int64)
 

@@ -358,11 +358,6 @@ class TestGibbs:
         assert res.trajectory.shape == (cfg.samples,)
         assert peak < 1_500_000
 
-    def test_random_scan_not_supported(self):
-        m = GmrfModel(path_graph(2), 1.0, 1.0)
-        with pytest.raises(ValueError, match="systematic"):
-            gibbs_gaussian(primal_precision(m), SamplerConfig(seed=1, sweep="random"))
-
 
 class TestAgainstReference:
     """The triangular sweep is the site-by-site chain, up to roundoff."""

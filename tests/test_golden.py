@@ -30,7 +30,6 @@ SWP_MODELS = {
 }
 CONFIGS = {
     "systematic": SamplerConfig(seed=2024, samples=400),
-    "random_thin2": SamplerConfig(seed=2025, samples=400, sweep="random", thinning=2),
 }
 
 

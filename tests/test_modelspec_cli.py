@@ -20,7 +20,7 @@ from nfgdual.modelspec import (
     validate_spec,
 )
 from nfgdual.graphs import ring_graph
-from nfgdual.nfg import PrimalNFG, clock_model
+from nfgdual.nfg import PrimalNFG, clock_model, ising_model
 
 
 def write_spec(tmp_path, name, spec):
@@ -125,11 +125,22 @@ class TestTopologies:
 
 class TestCouplings:
     def test_scalar_broadcast(self):
-        assert np.allclose(resolve_couplings(0.3, 4), 0.3)
+        spec = {"family": "ising", "topology": {"type": "ring", "n": 4}, "couplings": 0.3}
+        want = ising_model(ring_graph(4), 0.3)
+        assert np.array_equal(build_model(spec).edge_tables, want.edge_tables)
 
     def test_per_edge_length_checked(self):
-        with pytest.raises(SpecError, match="expected 4"):
-            resolve_couplings([0.1, 0.2], 4)
+        # the model builder's check is the only one, for couplings and fields alike
+        spec = {"family": "ising", "topology": {"type": "ring", "n": 4}, "couplings": [0.1, 0.2]}
+        message = "expected 4 per-edge values, got shape (2,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_model(spec)
+
+    def test_per_vertex_fields_length_checked(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "m.json", {**TRIANGLE_SPEC, "fields": [0.1, 0.2]})
+        assert main(["model", "--spec", spec]) == 4
+        assert ("bad input: expected 3 per-vertex values, got shape (2,)"
+                in capsys.readouterr().err)
 
     def test_half_normal_draw_is_seeded(self):
         spec = {"random": "half_normal", "sigma2": 0.9, "seed": 5}
@@ -297,8 +308,7 @@ class TestCli:
             "couplings": [800, 0.3, 0.2, 0.1],
             "fields": 0.1,
         })
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["exact", "--spec", spec]) == 4
+        assert main(["exact", "--spec", spec]) == 4
         assert "edge 0 table is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
@@ -314,8 +324,7 @@ class TestCli:
             "couplings": [800, 0.3, 0.2, 0.1],
             "fields": 0.1,
         })
-        with np.errstate(over="ignore"):
-            assert main([command[0], "--spec", spec, *command[1:]]) == 4
+        assert main([command[0], "--spec", spec, *command[1:]]) == 4
         assert "bad input: edge 0 table is not finite" in capsys.readouterr().err
 
     def test_budget_exit_code(self, tmp_path):

@@ -1,5 +1,7 @@
 """Factor tables, DFT/IDFT, model builders, dualization, and dual-sign gating."""
 
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -66,6 +68,16 @@ class TestFrozenModels:
             with pytest.raises(ValueError, match=f"^{site} table is not finite$"):
                 build()
 
+    @pytest.mark.parametrize("name", [name for name in _NON_FINITE
+                                      if name.split("-")[0].endswith("_model")
+                                      and name.endswith("-overflow")])
+    def test_builder_overflow_refused_without_a_warning(self, name):
+        # the suite turns a RuntimeWarning into an error, so numpy's overflow
+        # warning from the table builder would fail this before the refusal
+        site, build = _NON_FINITE[name]
+        with pytest.raises(ValueError, match=f"^{site} table is not finite$"):
+            build()
+
     @pytest.mark.parametrize("domain", ["primal", "dual"])
     def test_tables_cannot_be_rebound_or_written(self, domain):
         p = ising_model(triangle(), 0.5, 0.1)
@@ -75,6 +87,21 @@ class TestFrozenModels:
                 setattr(model, name, getattr(model, name))
         with pytest.raises(ValueError, match="read-only"):
             model.vertex_tables[0, 0] = 2.0
+
+    @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("domain", ["primal", "dual"])
+    def test_copies_stay_read_only(self, copy_of, domain):
+        p = ising_model(ring_graph(4), 0.5, 0.1)
+        model = p if domain == "primal" else dualize(p)
+        twin = copy_of(model)
+        assert type(twin) is type(model)
+        for kind in ("edge_tables", "vertex_tables"):
+            tables = getattr(twin, kind)
+            assert np.array_equal(tables, getattr(model, kind))
+            assert not tables.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                tables[0, 0] = np.nan
 
     def test_tables_are_private_copies(self):
         edge, vertex = _tables_with("edge", [2.0, 1.0])

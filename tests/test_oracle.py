@@ -1,7 +1,5 @@
 """Enumeration oracles: partition functions, duality, marginals, closed forms."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -122,25 +120,17 @@ class TestPartitionPrimal:
         assert partition_primal(potts_model(triangle(), 3, 0.0)).real == pytest.approx(27)
         assert partition_primal(ising_model(grid_graph(2, 3), 0.0)).real == pytest.approx(64)
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv("NFG_DUAL_BUDGET", "100")
         p = ising_model(grid_graph(3, 3), 0.3)
         with pytest.raises(EnumerationBudgetError, match="budget"):
-            partition_primal(p, budget=100)
+            partition_primal(p)
 
     @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
     def test_env_var_budget_must_be_a_positive_integer(self, monkeypatch, value):
         monkeypatch.setenv("NFG_DUAL_BUDGET", value)
         with pytest.raises(ValueError, match=f"NFG_DUAL_BUDGET='{value}'"):
             enumeration_budget()
-
-    @pytest.mark.parametrize("value", [2.7, 2.0, True, "100", 0, -3])
-    def test_budget_argument_must_be_a_positive_integer(self, value):
-        with pytest.raises(ValueError, match=re.escape(f"budget={value!r}")):
-            enumeration_budget(value)
-
-    def test_budget_argument_takes_any_integer_type(self):
-        assert enumeration_budget(1) == 1
-        assert enumeration_budget(np.int64(7)) == 7
 
     def test_env_var_budget(self, monkeypatch):
         monkeypatch.setenv("NFG_DUAL_BUDGET", "100")
