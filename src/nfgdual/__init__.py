@@ -54,7 +54,7 @@ from .mapping import (
     potts_critical,
     potts_lower_bounds,
 )
-from .bp import BpConfig, DegenerateMessageError, relative_error, run_bp
+from .bp import BpConfig, DegenerateMessageError, run_bp
 from .samplers import (
     SamplerConfig,
     SamplerError,

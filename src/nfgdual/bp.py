@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nfg import MarginalVector, Marginals, _factor_view
+from .nfg import Marginals, _factor_view
 
 
 class DegenerateMessageError(RuntimeError):
@@ -262,16 +262,3 @@ def run_bp(nfg, cfg: BpConfig | None = None) -> Marginals:
     return Marginals(beliefs[:edges], beliefs[edges:], nfg.domain, converged=converged,
                      iterations=iterations, residual=residual)
 
-
-def relative_error(estimate, exact, mode: str = "first") -> float:
-    """|est(0) - exact(0)| / |exact(0)|, or the L1 variant; a zero reference is refused."""
-    est = estimate.values if isinstance(estimate, MarginalVector) else np.asarray(estimate)
-    ref = exact.values if isinstance(exact, MarginalVector) else np.asarray(exact)
-    if mode == "first":
-        est, ref = est[:1], ref[:1]
-    elif mode != "l1":
-        raise ValueError(f"unknown mode {mode!r}")
-    scale = np.abs(ref).sum()
-    if scale == 0:
-        raise ValueError(f"relative error ({mode!r}) of a zero reference is undefined")
-    return float(np.abs(est - ref).sum() / scale)

@@ -4,8 +4,9 @@ Subcommands: model | exact | bp | gibbs | swp | map | gaussian | experiment |
 validate.  Exit codes: 0 success, 2 validation failure, 3 enumeration-budget
 refusal, 4 bad input (a spec that cannot be read or is invalid, an unknown
 or malformed argument, an --out path that cannot be written, NFG_DUAL_BUDGET,
-or model parameters or tables that are not finite), 5 BP failure (a
-sum-product message cancelled to zero or overflowed).  The environment
+model parameters or tables that are not finite, or weights that overflow in
+an enumeration or a heat-bath conditional), 5 BP failure (a sum-product
+message cancelled to zero or overflowed).  The environment
 variable NFG_DUAL_BUDGET overrides the enumeration budget.
 """
 

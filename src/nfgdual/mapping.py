@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Alphabet
 from .nfg import (DUAL, PRIMAL, Marginals, MarginalVector, PrimalNFG, SingularMapError,
-                  _SINGULAR_CAUSE, _truncate_imag, dualize)
+                  _SINGULAR_CAUSE, _truncate_imag, clock_edge_table, dft_table, dualize,
+                  ising_dual_edge_table, ising_edge_table, potts_dual_edge_table,
+                  potts_edge_table)
 
 _ZERO_REL_FLOOR = 1e-12
 
@@ -120,31 +121,24 @@ def map_marginals(record: Marginals, p: PrimalNFG) -> Marginals:
                      dual_estimates=None if inverse else record)
 
 
-def fixed_point(primal_table, dual_table) -> MarginalVector:
+def fixed_point(primal_table, dual_table) -> np.ndarray:
     """The marginal vector invariant under the map: pi*(a) = psi(a) psi~(a) / S."""
-    psi, psit = _table(primal_table), _table(dual_table)
-    prod = psi * psit
-    return MarginalVector(_truncate_imag(prod / prod.sum()), ("edge", -1), PRIMAL)
+    prod = _table(primal_table) * _table(dual_table)
+    return _truncate_imag(prod / prod.sum())
 
 
 def ising_fixed_point(beta_j: float) -> np.ndarray:
     """Homogeneous binary fixed point [e^bJ cosh bJ, e^-bJ sinh bJ] / (1 + sinh 2bJ)."""
-    from .nfg import ising_dual_edge_table, ising_edge_table
-
-    return fixed_point(ising_edge_table(beta_j), ising_dual_edge_table(beta_j)).values.real
+    return fixed_point(ising_edge_table(beta_j), ising_dual_edge_table(beta_j)).real
 
 
 def potts_fixed_point(q: int, beta_j: float) -> np.ndarray:
-    from .nfg import potts_dual_edge_table, potts_edge_table
-
-    return fixed_point(potts_edge_table(q, beta_j), potts_dual_edge_table(q, beta_j)).values.real
+    return fixed_point(potts_edge_table(q, beta_j), potts_dual_edge_table(q, beta_j)).real
 
 
 def clock_fixed_point(q: int, beta_j: float) -> np.ndarray:
-    from .nfg import clock_edge_table, dft_table
-
     t = clock_edge_table(q, beta_j)
-    return fixed_point(t, dft_table(t, Alphabet(q))).values.real
+    return fixed_point(t, dft_table(t, Alphabet(q))).real
 
 
 def ising_lower_bounds(beta_j: float) -> tuple:
@@ -168,25 +162,9 @@ def potts_lower_bounds(q: int, beta_j: float) -> tuple:
     return ebj / (ebj - 1.0 + q), (ebj - 1.0 + q) / (q * ebj)
 
 
-@dataclass(frozen=True)
-class MagnetizationPair:
-    """Binary local magnetizations Delta = pi(0) - pi(1) in both domains."""
-
-    beta_j: float
-    delta_p: float
-    delta_d: float
-
-    @property
-    def primal(self) -> np.ndarray:
-        return np.array([(1 + self.delta_p) / 2, (1 - self.delta_p) / 2])
-
-    @property
-    def dual(self) -> np.ndarray:
-        return np.array([(1 + self.delta_d) / 2, (1 - self.delta_d) / 2])
-
-
-def magnetization_roundtrip(beta_j: float, delta_p=None, delta_d=None) -> MagnetizationPair:
-    """Complete the magnetization pair from either side.
+def magnetization_roundtrip(beta_j: float, delta_p=None, delta_d=None) -> tuple:
+    """(Delta_p, Delta_d), the binary local magnetizations Delta = pi(0) - pi(1)
+    in both domains, completed from either one.
 
     Delta_p = (cosh 2bJ - Delta_d) / sinh 2bJ, equivalently
     pi_p,e(0) = (e^{2bJ} - Delta_d) / (2 sinh 2bJ); consistent with mapping
@@ -202,4 +180,4 @@ def magnetization_roundtrip(beta_j: float, delta_p=None, delta_d=None) -> Magnet
         delta_d = ch - float(delta_p) * sh
     else:
         delta_p = (ch - float(delta_d)) / sh
-    return MagnetizationPair(beta_j, float(delta_p), float(delta_d))
+    return float(delta_p), float(delta_d)

@@ -9,12 +9,14 @@ unnormalized forward DFT and flips the role of vertex and edge configurations:
 in the dual domain the free variables are the edge values y~ and the vertex
 values are derived as x~ = M^T y~.  `_factor_view` states both domains in the
 one shape that BP, the enumeration oracle and the Gibbs samplers read; a model
-is frozen and checks its tables once, when it is built.
+is frozen and checks its tables once, when it is built, and a primal model
+computes its dual once, when it is first asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +160,16 @@ class PrimalNFG(_BaseNFG):
 
     domain = PRIMAL
 
+    @cached_property
+    def dual(self) -> DualNFG:
+        """Every table replaced by its forward DFT, computed once: the model is frozen,
+        and copies, pickles and dataclasses.replace rebuild it.  A DFT that overflows
+        is refused by the dual model's check, without a warning, on every call."""
+        w = self.alphabet.dft_matrix()
+        with np.errstate(over="ignore", invalid="ignore"):
+            edge, vertex = self.edge_tables @ w.T, self.vertex_tables @ w.T
+        return DualNFG(self.graph, self.alphabet, _truncate_imag(edge), _truncate_imag(vertex))
+
 
 class DualNFG(_BaseNFG):
     """Dual model over edge configurations y~; vertex values derive as x~ = M^T y~.
@@ -198,16 +210,10 @@ def _factor_view(model) -> tuple:
 
 
 def dualize(p: PrimalNFG) -> DualNFG:
-    """Replace every factor table by its forward DFT; the graph is unchanged."""
+    """p.dual: every factor table replaced by its forward DFT, computed once per model."""
     if not isinstance(p, PrimalNFG):
         raise TypeError(f"dualize takes a PrimalNFG, got {type(p).__name__}")
-    w = p.alphabet.dft_matrix()
-    return DualNFG(
-        p.graph,
-        p.alphabet,
-        _truncate_imag(p.edge_tables @ w.T),
-        _truncate_imag(p.vertex_tables @ w.T),
-    )
+    return p.dual
 
 
 def is_nonnegative(d: DualNFG) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphs import Alphabet, Graph, scale_factor
 from .nfg import (
-    DUAL, PRIMAL, DualNFG, MarginalVector, Marginals, PrimalNFG, _factor_view, dft_table, dualize,
+    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _factor_view, dft_table, dualize,
 )
 
 DEFAULT_BUDGET = 2 ** 26
@@ -59,12 +59,14 @@ def _check_budget(num_states: int, what: str) -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _enumerate(model):
     """One pass over every configuration of the model's free variables.
 
     Returns (Z, sums), where row i of sums accumulates the weight of each
     configuration at factor i's argument (factor numbering of _factor_view:
-    edge rows first, then vertex rows).
+    edge rows first, then vertex rows).  Weights whose sums overflow raise
+    ValueError naming the domain, without a numpy warning.
 
     The first k variables form a low block of q**k <= _BLOCK states, walked
     once per assignment of the others.  Each factor's argument is its low
@@ -134,6 +136,9 @@ def _enumerate(model):
                 sums[i][rotation] = row
     if fill:
         z += buf[:fill].sum()
+    if not (np.isfinite(z) and np.isfinite(sums).all()):
+        raise ValueError(f"{model.domain} enumeration overflows: a sum of "
+                         "configuration weights is not finite")
     return z, sums
 
 
@@ -234,14 +239,27 @@ def _tanh_product(values: np.ndarray) -> float:
     return float(np.prod(t))
 
 
+def _closed_form_records(edge_primal, edge_dual, num_vertices: int, q: int) -> tuple:
+    """(primal, dual) records of a zero-field closed form with the given edge rows.
+
+    Vertex rows are uniform 1/q in the primal by symmetry and a delta at 0 in
+    the dual, where the vertex statistic vanishes.
+    """
+    def record(edges, vertex, domain):
+        return Marginals(np.array(edges, dtype=np.complex128).reshape(-1, q),
+                         np.tile(np.array(vertex, dtype=np.complex128), (num_vertices, 1)),
+                         domain)
+
+    return (record(edge_primal, np.full(q, 1.0 / q), PRIMAL),
+            record(edge_dual, np.eye(1, q)[0], DUAL))
+
+
 def chain_ising_marginals(couplings, boundary: str = "free") -> tuple:
     """Exact zero-field 1D Ising marginals, free or periodic: (primal, dual) pair.
 
     Free boundary: the dual has a single valid configuration, so
     pi_d,e = [1, 0] and pi_p,e(0) = e^bJ / (2 cosh bJ).  Periodic boundary
     keeps two valid dual configurations, weighted by the tanh product.
-    Vertex marginals are uniform [1/2, 1/2] in the primal by symmetry and
-    a delta at 0 in the dual, where the vertex statistic vanishes.
     """
     bj = np.asarray(couplings, dtype=np.float64)
     n = len(bj)
@@ -266,32 +284,23 @@ def chain_ising_marginals(couplings, boundary: str = "free") -> tuple:
             p1 = np.exp(-b) / (2 * np.cosh(b)) * (1 - rest) / (1 + full)
             edge_primal.append([p0, p1])
         num_vertices = n
-
-    def record(edges, vertex, domain):
-        return Marginals(np.array(edges, dtype=np.complex128).reshape(n, 2),
-                         np.tile(np.array(vertex, dtype=np.complex128), (num_vertices, 1)),
-                         domain)
-
-    return record(edge_primal, [0.5, 0.5], PRIMAL), record(edge_dual, [1.0, 0.0], DUAL)
+    return _closed_form_records(edge_primal, edge_dual, num_vertices, 2)
 
 
-def ring_potts_marginals(q: int, beta_j: float, num_edges: int):
+def ring_potts_marginals(q: int, beta_j: float, num_edges: int) -> tuple:
     """Closed-form homogeneous q-state ring marginals: (primal, dual) pair.
 
     In the dual there are exactly q valid configurations; the all-zeros one
     contributes (e^bJ + q - 1)^n and each of the remaining q-1 contributes
-    (e^bJ - 1)^n.
+    (e^bJ - 1)^n.  Every edge has the same row.
     """
     if num_edges < 3:
         raise ValueError("a simple ring needs at least 3 edges")
     n = num_edges
     a, b = np.exp(beta_j) + q - 1.0, np.exp(beta_j) - 1.0
     zd = a ** n + (q - 1) * b ** n
-    dual = np.full(q, b ** n / zd, dtype=np.complex128)
+    dual = np.full(q, b ** n / zd)
     dual[0] = a ** n / zd
-    primal = np.full(q, (a ** (n - 1) - b ** (n - 1)) / zd, dtype=np.complex128)
+    primal = np.full(q, (a ** (n - 1) - b ** (n - 1)) / zd)
     primal[0] = np.exp(beta_j) * (a ** (n - 1) + (q - 1) * b ** (n - 1)) / zd
-    return (
-        MarginalVector(primal, ("edge", 0), "primal"),
-        MarginalVector(dual, ("edge", 0), "dual"),
-    )
+    return _closed_form_records([primal] * n, [dual] * n, n, q)

@@ -131,6 +131,9 @@ def _conditional(tables, digits, q: int, kind: str, site: int) -> tuple:
             w *= t2[b + a]
         weights.append(w)
     total = sum(weights)
+    if not math.isfinite(total):
+        raise SamplerError(f"the conditional of {kind} {site} overflows given its neighbors: "
+                           "its weights have no finite sum")
     if total <= 0.0:
         raise SamplerError(
             f"every state of {kind} {site} has zero weight given its neighbors "

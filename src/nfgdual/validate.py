@@ -226,17 +226,14 @@ def check_closed_forms(seed):
         bjs = rng.uniform(0.1, 2.0, n_edges)
         for boundary, g in (("free", path_graph(n_edges + 1)), ("periodic", ring_graph(n_edges))):
             p = ising_model(g, bjs)
-            closed_p, closed_d = chain_ising_marginals(bjs, boundary)
-            om = marginals_primal(p)
-            dm = marginals_dual(dualize(p))
-            for e in range(n_edges):
-                worst = max(worst, float(np.abs(closed_p.edge(e).values - om.edge_values[e]).max()))
-                worst = max(worst, float(np.abs(closed_d.edge(e).values - dm.edge_values[e]).max()))
+            for closed, exact in zip(chain_ising_marginals(bjs, boundary),
+                                     (marginals_primal(p), marginals_dual(dualize(p)))):
+                worst = max(worst, float(np.abs(closed.edge_values - exact.edge_values).max()))
     for q, n, bj in ((3, 4, 0.7), (5, 5, 1.2)):
-        primal, dual = ring_potts_marginals(q, bj, n)
         p = potts_model(ring_graph(n), q, bj)
-        worst = max(worst, float(np.abs(primal.values - marginals_primal(p).edge_values[0]).max()))
-        worst = max(worst, float(np.abs(dual.values - marginals_dual(dualize(p)).edge_values[0]).max()))
+        for closed, exact in zip(ring_potts_marginals(q, bj, n),
+                                 (marginals_primal(p), marginals_dual(dualize(p)))):
+            worst = max(worst, float(np.abs(closed.edge_values[0] - exact.edge_values[0]).max()))
     return worst < 1e-12, f"max closed-form error {worst:.2e}"
 
 

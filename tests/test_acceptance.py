@@ -199,6 +199,13 @@ def test_criterion_4_bounds_and_uncertainty():
           f"{checked_edges} edges of 200 random ferromagnetic models, zero violations")
 
 
+def _record_gap(closed, p) -> float:
+    """Largest gap between a (primal, dual) closed-form pair and enumeration of p."""
+    exact = (marginals_primal(p), marginals_dual(dualize(p)))
+    return max(float(np.abs(getattr(c, kind) - getattr(x, kind)).max())
+               for c, x in zip(closed, exact) for kind in ("edge_values", "vertex_values"))
+
+
 def test_criterion_5_closed_forms():
     grid = np.round(np.arange(0.1, 2.0001, 0.1), 10)
     worst = 0.0
@@ -207,27 +214,18 @@ def test_criterion_5_closed_forms():
             bjs = np.full(n_edges, bj)
             closed_p, closed_d = chain_ising_marginals(bjs, "free")
             p = ising_model(path_graph(n_edges + 1), bjs)
-            om, dm = marginals_primal(p), marginals_dual(dualize(p))
-            for e in range(n_edges):
-                worst = max(worst, float(np.abs(closed_p.edge(e).values - om.edge_values[e]).max()))
-                worst = max(worst, float(np.abs(closed_d.edge(e).values - dm.edge_values[e]).max()))
+            worst = max(worst, _record_gap((closed_p, closed_d), p))
             # the free chain attains the ferromagnetic lower bound exactly
             bound_p, _ = ising_lower_bounds(bj)
-            assert abs(closed_p.edge(0).values[0].real - bound_p) < 1e-15
+            assert abs(closed_p.edge_values[0, 0].real - bound_p) < 1e-15
             if n_edges >= 3:
-                ring_p, ring_d = chain_ising_marginals(bjs, "periodic")
                 rp = ising_model(ring_graph(n_edges), bjs)
-                rom, rdm = marginals_primal(rp), marginals_dual(dualize(rp))
-                for e in range(n_edges):
-                    worst = max(worst, float(np.abs(ring_p.edge(e).values - rom.edge_values[e]).max()))
-                    worst = max(worst, float(np.abs(ring_d.edge(e).values - rdm.edge_values[e]).max()))
+                worst = max(worst, _record_gap(chain_ising_marginals(bjs, "periodic"), rp))
     for q in (3, 4, 5):
         for n_edges in range(3, 9):
             for bj in grid[::2]:
-                primal, dual = ring_potts_marginals(q, bj, n_edges)
                 p = potts_model(ring_graph(n_edges), q, bj)
-                worst = max(worst, float(np.abs(primal.values - marginals_primal(p).edge_values[0]).max()))
-                worst = max(worst, float(np.abs(dual.values - marginals_dual(dualize(p)).edge_values[0]).max()))
+                worst = max(worst, _record_gap(ring_potts_marginals(q, bj, n_edges), p))
     assert worst < 1e-12
     print(f"\nPASS criterion-5: chain/ring closed forms equal enumeration "
           f"(max error {worst:.2e}); free chain attains the lower bound exactly")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nfgdual.bp import BpConfig, DegenerateMessageError, relative_error, run_bp
+from nfgdual.bp import BpConfig, DegenerateMessageError, run_bp
 from nfgdual.graphs import Alphabet, Graph, grid_graph, path_graph, ring_graph
 from nfgdual.mapping import map_dual_to_primal, map_primal_to_dual
 from nfgdual.nfg import (
@@ -230,7 +230,8 @@ class TestLoopyBehavior:
         oracle = marginals_primal(p)
         res = run_bp(p)
         assert res.converged
-        assert relative_error(res.edge(0), oracle.edge(0)) < 0.05
+        err = abs(res.edge_values[0, 0] - oracle.edge_values[0, 0]) / abs(oracle.edge_values[0, 0])
+        assert err < 0.05
 
     def test_nonconvergence_is_returned_not_raised(self):
         p = ising_model(grid_graph(3, 3, periodic=True), -2.0, 0.05)
@@ -321,26 +322,11 @@ class TestSignedDual:
 
 
 class TestRelativeError:
-    def test_identical_vectors(self):
-        assert relative_error(np.array([0.6, 0.4]), np.array([0.6, 0.4])) == 0.0
-
-    def test_first_entry_convention(self):
-        assert relative_error(np.array([0.9, 0.1]), np.array([1.0, 0.0])) == pytest.approx(0.1)
-
-    def test_l1_variant(self):
-        got = relative_error(np.array([0.9, 0.1]), np.array([1.0, 0.0]), mode="l1")
-        assert got == pytest.approx(0.2)
-
-    @pytest.mark.parametrize("mode,exact", [("first", [0.0, 1.0]), ("l1", [0.0, 0.0])])
-    def test_zero_reference_refused(self, mode, exact):
-        with pytest.raises(ValueError, match="zero reference"):
-            relative_error(np.array([0.5, 0.5]), np.array(exact), mode=mode)
-
     def test_oracle_vs_bp_small_torus(self):
         p = ising_model(grid_graph(2, 2, periodic=True), 0.4, 0.1)
         oracle = marginals_primal(p)
         res = run_bp(p)
-        err = relative_error(res.edge(0), oracle.edge(0))
+        err = abs(res.edge_values[0, 0] - oracle.edge_values[0, 0]) / abs(oracle.edge_values[0, 0])
         assert 0 <= err < 0.05
 
 

@@ -9,7 +9,6 @@ from nfgdual.graphs import Alphabet, Graph, grid_graph, path_graph, ring_graph
 from nfgdual.mapping import (
     CLOCK4_CRITICAL,
     ISING_CRITICAL,
-    MagnetizationPair,
     SingularMapError,
     clock_fixed_point,
     fixed_point,
@@ -223,8 +222,9 @@ class TestFixedPoints:
         psi = ising_edge_table(0.6)
         psit = dft_table(psi, Alphabet(2))
         star = fixed_point(psi, psit)
+        assert isinstance(star, np.ndarray) and star.dtype == np.complex128
         mapped = map_dual_to_primal(star, psi, psit)
-        assert np.abs(mapped.values - star.values).max() < 1e-14
+        assert np.abs(mapped.values - star).max() < 1e-14
 
     def test_homogeneous_ising_closed_form(self):
         bj = 0.37
@@ -340,37 +340,33 @@ class TestPottsSymmetry:
 
 class TestMagnetization:
     def test_critical_fixed_point(self):
-        pair = magnetization_roundtrip(ISING_CRITICAL, delta_d=np.sqrt(2) / 2)
-        assert pair.delta_p == pytest.approx(np.sqrt(2) / 2, abs=1e-14)
+        delta_p, _ = magnetization_roundtrip(ISING_CRITICAL, delta_d=np.sqrt(2) / 2)
+        assert delta_p == pytest.approx(np.sqrt(2) / 2, abs=1e-14)
 
     def test_free_chain_limit(self):
         bj = 0.9
-        pair = magnetization_roundtrip(bj, delta_d=1.0)
-        assert pair.primal[0] == pytest.approx(np.exp(bj) / (2 * np.cosh(bj)), rel=1e-13)
+        delta_p, _ = magnetization_roundtrip(bj, delta_d=1.0)
+        assert (1 + delta_p) / 2 == pytest.approx(np.exp(bj) / (2 * np.cosh(bj)), rel=1e-13)
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             delta_d, bj = rng.uniform(0, 1), 0.7
-            pair = magnetization_roundtrip(bj, delta_d=delta_d)
-            back = magnetization_roundtrip(bj, delta_p=pair.delta_p)
-            assert back.delta_d == pytest.approx(delta_d, abs=1e-12)
+            delta_p, same = magnetization_roundtrip(bj, delta_d=delta_d)
+            assert same == delta_d
+            _, back = magnetization_roundtrip(bj, delta_p=delta_p)
+            assert back == pytest.approx(delta_d, abs=1e-12)
 
     def test_consistent_with_local_map(self):
         bj, delta_d = 0.6, 0.55
-        pair = magnetization_roundtrip(bj, delta_d=delta_d)
+        delta_p, _ = magnetization_roundtrip(bj, delta_d=delta_d)
         psi = ising_edge_table(bj)
         psit = dft_table(psi, Alphabet(2))
-        mapped = map_dual_to_primal(pair.dual.astype(complex), psi, psit)
-        assert np.abs(mapped.values.real - pair.primal).max() < 1e-12
+        mapped = map_dual_to_primal(np.array([1 + delta_d, 1 - delta_d]) / 2, psi, psit)
+        assert np.abs(mapped.values.real - [(1 + delta_p) / 2, (1 - delta_p) / 2]).max() < 1e-12
 
     def test_requires_exactly_one_delta(self):
         with pytest.raises(ValueError):
             magnetization_roundtrip(0.5)
         with pytest.raises(ValueError):
             magnetization_roundtrip(0.5, delta_p=0.1, delta_d=0.2)
-
-    def test_result_type(self):
-        pair = magnetization_roundtrip(0.5, delta_d=0.3)
-        assert isinstance(pair, MagnetizationPair)
-        assert pair.dual.sum() == pytest.approx(1.0)

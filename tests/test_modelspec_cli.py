@@ -311,6 +311,24 @@ class TestCli:
         assert main(["exact", "--spec", spec]) == 4
         assert "edge 0 table is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,cause", [
+        (["exact"], "primal enumeration overflows"),
+        (["gibbs", "--samples", "2000"], "the conditional of vertex 1 overflows"),
+    ], ids=["exact", "gibbs"])
+    def test_overflowing_weights_exit_code(self, tmp_path, capsys, command, cause):
+        # finite tables whose products overflow: exact printed Z_p = nan+nanj
+        # and gibbs reported vertices 0 and 1 as [0, 1], both exiting 0
+        spec = write_spec(tmp_path, "m.json", {
+            "family": "ising",
+            "topology": {"type": "ring", "n": 4},
+            "couplings": [709.5, 0.3, 0.2, 0.1],
+            "fields": 0.1,
+        })
+        assert main([command[0], "--spec", spec, *command[1:]]) == 4
+        captured = capsys.readouterr()
+        assert f"bad input: {cause}" in captured.err
+        assert "nan" not in captured.out
+
     @pytest.mark.parametrize("command", [
         ["model"], ["bp"], ["bp", "--domain", "dual"], ["gibbs"], ["gibbs", "--domain", "dual"],
         ["swp"], ["swp", "--map"], ["map", "--location", "edge:0", "--marginal", "0.5,0.5"],

@@ -24,6 +24,7 @@ from nfgdual.nfg import (
     potts_edge_table,
     potts_model,
 )
+from nfgdual.oracle import _struck
 
 
 def triangle():
@@ -64,9 +65,10 @@ _NON_FINITE.update({
 class TestFrozenModels:
     @pytest.mark.parametrize("site,build", _NON_FINITE.values(), ids=_NON_FINITE)
     def test_non_finite_table_refused_when_built(self, site, build):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match=f"^{site} table is not finite$"):
-                build()
+        # no np.errstate here: the suite turns a RuntimeWarning into an error,
+        # so each refusal must come without a numpy overflow warning
+        with pytest.raises(ValueError, match=f"^{site} table is not finite$"):
+            build()
 
     @pytest.mark.parametrize("name", [name for name in _NON_FINITE
                                       if name.split("-")[0].endswith("_model")
@@ -235,6 +237,30 @@ class TestDualize:
         d = dualize(ising_model(ring_graph(4), 0.5, 0.2))
         with pytest.raises(TypeError, match="DualNFG"):
             dualize(d)
+
+    def test_one_dual_per_model(self):
+        p = ising_model(ring_graph(4), 0.5, 0.2)
+        assert dualize(p) is dualize(p) is p.dual
+
+    @pytest.mark.parametrize("rebuild", [
+        copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m)), lambda m: _struck(m, 1),
+    ], ids=["deepcopy", "pickle", "struck"])
+    def test_rebuilt_model_has_its_own_dual(self, rebuild):
+        p = ising_model(ring_graph(4), [0.5, 0.6, 0.7, 0.8], 0.2)
+        d = dualize(p)
+        twin = rebuild(p)
+        twin_dual = dualize(twin)
+        assert twin_dual is not d and dualize(twin) is twin_dual
+        for kind in ("edge_tables", "vertex_tables"):
+            want = [dft_table(row, twin.alphabet) for row in getattr(twin, kind)]
+            assert np.allclose(getattr(twin_dual, kind), want, rtol=0, atol=1e-14)
+
+    def test_overflowing_dual_refused_on_every_call(self):
+        # a refused dual is not kept, so asking again refuses again
+        p = PrimalNFG(triangle(), Alphabet(2), *_tables_with("edge", [1e308, 1e308]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^edge 1 table is not finite$"):
+                dualize(p)
 
     def test_ising_dual_tables(self):
         bj, bh = 0.8, 0.3

@@ -206,6 +206,15 @@ class TestMarginals:
             with pytest.raises(ValueError, match="edge 0 table is not finite"):
                 marginals(ising_model(ring_graph(4), [800, 0.3, 0.2, 0.1], 0.1))
 
+    @pytest.mark.parametrize("domain", ["primal", "dual"])
+    def test_overflowing_weights_refused(self, domain):
+        # every table is finite, but e^709.5 on edge 0 times its neighbours'
+        # weights overflows; the sums were NaN before, under numpy warnings
+        p = ising_model(ring_graph(4), [709.5, 0.3, 0.2, 0.1], 0.1)
+        marginals = marginals_primal if domain == "primal" else lambda p: marginals_dual(dualize(p))
+        with pytest.raises(ValueError, match=f"^{domain} enumeration overflows"):
+            marginals(p)
+
     def test_non_finite_vertex_table_refused(self):
         p = ising_model(ring_graph(3), 0.3, 0.1)
         vertex_tables = p.vertex_tables.copy()
@@ -309,44 +318,44 @@ class TestClosedForms:
             closed_p, closed_d = chain_ising_marginals(bjs, boundary)
             om = marginals_primal(p)
             dm = marginals_dual(dualize(p))
-            for e in range(n_edges):
-                assert np.abs(closed_p.edge(e).values - om.edge_values[e]).max() < 1e-12
-                assert np.abs(closed_d.edge(e).values - dm.edge_values[e]).max() < 1e-12
-            for v in range(g.num_vertices):
-                assert np.abs(closed_p.vertex(v).values - om.vertex_values[v]).max() < 1e-12
-                assert np.abs(closed_d.vertex(v).values - dm.vertex_values[v]).max() < 1e-12
+            for closed, exact in ((closed_p, om), (closed_d, dm)):
+                assert closed.domain == exact.domain
+                assert np.abs(closed.edge_values - exact.edge_values).max() < 1e-12
+                assert np.abs(closed.vertex_values - exact.vertex_values).max() < 1e-12
 
     def test_chain_zero_coupling_uniform_edges(self):
         closed, _ = chain_ising_marginals([0.0, 0.0], "free")
-        assert np.allclose(closed.edge(0).values.real, [0.5, 0.5], atol=1e-14)
+        assert np.allclose(closed.edge_values.real, 0.5, atol=1e-14)
         ring, _ = chain_ising_marginals([0.0, 0.0, 0.0], "periodic")
-        assert np.allclose(ring.edge(0).values.real, [0.5, 0.5], atol=1e-14)
+        assert np.allclose(ring.edge_values.real, 0.5, atol=1e-14)
 
     def test_ring_potts_matches_enumeration(self):
         for q, n, bj in ((3, 4, 0.7), (4, 5, 1.1), (5, 3, 0.4)):
             primal, dual = ring_potts_marginals(q, bj, n)
             p = potts_model(ring_graph(n), q, bj)
-            om = marginals_primal(p)
-            dm = marginals_dual(dualize(p))
-            assert np.abs(primal.values - om.edge_values[0]).max() < 1e-12
-            assert np.abs(dual.values - dm.edge_values[0]).max() < 1e-12
+            for closed, exact in ((primal, marginals_primal(p)), (dual, marginals_dual(dualize(p)))):
+                assert closed.domain == exact.domain
+                assert closed.edge_values.shape == (n, q) and closed.vertex_values.shape == (n, q)
+                assert np.abs(closed.edge_values - exact.edge_values).max() < 1e-12
+                assert np.abs(closed.vertex_values - exact.vertex_values).max() < 1e-12
 
     def test_ring_potts_q2_consistent_with_ising_ring(self):
         bj, n = 0.9, 5
-        primal, dual = ring_potts_marginals(2, 2 * bj, n)
-        closed_p, closed_d = chain_ising_marginals([bj] * n, "periodic")
+        potts = ring_potts_marginals(2, 2 * bj, n)
+        ising = chain_ising_marginals([bj] * n, "periodic")
         # the q=2 Potts model at coupling 2*bJ is the Ising model at bJ up to
         # a constant factor per edge, so the marginals coincide
-        assert np.abs(primal.values - closed_p.edge(0).values).max() < 1e-12
-        assert np.abs(dual.values - closed_d.edge(0).values).max() < 1e-12
+        for closed_potts, closed_ising in zip(potts, ising):
+            assert np.abs(closed_potts.edge_values - closed_ising.edge_values).max() < 1e-12
+            assert np.array_equal(closed_potts.vertex_values, closed_ising.vertex_values)
 
     def test_ring_potts_zero_coupling_uniform(self):
-        primal, dual = ring_potts_marginals(3, 0.0, 4)
-        assert np.allclose(primal.values.real, 1 / 3, atol=1e-13)
+        primal, _ = ring_potts_marginals(3, 0.0, 4)
+        assert np.allclose(primal.edge_values.real, 1 / 3, atol=1e-13)
 
     def test_signed_couplings_supported(self):
         bjs = np.array([-0.4, 0.6, 0.9])
         _, closed_d = chain_ising_marginals(bjs, "periodic")
         p = ising_model(ring_graph(3), bjs)
         dm = marginals_dual(dualize(p))
-        assert np.abs(closed_d.edge(0).values - dm.edge_values[0]).max() < 1e-12
+        assert np.abs(closed_d.edge_values - dm.edge_values).max() < 1e-12

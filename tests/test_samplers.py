@@ -219,6 +219,15 @@ class TestGibbsPrimal:
         with pytest.raises(SamplerError, match="vertex 0"):
             gibbs_primal(p, SamplerConfig(seed=1, samples=10))
 
+    @pytest.mark.parametrize("domain,site", [("primal", "vertex 1"), ("dual", "edge 0")])
+    def test_overflowing_conditional_refused(self, domain, site):
+        # every table is finite, but e^709.5 on edge 0 times the site's other
+        # weights overflows: the total was inf, and u * inf >= inf always drew 1
+        p = ising_model(ring_graph(4), [709.5, 0.3, 0.2, 0.1], 0.1)
+        cfg = SamplerConfig(seed=1, samples=10)
+        with pytest.raises(SamplerError, match=f"conditional of {site} overflows"):
+            gibbs_primal(p, cfg) if domain == "primal" else gibbs_dual(dualize(p), cfg)
+
     def test_signed_model_refused(self):
         # a primal model refuses a signed table when it is built and cannot
         # have its tables rebound after, so no signed model reaches the chain
@@ -617,7 +626,7 @@ class TestEstimateViaDual:
         est = estimate_primal_via_dual(p, "gibbs_dual", SamplerConfig(seed=6, samples=100))
         closed, _ = chain_ising_marginals(bjs, "free")
         for e in range(2):
-            assert np.abs(est.edge_values[e] - closed.edge(e).values).max() < 1e-12
+            assert np.abs(est.edge_values[e] - closed.edge_values[e]).max() < 1e-12
         assert est.vertex_values is None  # zero field makes the vertex map singular
 
     def test_swp_estimates_primal_marginals(self):
