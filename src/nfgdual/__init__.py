@@ -37,8 +37,6 @@ from .oracle import (
     enumeration_budget,
     marginals_dual,
     marginals_primal,
-    partition_dual,
-    partition_primal,
     ring_potts_marginals,
 )
 from .mapping import (

@@ -240,6 +240,7 @@ class _Engine:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_bp(nfg, cfg: BpConfig | None = None) -> Marginals:
     """Sum-product on a primal or dual model; non-convergence is reported, not raised.
 
@@ -247,7 +248,8 @@ def run_bp(nfg, cfg: BpConfig | None = None) -> Marginals:
     vertex marginal estimates of the model's domain: primal beliefs estimate
     pi_p,e and pi_p,v, dual beliefs estimate pi_d,e and pi_d,v (marginal
     functions when the dual is signed).  Exact on tree-structured models.
-    The record carries converged, iterations and the last residual.
+    The record carries converged, iterations and the last residual.  An
+    overflowing message is refused by its non-finite norm, with no numpy warning.
     """
     cfg = cfg or BpConfig()
     engine = _Engine(nfg, cfg)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,16 +103,19 @@ def _oracle_pe0(model) -> np.ndarray:
 
 
 def _count(name: str, value, default: int) -> int:
-    """value, or default when value is None; a value below 1 is refused by name."""
-    if value is not None and value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value!r}")
-    return default if value is None else value
+    """value, or default when value is None; a bool, non-integer or value below 1 is refused."""
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return value
 
 
-def _rel_err(estimate: np.ndarray, exact: np.ndarray, edge: int = 0) -> tuple:
-    """(at-edge, max-over-edges) relative error on pi_p,e(0)."""
-    err = np.abs(estimate.real - exact) / np.abs(exact)
-    return float(err[edge]), float(err.max())
+def _scored(record, exact: np.ndarray, edge: int = 0) -> list:
+    """[pi_p,e(0) at edge, relative error there, largest relative error over edges]."""
+    estimate = record.edge_values[:, 0].real
+    err = np.abs(estimate - exact) / np.abs(exact)
+    return [float(estimate[edge]), float(err[edge]), float(err.max())]
 
 
 def run_fig_ising_hom(
@@ -135,22 +139,14 @@ def run_fig_ising_hom(
         p = ising_model(g, bj, beta_h)
         exact = _oracle_pe0(p)
         rp = run_bp(p)
-        bp_primal = rp.edge_values[:, 0].real
         bd = estimate_primal_via_dual(p, "bp_dual")
-        bp_dual = bd.edge_values[:, 0].real
         sw = estimate_primal_via_dual(
             p, "swp", SamplerConfig(seed=int(_chain_seed(seed, i).integers(2 ** 63)), samples=samples)
         )
-        swp_est = sw.edge_values[:, 0].real
-        bp_first, bp_max = _rel_err(bp_primal, exact)
-        bd_first, bd_max = _rel_err(bp_dual, exact)
-        sw_first, sw_max = _rel_err(swp_est, exact)
         out_rows.append([
-            bj, float(exact[0]),
-            float(bp_primal[0]), bp_first, bp_max, rp.converged,
-            float(bp_dual[0]), bd_first, bd_max, bool(bd.converged),
-            float(swp_est[0]), sw_first, sw_max,
-            float(np.abs(bp_primal - bp_dual).max()),
+            bj, float(exact[0]), *_scored(rp, exact), rp.converged,
+            *_scored(bd, exact), bool(bd.converged), *_scored(sw, exact),
+            float(np.abs(rp.edge_values[:, 0].real - bd.edge_values[:, 0].real).max()),
         ])
     columns = [
         ("beta_j", "homogeneous coupling"),
@@ -200,8 +196,8 @@ def _realization_rows(g, values, realizations: int, seed: int, draw) -> list:
             bd = estimate_primal_via_dual(model, "bp_dual")
             conv_p += rp.converged
             conv_d += bool(bd.converged)
-            prim.append(_rel_err(rp.edge_values[:, 0], exact)[0])
-            dual.append(_rel_err(bd.edge_values[:, 0], exact)[0])
+            prim.append(_scored(rp, exact)[1])
+            dual.append(_scored(bd, exact)[1])
         stats = [float(f(errs)) for f in (np.mean, np.median) for errs in (prim, dual)]
         out_rows.append([value, *stats, conv_p / realizations, conv_d / realizations])
     return out_rows
@@ -270,6 +266,8 @@ def frustrated_grid_couplings(rows: int, cols: int, beta_ferr: float,
     Returns (graph, couplings, reported_edge): the reported edge is the
     ferromagnetic top edge of the middle plaquette.
     """
+    if rows < 2 or cols < 2:
+        raise ValueError(f"rows and cols must be at least 2 for a plaquette, got {rows}x{cols}")
     g = grid_graph(rows, cols, periodic=False)
     couplings = np.full(g.num_edges, beta_ferr)
     for e, (t, h) in enumerate(g.edges):
@@ -278,11 +276,8 @@ def frustrated_grid_couplings(rows: int, cols: int, beta_ferr: float,
         if rt == rh and rt % 2 == 1:  # horizontal edge in an odd row
             couplings[e] = beta_antif
     mid_r, mid_c = (rows - 2) // 2 - ((rows - 2) // 2) % 2, (cols - 2) // 2
-    target = None
-    for e, (t, h) in enumerate(g.edges):
-        if t == mid_r * cols + mid_c and h == mid_r * cols + mid_c + 1:
-            target = e
-    return g, couplings, target
+    corner = mid_r * cols + mid_c
+    return g, couplings, g.edges.index((corner, corner + 1))
 
 
 def run_fig_potts_frustrated(
@@ -307,13 +302,10 @@ def run_fig_potts_frustrated(
         exact = _oracle_pe0(p)
         rp = run_bp(p)
         bd = estimate_primal_via_dual(p, "bp_dual")
-        bp_pe0 = float(rp.edge_values[target, 0].real)
-        bd_pe0 = float(bd.edge_values[target, 0].real)
+        sp, sd = _scored(rp, exact, target), _scored(bd, exact, target)
         out_rows.append([
             beta_ferr, target, float(exact[target]),
-            bp_pe0, _rel_err(rp.edge_values[:, 0], exact, target)[0], rp.converged,
-            bd_pe0, _rel_err(bd.edge_values[:, 0], exact, target)[0], bool(bd.converged),
-            abs(bp_pe0 - bd_pe0),
+            *sp[:2], rp.converged, *sd[:2], bool(bd.converged), abs(sp[0] - sd[0]),
         ])
     columns = [
         ("beta_ferr", "ferromagnetic coupling on three of four plaquette edges"),

@@ -159,25 +159,10 @@ def _dual_indicator_norm(g: Graph, a: Alphabet) -> float:
     return float(a.q) ** (1 - g.num_vertices)
 
 
-def partition_primal(p: PrimalNFG) -> complex:
-    """Exact primal partition function by enumeration over A^|V|."""
-    return _enumerate(p)[0]
-
-
-def partition_dual(d: DualNFG) -> complex:
-    """Exact dual partition function by enumeration over A^|E|.
-
-    Includes the dualized-indicator normalization q**(1-|V|) (see
-    _dual_indicator_norm), so partition_dual(dualize(p)) equals
-    scale_factor(g, a) * partition_primal(p) for symmetric factor tables.
-    """
-    return _enumerate(d)[0] * _dual_indicator_norm(d.graph, d.alphabet)
-
-
 def duality_check(p: PrimalNFG) -> float:
     """Relative residual |Z_d - alpha * Z_p| / |Z_p| of the duality theorem."""
-    zp = partition_primal(p)
-    zd = partition_dual(dualize(p))
+    zp = marginals_primal(p).partition
+    zd = marginals_dual(dualize(p)).partition
     alpha = scale_factor(p.graph, p.alphabet)
     return abs(zd - alpha * zp) / abs(zp)
 
@@ -188,7 +173,8 @@ def marginals_primal(p: PrimalNFG) -> Marginals:
 
 
 def marginals_dual(d: DualNFG) -> Marginals:
-    """All dual edge and vertex marginals (marginal functions if d is signed)."""
+    """All dual edge and vertex marginals (marginal functions if d is signed); the partition
+    carries _dual_indicator_norm's q**(1-|V|), so Z_d = q**betti Z_p for symmetric tables."""
     return _marginals(d, _dual_indicator_norm(d.graph, d.alphabet))
 
 

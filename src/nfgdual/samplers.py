@@ -16,9 +16,9 @@ domain, and draw a sweep's uniforms at once: one `rng.random(n)` gives the
 same PCG64 stream as n scalar draws.  A site update looks its conditional up
 by the variable's neighbour key (the table offsets of its factors, kept up to
 date as neighbours move; for q = 2, one key bit per factor, toggled when a
-neighbour in that factor flips); each key's conditional is computed once,
-with the float operations of a product loop, and a draw bisects its
-cumulative weights, or for q = 2 makes one comparison.  The
+neighbour in that factor flips); each key's conditional is computed once
+while a bounded memo has room, with the float operations of a product loop,
+and a draw bisects its cumulative weights, or for q = 2 is one comparison.  The
 subgraphs-world process is a Metropolis kernel on the dual's view: its state
 lists every dual factor's argument, a toggle's ratio is read from a per-edge
 table of eight entries, and uniforms are drawn in blocks.
@@ -46,6 +46,7 @@ from .nfg import (
 
 
 _BLOCK = 64  # retained states tallied per numpy call (and Gaussian sweeps per draw)
+_MEMO_ENTRIES = 1 << 20  # most table entries (q a key) that one heat bath memoizes
 
 
 class SamplerError(ValueError):
@@ -158,9 +159,10 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     read in base q, are its neighbour key; when variable j moves by d, the
     digit of every other variable i in a factor it shares with j moves by
     s_i s_j d mod q.  Each variable memoizes its conditional per key visited,
-    so an update is one dict lookup and a draw.  For q > 2 the draw bisects
-    the cumulative weights and the move reads each neighbour's digit back
-    from its key and rewrites it there.  For q = 2
+    so an update is one dict lookup and a draw; once all memos hold
+    _MEMO_ENTRIES entries (q a key), a new key's conditional is not kept.
+    For q > 2 the draw bisects the cumulative weights and the move reads
+    each neighbour's digit back from its key and rewrites it there.  For q = 2
     every move is d = 1, which toggles bit p of each neighbour's key (its p-th
     factor's digit), and a draw is one comparison u * total >= threshold,
     where the memoized threshold is the first cumulative weight (inf when
@@ -187,6 +189,7 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
             moves[j] += [(place[f, i], i, si * sj) for i, si in zip(variables, signs) if i != j]
     key = [0] * num_vars
     memo = [{} for _ in range(num_vars)]
+    room = _MEMO_ENTRIES
     arguments = _arguments(scopes, q)
     offsets = q * np.arange(len(scopes))
     dtype = np.min_scalar_type(q - 1)
@@ -198,13 +201,16 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
         return np.bincount((args + offsets).ravel(), minlength=len(scopes) * q)
 
     def conditional(i: int) -> tuple:
-        """Memoize and return variable i's (total, cumulative or threshold) at its key."""
+        """Variable i's (total, cumulative or threshold) at its key, kept while there is room."""
+        nonlocal room
         k = key[i]
         total, cumulative = _conditional(
             t2s[i], [k // q ** p % q for p in range(len(t2s[i]))], q, kind, i)
         if q == 2:
             cumulative = cumulative[0] if cumulative else math.inf
-        memo[i][k] = total, cumulative
+        if room >= q:
+            memo[i][k] = total, cumulative
+            room -= q
         return total, cumulative
 
     rng = np.random.default_rng(cfg.seed)

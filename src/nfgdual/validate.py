@@ -13,7 +13,6 @@ from .bp import BpConfig, run_bp
 from .experiments import run_fig_fixed_points
 from .gaussian import (
     GmrfModel,
-    dual_precision,
     exact_dual_vertex_variances,
     exact_variances,
     gmrf_dual_gibbs,
@@ -38,8 +37,6 @@ from .oracle import (
     duality_check,
     marginals_dual,
     marginals_primal,
-    partition_dual,
-    partition_primal,
     ring_potts_marginals,
 )
 from .samplers import (
@@ -143,8 +140,8 @@ def check_duality_random(seed):
 
 def check_duality_negative_control(seed):
     p = ising_model(ring_graph(4), 0.7, 0.2)
-    zp = partition_primal(p)
-    zd = partition_dual(dualize(p))
+    zp = marginals_primal(p).partition
+    zd = marginals_dual(dualize(p)).partition
     wrong_alpha = scale_factor(p.graph, p.alphabet) * p.alphabet.q  # deliberately wrong
     residual = abs(zd - wrong_alpha * zp) / abs(zp)
     return residual > 0.5, f"corrupted scale factor produces residual {residual:.2f}"
@@ -240,14 +237,12 @@ def check_closed_forms(seed):
 def check_bp_tree_exact(seed):
     rng = np.random.default_rng(seed)
     p = ising_model(path_graph(6), rng.uniform(-1, 1, 5), rng.uniform(0, 0.5, 6))
-    res = run_bp(p, BpConfig(damping=0.0))
-    om = marginals_primal(p)
-    err = float(np.abs(res.edge_values - om.edge_values).max())
-    d = dualize(p)
-    res_d = run_bp(d, BpConfig(damping=0.0))
-    dm = marginals_dual(d)
-    err = max(err, float(np.abs(res_d.edge_values - dm.edge_values).max()))
-    return err < 1e-10 and res.converged and res_d.converged, f"tree BP error {err:.2e}"
+    err, converged = 0.0, True
+    for model, exact in ((p, marginals_primal), (dualize(p), marginals_dual)):
+        res = run_bp(model, BpConfig(damping=0.0))
+        err = max(err, float(np.abs(res.edge_values - exact(model).edge_values).max()))
+        converged = converged and res.converged
+    return err < 1e-10 and converged, f"tree BP error {err:.2e}"
 
 
 def check_bp_damping_consistency(seed):
@@ -260,7 +255,6 @@ def check_bp_damping_consistency(seed):
 
 def check_bp_cross_domain(seed):
     p = ising_model(grid_graph(3, 3, periodic=True), 0.6, 0.15)
-    d = dualize(p)
     cfg = BpConfig(tol=1e-12, max_iters=20000)
     rp = run_bp(p, cfg)
     est = estimate_primal_via_dual(p, "bp_dual", bp_config=cfg)
@@ -288,21 +282,21 @@ def check_swp_single_edge(seed):
     return z < 3.5, f"z-score {z:.2f} against the exact two-state law"
 
 
+def _gibbs_against_oracle(model, exact, sampler, seed):
+    """Largest deviation of a 2e4-sweep heat bath's edge marginals from exact(model)'s."""
+    est = sampler(model, SamplerConfig(seed=seed, samples=20_000))
+    err = float(np.abs(est.edge_values - exact(model).edge_values.real).max())
+    return err < 0.02, f"max deviation {err:.3f} at 2e4 sweeps"
+
+
 def check_gibbs_primal_oracle(seed):
     p = ising_model(grid_graph(2, 2, periodic=True), 0.4, 0.15)
-    om = marginals_primal(p)
-    est = gibbs_primal(p, SamplerConfig(seed=seed, samples=20_000))
-    err = float(np.abs(est.edge_values - om.edge_values.real).max())
-    return err < 0.02, f"max deviation {err:.3f} at 2e4 sweeps"
+    return _gibbs_against_oracle(p, marginals_primal, gibbs_primal, seed)
 
 
 def check_gibbs_dual_oracle(seed):
-    p = ising_model(ring_graph(4), 0.6, 0.2)
-    d = dualize(p)
-    dm = marginals_dual(d)
-    est = gibbs_dual(d, SamplerConfig(seed=seed, samples=20_000))
-    err = float(np.abs(est.edge_values - dm.edge_values.real).max())
-    return err < 0.02, f"max deviation {err:.3f} at 2e4 sweeps"
+    d = dualize(ising_model(ring_graph(4), 0.6, 0.2))
+    return _gibbs_against_oracle(d, marginals_dual, gibbs_dual, seed)
 
 
 def check_gaussian_quoted_values(seed):

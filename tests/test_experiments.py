@@ -49,9 +49,10 @@ class TestRegistry:
         if count in inspect.signature(runner).parameters
     ])
     def test_counts_below_one_refused_by_name(self, name, count):
-        # an explicit zero used to fall back to the default (chains=0 ran 2 chains)
-        for value in (0, -1):
-            with pytest.raises(ValueError, match=f"^{count} must be at least 1"):
+        # an explicit zero used to fall back to the default (chains=0 ran 2 chains),
+        # 2.5 reached range() as a TypeError and True ran one realization
+        for value in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match=f"^{count} must be an integer of at least 1"):
                 EXPERIMENTS[name](quick=True, **{count: value})
 
 
@@ -141,6 +142,15 @@ class TestFrustratedConstruction:
                 assert negatives == 1
                 assert np.prod(couplings[plaq]) < 0  # frustrated
         assert couplings[target] > 0  # reported edge is ferromagnetic
+
+    @pytest.mark.parametrize("rows,cols", [(1, 4), (3, 1)])
+    def test_grid_without_plaquette_refused(self, rows, cols):
+        # with no plaquette the reported edge was None, and the runner died
+        # with "only 0-dimensional arrays can be converted"
+        with pytest.raises(ValueError, match="^rows and cols must be at least 2"):
+            frustrated_grid_couplings(rows, cols, 0.8)
+        with pytest.raises(ValueError, match="^rows and cols must be at least 2"):
+            run_fig_potts_frustrated(quick=True, rows=rows, cols=cols)
 
     def test_quick_run_has_exact_reference(self):
         report = run_fig_potts_frustrated(quick=True, beta_ferr_values=[0.45])

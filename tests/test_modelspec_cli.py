@@ -311,22 +311,25 @@ class TestCli:
         assert main(["exact", "--spec", spec]) == 4
         assert "edge 0 table is not finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,cause", [
-        (["exact"], "primal enumeration overflows"),
-        (["gibbs", "--samples", "2000"], "the conditional of vertex 1 overflows"),
-    ], ids=["exact", "gibbs"])
-    def test_overflowing_weights_exit_code(self, tmp_path, capsys, command, cause):
+    @pytest.mark.parametrize("command,code,cause", [
+        (["exact"], 4, "bad input: primal enumeration overflows"),
+        (["gibbs", "--samples", "2000"], 4, "bad input: the conditional of vertex 1 overflows"),
+        (["bp", "--domain", "dual"], 5, "BP failure: message at edge 0 is not finite"),
+    ], ids=["exact", "gibbs", "bp-dual"])
+    def test_overflowing_weights_exit_code(self, tmp_path, capsys, command, code, cause):
         # finite tables whose products overflow: exact printed Z_p = nan+nanj
-        # and gibbs reported vertices 0 and 1 as [0, 1], both exiting 0
+        # and gibbs reported vertices 0 and 1 as [0, 1], both exiting 0; dual
+        # BP refused after a numpy RuntimeWarning, an error under -W error
+        # and under this suite's warning filter
         spec = write_spec(tmp_path, "m.json", {
             "family": "ising",
             "topology": {"type": "ring", "n": 4},
             "couplings": [709.5, 0.3, 0.2, 0.1],
             "fields": 0.1,
         })
-        assert main([command[0], "--spec", spec, *command[1:]]) == 4
+        assert main([command[0], "--spec", spec, *command[1:]]) == code
         captured = capsys.readouterr()
-        assert f"bad input: {cause}" in captured.err
+        assert cause in captured.err
         assert "nan" not in captured.out
 
     @pytest.mark.parametrize("command", [

@@ -16,8 +16,6 @@ from nfgdual.oracle import (
     intermediate_dual_partition,
     marginals_dual,
     marginals_primal,
-    partition_dual,
-    partition_primal,
     ring_potts_marginals,
 )
 from nfgdual.validate import random_connected_graph, random_model
@@ -113,18 +111,18 @@ class TestEnumerateMatchesReference:
 class TestPartitionPrimal:
     def test_single_edge_closed_form(self):
         bj = 0.6
-        z = partition_primal(ising_model(path_graph(2), bj))
+        z = marginals_primal(ising_model(path_graph(2), bj)).partition
         assert z.real == pytest.approx(2 * np.exp(bj) + 2 * np.exp(-bj), rel=1e-14)
 
     def test_zero_model_counts_states(self):
-        assert partition_primal(potts_model(triangle(), 3, 0.0)).real == pytest.approx(27)
-        assert partition_primal(ising_model(grid_graph(2, 3), 0.0)).real == pytest.approx(64)
+        assert marginals_primal(potts_model(triangle(), 3, 0.0)).partition.real == pytest.approx(27)
+        assert marginals_primal(ising_model(grid_graph(2, 3), 0.0)).partition.real == pytest.approx(64)
 
     def test_budget_refusal(self, monkeypatch):
         monkeypatch.setenv("NFG_DUAL_BUDGET", "100")
         p = ising_model(grid_graph(3, 3), 0.3)
         with pytest.raises(EnumerationBudgetError, match="budget"):
-            partition_primal(p)
+            marginals_primal(p).partition
 
     @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
     def test_env_var_budget_must_be_a_positive_integer(self, monkeypatch, value):
@@ -137,7 +135,7 @@ class TestPartitionPrimal:
         assert enumeration_budget() == 100
         p = ising_model(grid_graph(3, 3), 0.3)
         with pytest.raises(EnumerationBudgetError):
-            partition_primal(p)
+            marginals_primal(p).partition
         monkeypatch.delenv("NFG_DUAL_BUDGET")
         assert enumeration_budget() == 2 ** 26
 
@@ -146,21 +144,21 @@ class TestPartitionDual:
     def test_tree_zero_field_closed_form(self):
         bjs = np.array([0.4, 0.9, 1.3])
         p = ising_model(path_graph(4), bjs)
-        zd = partition_dual(dualize(p))
+        zd = marginals_dual(dualize(p)).partition
         expected = 2 ** 4 * np.prod(np.cosh(bjs))
         assert zd.real == pytest.approx(expected, rel=1e-12)
 
     def test_ring_zero_field_closed_form_up_to_scale(self):
         bjs = np.array([0.5, 0.8, 1.1])
         p = ising_model(ring_graph(3), bjs)
-        zd = partition_dual(dualize(p))
+        zd = marginals_dual(dualize(p)).partition
         alpha = scale_factor(p.graph, p.alphabet)
         closed = 2 ** 3 * (np.prod(np.cosh(bjs)) + np.prod(np.sinh(bjs)))
         assert zd.real == pytest.approx(alpha * closed, rel=1e-12)
 
     def test_zero_couplings_zero_fields(self):
         p = potts_model(triangle(), 3, 0.0, 0.0)
-        zd = partition_dual(dualize(p))
+        zd = marginals_dual(dualize(p)).partition
         assert zd.real == pytest.approx(3 ** 4, rel=1e-12)
 
 
@@ -220,7 +218,7 @@ class TestMarginals:
         vertex_tables = p.vertex_tables.copy()
         vertex_tables[2, 1] = np.nan
         with pytest.raises(ValueError, match="vertex 2 table is not finite"):
-            partition_primal(PrimalNFG(p.graph, p.alphabet, p.edge_tables, vertex_tables))
+            marginals_primal(PrimalNFG(p.graph, p.alphabet, p.edge_tables, vertex_tables)).partition
 
     def test_single_free_edge(self):
         bj = 0.8
@@ -267,7 +265,7 @@ class TestSumProductDecomposition:
     def test_sum_product_rule_every_edge(self):
         rng = np.random.default_rng(3)
         p = potts_model(triangle(), 3, rng.uniform(-1, 1, 3), rng.uniform(0, 1, 3))
-        zp = partition_primal(p)
+        zp = marginals_primal(p).partition
         for e in range(p.graph.num_edges):
             s = extrinsic_vector(p, e)
             assert abs(np.dot(s, p.edge_tables[e]) - zp) / abs(zp) < 1e-10

@@ -401,6 +401,27 @@ class TestAgainstReference:
         assert_same(est, reference_heat_bath(p, cfg))
         assert_same(gibbs_dual(dualize(p), cfg), reference_heat_bath(dualize(p), cfg))
 
+    def test_memo_stops_growing_at_its_cap(self, monkeypatch):
+        # at q = 20 nearly every visit is a new key, so a memo without a cap
+        # grows with the run: about 1.4 MB from 100 to 300 sweeps here
+        p = potts_model(grid_graph(3, 3, periodic=True), 20, 0.3, 0.1)
+
+        def run(samples):
+            tracemalloc.start()
+            try:
+                est = gibbs_primal(p, SamplerConfig(seed=1, samples=samples, burn_in=0))
+                return est, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        uncapped, _ = run(300)
+        monkeypatch.setattr(samplers, "_MEMO_ENTRIES", 20 * 64)
+        capped, peak_300 = run(300)
+        _, peak_100 = run(100)
+        assert np.array_equal(capped.edge_values, uncapped.edge_values)
+        assert np.array_equal(capped.vertex_values, uncapped.vertex_values)
+        assert peak_300 < peak_100 + 2 ** 16  # the tallies' allocations vary by a few kB
+
     @pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
     def test_binary_value_with_zero_weight(self, config):
         # x_0 = 1 and x_2 = 0 have zero weight: the draw at vertex 0 never
