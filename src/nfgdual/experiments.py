@@ -111,11 +111,10 @@ def _count(name: str, value, default: int) -> int:
     return value
 
 
-def _scored(record, exact: np.ndarray, edge: int = 0) -> list:
-    """[pi_p,e(0) at edge, relative error there, largest relative error over edges]."""
+def _scored(record, exact: np.ndarray) -> tuple:
+    """(pi_p,e(0) at every edge, its relative error at every edge)."""
     estimate = record.edge_values[:, 0].real
-    err = np.abs(estimate - exact) / np.abs(exact)
-    return [float(estimate[edge]), float(err[edge]), float(err.max())]
+    return estimate, np.abs(estimate - exact) / np.abs(exact)
 
 
 def run_fig_ising_hom(
@@ -143,10 +142,13 @@ def run_fig_ising_hom(
         sw = estimate_primal_via_dual(
             p, "swp", SamplerConfig(seed=int(_chain_seed(seed, i).integers(2 ** 63)), samples=samples)
         )
+        (p_est, p_err), (d_est, d_err), (s_est, s_err) = (_scored(r, exact) for r in (rp, bd, sw))
         out_rows.append([
-            bj, float(exact[0]), *_scored(rp, exact), rp.converged,
-            *_scored(bd, exact), bool(bd.converged), *_scored(sw, exact),
-            float(np.abs(rp.edge_values[:, 0].real - bd.edge_values[:, 0].real).max()),
+            bj, float(exact[0]),
+            float(p_est[0]), float(p_err[0]), float(p_err.max()), rp.converged,
+            float(d_est[0]), float(d_err[0]), float(d_err.max()), bool(bd.converged),
+            float(s_est[0]), float(s_err[0]), float(s_err.max()),
+            float(np.abs(p_est - d_est).max()),
         ])
     columns = [
         ("beta_j", "homogeneous coupling"),
@@ -196,8 +198,9 @@ def _realization_rows(g, values, realizations: int, seed: int, draw) -> list:
             bd = estimate_primal_via_dual(model, "bp_dual")
             conv_p += rp.converged
             conv_d += bool(bd.converged)
-            prim.append(_scored(rp, exact)[1])
-            dual.append(_scored(bd, exact)[1])
+            (_, p_err), (_, d_err) = _scored(rp, exact), _scored(bd, exact)
+            prim.append(float(p_err[0]))
+            dual.append(float(d_err[0]))
         stats = [float(f(errs)) for f in (np.mean, np.median) for errs in (prim, dual)]
         out_rows.append([value, *stats, conv_p / realizations, conv_d / realizations])
     return out_rows
@@ -302,10 +305,12 @@ def run_fig_potts_frustrated(
         exact = _oracle_pe0(p)
         rp = run_bp(p)
         bd = estimate_primal_via_dual(p, "bp_dual")
-        sp, sd = _scored(rp, exact, target), _scored(bd, exact, target)
+        (p_est, p_err), (d_est, d_err) = _scored(rp, exact), _scored(bd, exact)
         out_rows.append([
             beta_ferr, target, float(exact[target]),
-            *sp[:2], rp.converged, *sd[:2], bool(bd.converged), abs(sp[0] - sd[0]),
+            float(p_est[target]), float(p_err[target]), rp.converged,
+            float(d_est[target]), float(d_err[target]), bool(bd.converged),
+            float(abs(p_est[target] - d_est[target])),
         ])
     columns = [
         ("beta_ferr", "ferromagnetic coupling on three of four plaquette edges"),

@@ -46,7 +46,7 @@ from .nfg import (
 
 
 _BLOCK = 64  # retained states tallied per numpy call (and Gaussian sweeps per draw)
-_MEMO_ENTRIES = 1 << 20  # most table entries (q a key) that one heat bath memoizes
+_MEMO_ENTRIES = 1 << 12  # most table entries (q a key) that one variable's memo holds
 
 
 class SamplerError(ValueError):
@@ -159,7 +159,7 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     read in base q, are its neighbour key; when variable j moves by d, the
     digit of every other variable i in a factor it shares with j moves by
     s_i s_j d mod q.  Each variable memoizes its conditional per key visited,
-    so an update is one dict lookup and a draw; once all memos hold
+    so an update is one dict lookup and a draw; once a variable's memo holds
     _MEMO_ENTRIES entries (q a key), a new key's conditional is not kept.
     For q > 2 the draw bisects the cumulative weights and the move reads
     each neighbour's digit back from its key and rewrites it there.  For q = 2
@@ -189,7 +189,6 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
             moves[j] += [(place[f, i], i, si * sj) for i, si in zip(variables, signs) if i != j]
     key = [0] * num_vars
     memo = [{} for _ in range(num_vars)]
-    room = _MEMO_ENTRIES
     arguments = _arguments(scopes, q)
     offsets = q * np.arange(len(scopes))
     dtype = np.min_scalar_type(q - 1)
@@ -201,16 +200,14 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
         return np.bincount((args + offsets).ravel(), minlength=len(scopes) * q)
 
     def conditional(i: int) -> tuple:
-        """Variable i's (total, cumulative or threshold) at its key, kept while there is room."""
-        nonlocal room
+        """Variable i's (total, cumulative or threshold) at its key, kept while its memo has room."""
         k = key[i]
         total, cumulative = _conditional(
             t2s[i], [k // q ** p % q for p in range(len(t2s[i]))], q, kind, i)
         if q == 2:
             cumulative = cumulative[0] if cumulative else math.inf
-        if room >= q:
+        if len(memo[i]) * q < _MEMO_ENTRIES:
             memo[i][k] = total, cumulative
-            room -= q
         return total, cumulative
 
     rng = np.random.default_rng(cfg.seed)

@@ -406,7 +406,8 @@ class TestAgainstReference:
         # grows with the run: about 1.4 MB from 100 to 300 sweeps here
         p = potts_model(grid_graph(3, 3, periodic=True), 20, 0.3, 0.1)
 
-        def run(samples):
+        def run(samples, entries):
+            monkeypatch.setattr(samplers, "_MEMO_ENTRIES", entries)
             tracemalloc.start()
             try:
                 est = gibbs_primal(p, SamplerConfig(seed=1, samples=samples, burn_in=0))
@@ -414,13 +415,30 @@ class TestAgainstReference:
             finally:
                 tracemalloc.stop()
 
-        uncapped, _ = run(300)
-        monkeypatch.setattr(samplers, "_MEMO_ENTRIES", 20 * 64)
-        capped, peak_300 = run(300)
-        _, peak_100 = run(100)
+        uncapped, uncapped_300 = run(300, 1 << 40)
+        _, uncapped_100 = run(100, 1 << 40)
+        capped, peak_300 = run(300, 20 * 16)  # 16 keys a variable
+        _, peak_100 = run(100, 20 * 16)
         assert np.array_equal(capped.edge_values, uncapped.edge_values)
         assert np.array_equal(capped.vertex_values, uncapped.vertex_values)
+        assert uncapped_300 > uncapped_100 + 2 ** 20
         assert peak_300 < peak_100 + 2 ** 16  # the tallies' allocations vary by a few kB
+
+    def test_memo_bound_is_per_variable(self, monkeypatch):
+        # each variable of an Ising torus has at most 2^4 keys, so a bound of
+        # 16 keys a variable keeps them all, however many variables there are
+        p = ising_model(grid_graph(5, 5, periodic=True), 0.3, 0.1)
+        computed = []
+        conditional = samplers._conditional
+
+        def counted(t2s, digits, *rest):
+            computed.append((rest[-1], tuple(digits)))
+            return conditional(t2s, digits, *rest)
+
+        monkeypatch.setattr(samplers, "_conditional", counted)
+        monkeypatch.setattr(samplers, "_MEMO_ENTRIES", 2 * 16)
+        gibbs_primal(p, SamplerConfig(seed=1, samples=200, burn_in=0))
+        assert len(computed) == len(set(computed))
 
     @pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
     def test_binary_value_with_zero_weight(self, config):
