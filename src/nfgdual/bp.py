@@ -26,12 +26,12 @@ transforms are slice multiplies in cumprod's order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nfg import Marginals, _factor_view
+from .graphs import _check_count
+from .nfg import Marginals, _factor_view, _rounding
 
 
 class DegenerateMessageError(RuntimeError):
@@ -53,18 +53,16 @@ class BpConfig:
 
     def __post_init__(self):
         for name, value in (("damping", self.damping), ("tol", self.tol)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if np.ndim(value) or np.asarray(value).dtype.kind not in "iuf":  # bools are kind "b"
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must be in [0, 1)")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
-        if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool) \
-                or self.max_iters < 1:
-            raise ValueError("max_iters must be an integer of at least 1")
+        _check_count("max_iters", self.max_iters, 1)
 
 
-def _normalize(msgs: np.ndarray, name, real_mode: bool = False) -> np.ndarray:
+def _normalize(msgs: np.ndarray, name, real_mode: bool) -> np.ndarray:
     """Row-wise L1-of-abs normalization, plus gauge fixing; name(i) names row i.
 
     Messages carry a multiplicative gauge freedom (m and c*m are equivalent);
@@ -138,7 +136,7 @@ class _Engine:
         self.q = q = nfg.alphabet.q
         self.num_edges = nfg.graph.num_edges
         scopes, num_vars, self.tables = _factor_view(nfg)
-        self.real_mode = bool(np.abs(self.tables.imag).max(initial=0.0) < 1e-12)
+        self.real_mode = bool((np.abs(self.tables.imag) < _rounding(self.tables)).all())
         self.w = nfg.alphabet.dft_matrix()
         self.winv = np.conj(self.w) / q
         self.neg = (-np.arange(q)) % q

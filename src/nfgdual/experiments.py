@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ from .gaussian import (
     map_variance_dual_to_primal,
     primal_precision,
 )
-from .graphs import complete_graph, grid_graph
+from .graphs import _check_count, complete_graph, grid_graph
 from .mapping import (
     CLOCK4_CRITICAL,
     ISING_CRITICAL,
@@ -89,6 +88,12 @@ def _render(value) -> str:
     return str(value)
 
 
+_HOM_FIELD = 0.15  # fig-ising-hom's constant field bH
+_ANTIFERRO = -0.25  # fig-potts-frustrated's antiferromagnetic coupling
+_GAUSSIAN_S = (1.0, 20.0, 40.0)  # fig-gaussian's intervariable standard deviations
+_GAUSSIAN_SIGMA = 5.0  # fig-gaussian's vertex standard deviation
+
+
 def _chain_seed(master: int, index: int) -> np.random.Generator:
     return np.random.default_rng([master, index])
 
@@ -104,11 +109,7 @@ def _oracle_pe0(model) -> np.ndarray:
 
 def _count(name: str, value, default: int) -> int:
     """value, or default when value is None; a bool, non-integer or value below 1 is refused."""
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-    return value
+    return default if value is None else _check_count(name, value, 1)
 
 
 def _scored(record, exact: np.ndarray) -> tuple:
@@ -123,7 +124,6 @@ def run_fig_ising_hom(
     samples: int | None = None,
     rows: int | None = None,
     cols: int | None = None,
-    beta_h: float = 0.15,
     betas=None,
 ) -> ExperimentReport:
     """Homogeneous periodic lattice in a constant field: BP in both domains
@@ -135,7 +135,7 @@ def run_fig_ising_hom(
     g = grid_graph(rows, cols, periodic=True)
     out_rows = []
     for i, bj in enumerate(betas):
-        p = ising_model(g, bj, beta_h)
+        p = ising_model(g, bj, _HOM_FIELD)
         exact = _oracle_pe0(p)
         rp = run_bp(p)
         bd = estimate_primal_via_dual(p, "bp_dual")
@@ -168,7 +168,7 @@ def run_fig_ising_hom(
     ]
     return ExperimentReport(
         "fig-ising-hom", columns, out_rows,
-        {"rows": rows, "cols": cols, "beta_h": beta_h, "samples": samples,
+        {"rows": rows, "cols": cols, "beta_h": _HOM_FIELD, "samples": samples,
          "seed": seed, "quick": quick},
     )
 
@@ -261,10 +261,9 @@ def run_fig_ising_fully(
     )
 
 
-def frustrated_grid_couplings(rows: int, cols: int, beta_ferr: float,
-                              beta_antif: float = -0.25):
+def frustrated_grid_couplings(rows: int, cols: int, beta_ferr: float):
     """Free-boundary grid couplings with exactly one antiferromagnetic edge per
-    plaquette: horizontal edges in odd vertex rows carry beta_antif.
+    plaquette: horizontal edges in odd vertex rows carry _ANTIFERRO.
 
     Returns (graph, couplings, reported_edge): the reported edge is the
     ferromagnetic top edge of the middle plaquette.
@@ -277,7 +276,7 @@ def frustrated_grid_couplings(rows: int, cols: int, beta_ferr: float,
         rt, ct = divmod(t, cols)
         rh, ch = divmod(h, cols)
         if rt == rh and rt % 2 == 1:  # horizontal edge in an odd row
-            couplings[e] = beta_antif
+            couplings[e] = _ANTIFERRO
     mid_r, mid_c = (rows - 2) // 2 - ((rows - 2) // 2) % 2, (cols - 2) // 2
     corner = mid_r * cols + mid_c
     return g, couplings, g.edges.index((corner, corner + 1))
@@ -326,7 +325,7 @@ def run_fig_potts_frustrated(
     ]
     return ExperimentReport(
         "fig-potts-frustrated", columns, out_rows,
-        {"rows": rows, "cols": cols, "beta_antif": -0.25, "seed": seed, "quick": quick},
+        {"rows": rows, "cols": cols, "beta_antif": _ANTIFERRO, "seed": seed, "quick": quick},
     )
 
 
@@ -335,8 +334,6 @@ def run_fig_gaussian(
     quick: bool = False,
     samples: int | None = None,
     n: int | None = None,
-    s_values=(1.0, 20.0, 40.0),
-    sigma: float = 5.0,
     chains: int | None = None,
 ) -> ExperimentReport:
     """Periodic-lattice thin-membrane field: primal Gibbs vs dual Gibbs mapped,
@@ -347,8 +344,8 @@ def run_fig_gaussian(
     g = grid_graph(n, n, periodic=True)
     chain_defaults = SamplerConfig(seed=seed, samples=samples)  # burn-in as the chains resolve it
     out_rows = []
-    for s in s_values:
-        m = GmrfModel(g, float(s), sigma)
+    for s in _GAUSSIAN_S:
+        m = GmrfModel(g, s, _GAUSSIAN_SIGMA)
         exact = float(exact_variances(primal_precision(m))[0])
         for chain in range(chains):
             base = int(_chain_seed(seed, chain).integers(2 ** 63))
@@ -358,12 +355,12 @@ def run_fig_gaussian(
             # early noisy dual estimates can imply no valid primal variance
             # (sigma^2 var_d >= 1); report those points as nan, not an error
             traj = res_d.derived_trajectory
-            valid = sigma ** 2 * traj < 1.0
+            valid = _GAUSSIAN_SIGMA ** 2 * traj < 1.0
             mapped = np.full(samples, np.nan)
-            mapped[valid] = map_variance_dual_to_primal(sigma, traj[valid])
+            mapped[valid] = map_variance_dual_to_primal(_GAUSSIAN_SIGMA, traj[valid])
             for k in range(samples):
                 out_rows.append([
-                    float(s), chain, k + 1,
+                    s, chain, k + 1,
                     float(res_p.trajectory[k]), float(mapped[k]), exact,
                     abs(res_p.trajectory[k] - exact) / exact,
                     abs(mapped[k] - exact) / exact,
@@ -380,7 +377,7 @@ def run_fig_gaussian(
     ]
     return ExperimentReport(
         "fig-gaussian", columns, out_rows,
-        {"n": n, "sigma": sigma, "s_values": list(map(float, s_values)),
+        {"n": n, "sigma": _GAUSSIAN_SIGMA, "s_values": list(_GAUSSIAN_S),
          "chains": chains, "samples": samples, "seed": seed, "quick": quick,
          "burn_in_primal": chain_defaults.resolved_burn_in(g.num_vertices),
          "burn_in_dual": chain_defaults.resolved_burn_in(g.num_edges)},

@@ -291,5 +291,7 @@ def gmrf_primal_gibbs(m: GmrfModel, cfg: SamplerConfig) -> GaussianGibbsResult:
 
 def gmrf_dual_gibbs(m: GmrfModel, cfg: SamplerConfig) -> GaussianGibbsResult:
     """Dual chain over |E| edge variables, tracking the vertex statistic x~."""
+    if not m.graph.num_edges:
+        raise ValueError("the dual chain samples the edge variables, and the graph has no edges")
     inc = build_incidence(m.graph).astype(np.float64)
     return gibbs_gaussian(dual_precision(m), cfg, derived_transform=inc)

@@ -9,6 +9,7 @@ meant to be orientation-invariant is tested as such.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,13 @@ class GraphError(ValueError):
     """Raised when a graph violates the simple/connected contract."""
 
 
+def _check_count(name: str, value, least: int):
+    """value if it is an integer (numpy's too), not a bool, of at least `least`; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """The configuration alphabet Z/qZ; q is an integer (numpy integers too) of at least 2."""
@@ -25,8 +33,7 @@ class Alphabet:
     q: int
 
     def __post_init__(self):
-        if not isinstance(self.q, (int, np.integer)) or self.q < 2:
-            raise ValueError(f"alphabet size must be an integer >= 2, got {self.q!r}")
+        _check_count("alphabet size", self.q, 2)
 
     @property
     def omega(self) -> complex:
@@ -58,9 +65,8 @@ class Graph:
     edges: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        _check_count("num_vertices", self.num_vertices, 1)
         object.__setattr__(self, "edges", tuple((int(t), int(h)) for t, h in self.edges))
-        if self.num_vertices < 1:
-            raise GraphError("graph needs at least one vertex")
         seen = set()
         for t, h in self.edges:
             if t == h:
@@ -144,17 +150,19 @@ def scale_factor(g: Graph, a: Alphabet) -> int:
 
 def path_graph(n: int) -> Graph:
     """Path on n vertices (n-1 edges)."""
+    _check_count("n", n, 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def ring_graph(n: int) -> Graph:
     """Cycle on n >= 3 vertices."""
-    if n < 3:
+    if _check_count("n", n, 1) < 3:
         raise GraphError("a simple ring needs at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
+    _check_count("n", n, 1)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -164,8 +172,8 @@ def grid_graph(rows: int, cols: int, periodic: bool = False) -> Graph:
     Wrap edges that would duplicate an existing pair (rows or cols equal to 2)
     or form self-loops (dimension 1) are dropped so the graph stays simple.
     """
-    if rows < 1 or cols < 1:
-        raise GraphError("grid dimensions must be positive")
+    _check_count("rows", rows, 1)
+    _check_count("cols", cols, 1)
 
     def vid(r, c):
         return r * cols + c

@@ -17,11 +17,9 @@ import numpy as np
 
 from .graphs import Alphabet
 from .nfg import (DUAL, PRIMAL, Marginals, MarginalVector, PrimalNFG, SingularMapError,
-                  _SINGULAR_CAUSE, _truncate_imag, clock_edge_table, dft_table, dualize,
+                  _SINGULAR_CAUSE, _rounding, _truncate_imag, clock_edge_table, dft_table, dualize,
                   ising_dual_edge_table, ising_edge_table, potts_dual_edge_table,
                   potts_edge_table)
-
-_ZERO_REL_FLOOR = 1e-12
 
 ISING_CRITICAL = math.log(1.0 + math.sqrt(2.0)) / 2.0
 CLOCK4_CRITICAL = math.log(1.0 + math.sqrt(2.0))
@@ -45,33 +43,24 @@ def _marginal_values(mv, domain: str) -> tuple:
     return np.asarray(mv, dtype=np.complex128), ("edge", -1), f"{domain} edge"
 
 
-def _require_nonzero(tables: np.ndarray, role: str) -> None:
-    """Refuse any row with an entry below 1e-12 of that row's scale.
-
-    role is "<domain> edge" or "<domain> vertex", optionally with a site index.
-    """
-    mags = np.abs(tables)
-    if not mags.size:
-        return
-    bad = mags.min(axis=1) < _ZERO_REL_FLOOR * np.maximum(1.0, mags.max(axis=1))
-    if bad.any():
-        where = "" if len(tables) == 1 else f" {int(np.argmax(bad))}"
-        raise SingularMapError(
-            f"{role} table{where} has a zero entry; the local map is singular "
-            f"({_SINGULAR_CAUSE[tuple(role.split()[:2])]})"
-        )
-
-
 def _map_rows(values, source, target, role: str, inverse: bool = False) -> np.ndarray:
     """Local map of every row at once: target * DFT(values / source).
 
     The forward DFT carries dual marginals to primal ones; inverse=True
     applies the inverse DFT, with its 1/q, for the way back.  All three
-    arguments are (n, q) arrays; every row of `source` must be nonsingular.
+    arguments are (n, q) arrays; a row of `source` with a zero entry, up to
+    rounding (see nfg._rounding), is refused in the name of role, "<domain> <kind>[ <index>]".
     """
-    if not (values.shape == source.shape == target.shape):
+    if not (values.shape[-1] == source.shape[-1] == target.shape[-1]):
         raise ValueError("marginal and factor tables must share one alphabet size")
-    _require_nonzero(source, role)
+    if values.shape != source.shape:
+        raise ValueError(f"{role} marginals: the record has {len(values)} sites, "
+                         f"the model {len(source)}")
+    bad = (np.abs(source) < _rounding(source)).any(axis=1)
+    if bad.any():
+        where = "" if len(source) == 1 else f" {int(np.argmax(bad))}"
+        raise SingularMapError(f"{role} table{where} has a zero entry; the local map is "
+                               f"singular ({_SINGULAR_CAUSE[tuple(role.split()[:2])]})")
     q = values.shape[1]
     w = Alphabet(q).dft_matrix()
     if inverse:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .graphs import Alphabet, Graph
 
-IMAG_TRUNCATION = 1e-12  # provably-real results below this are snapped to the real axis
+IMAG_TRUNCATION = 1e-12  # rounding, relative to the scale of a table's row (see _rounding)
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -100,10 +100,19 @@ class Marginals:
         return MarginalVector(self.vertex_values[v], ("vertex", v), self.domain)
 
 
-def _truncate_imag(values: np.ndarray, tol: float = IMAG_TRUNCATION) -> np.ndarray:
+def _rounding(tables: np.ndarray) -> np.ndarray:
+    """The rounding bound of each row (last axis) of table entries, shaped to broadcast
+    against them: IMAG_TRUNCATION * max(1, the row's largest magnitude).  An imaginary
+    part, negative real part or magnitude below it is rounding, as a DFT's rounding
+    grows with the table (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 2-3)."""
+    scale = np.abs(tables).max(axis=-1, keepdims=True, initial=0.0)
+    return IMAG_TRUNCATION * np.maximum(1.0, scale)
+
+
+def _truncate_imag(values: np.ndarray) -> np.ndarray:
+    """values as complex, each imaginary part that is rounding snapped to zero."""
     out = np.array(values, dtype=np.complex128)
-    mask = np.abs(out.imag) < tol
-    out.imag = np.where(mask, 0.0, out.imag)
+    out.imag[np.abs(out.imag) < _rounding(out)] = 0.0
     return out
 
 
@@ -143,7 +152,7 @@ class _BaseNFG:
             if not np.isfinite(tables).all():
                 row = np.argmin(np.isfinite(tables).all(axis=1))
                 raise ValueError(f"{kind} {row} table is not finite")
-            if self.domain == PRIMAL and np.abs(tables.imag).max(initial=0.0) > IMAG_TRUNCATION:
+            if self.domain == PRIMAL and (np.abs(tables.imag) >= _rounding(tables)).any():
                 raise ValueError(f"primal {kind} tables must be real")
             if self.domain == PRIMAL and tables.real.min(initial=0.0) < 0:
                 raise ValueError(f"primal {kind} tables must be nonnegative")
@@ -219,17 +228,13 @@ def dualize(p: PrimalNFG) -> DualNFG:
 def is_nonnegative(d: DualNFG) -> bool:
     """True iff every dual table entry is real with nonnegative real part.
 
-    Imaginary parts and negative real parts count as rounding below 1e-12 of
-    the table's own scale, max(1, its largest magnitude), since dualize's
-    rounding grows with the table.  This is the gate for interpreting the
-    dual global function as a PMF and therefore for Gibbs sampling in the
-    dual domain.
+    Imaginary and negative real parts below the row's _rounding bound are
+    rounding.  This is the gate for interpreting the dual global function as
+    a PMF and therefore for Gibbs sampling in the dual domain.
     """
-    for tables in (d.edge_tables, d.vertex_tables):
-        tol = IMAG_TRUNCATION * np.maximum(1.0, np.abs(tables).max(axis=1, keepdims=True))
-        if (np.abs(tables.imag) >= tol).any() or (tables.real < -tol).any():
-            return False
-    return True
+    tables = np.concatenate([d.edge_tables, d.vertex_tables])
+    tol = _rounding(tables)
+    return not ((np.abs(tables.imag) >= tol) | (tables.real < -tol)).any()
 
 
 # -- Builder tables ------------------------------------------------------------

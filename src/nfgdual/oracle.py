@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .graphs import Alphabet, Graph, scale_factor
+from .graphs import Alphabet, Graph, _check_count, scale_factor
 from .nfg import (
     DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _factor_view, dft_table, dualize,
 )
@@ -280,9 +280,8 @@ def ring_potts_marginals(q: int, beta_j: float, num_edges: int) -> tuple:
     contributes (e^bJ + q - 1)^n and each of the remaining q-1 contributes
     (e^bJ - 1)^n.  Every edge has the same row.
     """
-    if num_edges < 3:
-        raise ValueError("a simple ring needs at least 3 edges")
-    n = num_edges
+    _check_count("q", q, 2)
+    n = _check_count("num_edges", num_edges, 3)
     a, b = np.exp(beta_j) + q - 1.0, np.exp(beta_j) - 1.0
     zd = a ** n + (q - 1) * b ** n
     dual = np.full(q, b ** n / zd)

@@ -30,7 +30,6 @@ uniform at a time.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, cycle, islice, product
@@ -38,15 +37,16 @@ from itertools import chain, cycle, islice, product
 import numpy as np
 
 from .bp import BpConfig, run_bp
-from .graphs import betti, build_incidence, dual_vertex_config
+from .graphs import _check_count, betti, build_incidence, dual_vertex_config
 from .mapping import map_marginals
 from .nfg import (
-    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _factor_view, dualize, is_nonnegative,
+    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _factor_view, _rounding, dualize, is_nonnegative,
 )
 
 
 _BLOCK = 64  # retained states tallied per numpy call (and Gaussian sweeps per draw)
 _MEMO_ENTRIES = 1 << 12  # most table entries (q a key) that one variable's memo holds
+_UNIFORMS = 1024  # uniforms that SWP draws per numpy call
 
 
 class SamplerError(ValueError):
@@ -67,12 +67,10 @@ class SamplerConfig:
     thinning: int = 1
 
     def __post_init__(self):
-        for name, least in (("seed", 0), ("samples", 1), ("thinning", 1), ("burn_in", 0)):
-            value = getattr(self, name)
-            if name == "burn_in" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        for name, least in (("seed", 0), ("samples", 1), ("thinning", 1)):
+            _check_count(name, getattr(self, name), least)
+        if self.burn_in is not None:
+            _check_count("burn_in", self.burn_in, 0)
 
     def resolved_burn_in(self, num_variables: int) -> int:
         return 10 * num_variables if self.burn_in is None else self.burn_in
@@ -277,7 +275,7 @@ def gibbs_dual(d: DualNFG, cfg: SamplerConfig) -> Marginals:
             "estimate dual marginal functions with run_bp instead"
         )
     _require_domain(d, DUAL)
-    if (d.vertex_tables.real <= 0.0).any() and betti(d.graph) > 0:
+    if (d.vertex_tables.real < _rounding(d.vertex_tables)).any() and betti(d.graph) > 0:
         raise SamplerError(
             "dual vertex table has zero entries (zero external field): the "
             "single-edge heat bath is non-ergodic on cyclic graphs; add a "
@@ -288,14 +286,15 @@ def gibbs_dual(d: DualNFG, cfg: SamplerConfig) -> Marginals:
 
 def _positive_dual_view(p: PrimalNFG) -> tuple:
     """The factor view of p's dual, refused unless q = 2 and every dual entry is
-    positive.  An Ising table [e^b, e^-b] has the dual [2 cosh b, 2 sinh b], so
-    a non-positive dual edge (vertex) entry is a coupling (field) that is not."""
+    positive beyond rounding.  The Ising [e^b, e^-b] has the dual [2 cosh b, 2 sinh b],
+    so a non-positive dual edge (vertex) entry is a coupling (field) that is not."""
     if p.alphabet.q != 2:
         raise SamplerError("the subgraphs-world process is a binary-model sampler")
     d = dualize(p)
     for kind, what, tables in (("edge", "couplings", d.edge_tables),
                                ("vertex", "fields", d.vertex_tables)):
-        bad = np.flatnonzero(((tables.real <= 0.0) | (tables.imag != 0.0)).any(axis=1))
+        tol = _rounding(tables)
+        bad = np.flatnonzero(((tables.real < tol) | (np.abs(tables.imag) >= tol)).any(axis=1))
         if bad.size:
             raise SamplerError(f"subgraphs-world sampling needs all {what} > 0: "
                                f"dual {kind} table {bad[0]} has an entry that is not positive")
@@ -321,10 +320,10 @@ def _toggle_ratios(p: PrimalNFG) -> tuple:
     return ratios, sites
 
 
-def _block_uniforms(rng, size: int = 1024):
+def _block_uniforms(rng):
     """A callable returning the values of successive rng.random() calls,
-    drawn size at a time."""
-    return chain.from_iterable(iter(lambda: rng.random(size).tolist(), None)).__next__
+    drawn _UNIFORMS at a time."""
+    return chain.from_iterable(iter(lambda: rng.random(_UNIFORMS).tolist(), None)).__next__
 
 
 def _propose(sites, ratios, arg, uniform) -> None:
@@ -352,10 +351,8 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
     uniforms are drawn in blocks.  audit_every (None or a positive integer)
     cross-checks the state's x~ against M^T y~ every so many proposals.
     """
-    if audit_every is not None and (isinstance(audit_every, bool)
-                                    or not isinstance(audit_every, numbers.Integral)
-                                    or audit_every < 1):
-        raise ValueError(f"audit_every must be None or a positive integer, not {audit_every!r}")
+    if audit_every is not None:
+        _check_count("audit_every", audit_every, 1)
     ratios, sites = _toggle_ratios(p)
     g = p.graph
     num_edges = g.num_edges
@@ -393,6 +390,8 @@ def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
     The recorded chain includes every step after a 10*|E|-sweep burn-in;
     intended for detailed-balance checks on very small graphs.
     """
+    _check_count("steps", steps, 1)
+    _check_count("seed", seed, 0)
     g = p.graph
     if g.num_edges > 20:
         raise SamplerError("state histogram is exponential in |E|; keep |E| <= 20")

@@ -181,14 +181,15 @@ def check_fixed_point_constants(seed):
 
 def check_fixed_point_grid(seed):
     """Each curve's extremum on the fig-fixed-points grid is the marked row."""
-    rows = run_fig_fixed_points().rows
+    report = run_fig_fixed_points()
+    rows = [dict(zip((name for name, _ in report.columns), r)) for r in report.rows]
     failures = []
     curves = [("ising", 2, 0, np.argmin)]
     curves += [("potts", q, 0, np.argmin) for q in (3, 4, 5, 10, 100)]
     curves += [("clock", 4, 0, np.argmin), ("clock", 4, 1, np.argmax), ("clock", 4, 2, np.argmax)]
     for family, q, comp, extremum in curves:
-        curve = [r for r in rows if r[0] == family and r[1] == q]
-        if not curve[int(extremum([r[3 + comp] for r in curve]))][6]:
+        curve = [r for r in rows if r["family"] == family and r["q"] == q]
+        if not curve[int(extremum([r[f"pi_star_{comp}"] for r in curve]))]["at_critical_gridpoint"]:
             failures.append(f"{family} q={q} component {comp}")
     return not failures, "grid extrema at criticality" + (
         f"; failed: {failures}" if failures else ""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nfgdual.bp import BpConfig, DegenerateMessageError, run_bp
+from nfgdual.bp import BpConfig, DegenerateMessageError, _Engine, run_bp
 from nfgdual.graphs import Alphabet, Graph, grid_graph, path_graph, ring_graph
 from nfgdual.mapping import map_dual_to_primal, map_primal_to_dual
 from nfgdual.nfg import (
@@ -254,6 +254,18 @@ class TestLoopyBehavior:
 
 
 class TestSignedDual:
+    @pytest.mark.parametrize("build", [
+        lambda: ising_model(ring_graph(4), -10.0, 0.5),
+        lambda: ising_model(ring_graph(4), -9.3, 0.5),
+        lambda: clock_model(ring_graph(4), 6, 30.0, 0.5),
+    ], ids=["ising-10", "ising-9.3", "clock6-30"])
+    def test_large_real_duals_run_in_real_mode(self, build):
+        # their DFTs round to imaginary parts above 1e-12 against entries of 1e4
+        # and more, which dualize used to keep, sending BP to its complex engine
+        d = dualize(build())
+        assert not d.edge_tables.imag.any() and not d.vertex_tables.imag.any()
+        assert _Engine(d, BpConfig()).real_mode
+
     def test_frustrated_triangle_consistency(self):
         # dual BP on signed factors converges; its beliefs agree with mapped
         # primal BP to solver precision, and sit near the oracle marginal

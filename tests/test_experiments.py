@@ -169,6 +169,10 @@ class TestSamplingRunners:
             assert row[3] < 0.05            # primal BP close
             assert row[11] < 0.05           # swp close at modest samples
 
+    def test_gaussian_runner_on_one_vertex_refused_by_cause(self):
+        with pytest.raises(ValueError, match="the graph has no edges"):
+            run_fig_gaussian(quick=True, n=1, samples=5)
+
     def test_gaussian_runner_trajectories(self):
         report = run_fig_gaussian(seed=1, quick=True, n=5, chains=2, samples=20)
         assert len(report.rows) == 3 * 2 * 20

@@ -320,6 +320,12 @@ class TestGibbs:
         mapped = map_variance_dual_to_primal(5.0, res.derived_trajectory[-1])
         assert abs(mapped - exact) / exact < 5e-3
 
+    def test_dual_chain_of_a_graph_without_edges_refused_by_cause(self):
+        # it used to reach gibbs_gaussian's refusal of a 0x0 precision
+        m = GmrfModel(Graph(1, []), s=1.0, sigma=2.0)
+        with pytest.raises(ValueError, match="the graph has no edges"):
+            gmrf_dual_gibbs(m, SamplerConfig(seed=1, samples=10))
+
     def test_negative_burn_in_refused(self):
         # it used to leave the tail of the trajectory uninitialised
         m = GmrfModel(grid_graph(4, 4, periodic=True), s=2.0, sigma=1.0)

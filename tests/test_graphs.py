@@ -57,6 +57,22 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="alphabet size must be an integer"):
             Alphabet(q)
 
+    @pytest.mark.parametrize("build,args,name", [
+        (Graph, (True, []), "num_vertices"),
+        (Graph, (0, []), "num_vertices"),
+        (path_graph, (True,), "n"),
+        (path_graph, (2.5,), "n"),
+        (ring_graph, (4.0,), "n"),
+        (complete_graph, (np.float64(3),), "n"),
+        (grid_graph, (2.5, 3), "rows"),
+        (grid_graph, (2, 0), "cols"),
+    ])
+    def test_sizes_refused_by_name(self, build, args, name):
+        # path_graph(True) used to build a one-vertex graph, and grid_graph(2.5, 3)
+        # died in range() with a TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1, got"):
+            build(*args)
+
     def test_alphabet_accepts_numpy_integers(self):
         assert np.array_equal(Alphabet(np.int64(3)).dft_matrix(), Alphabet(3).dft_matrix())
 

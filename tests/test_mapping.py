@@ -111,6 +111,18 @@ def _largest_gap(got, want) -> float:
 class TestMapMarginals:
     """map_marginals carries a whole record, every edge and vertex, across."""
 
+    @pytest.mark.parametrize("model,message", [
+        (ising_model(ring_graph(4), 0.4, 0.2), "dual edge marginals: the record has 3 sites, "
+                                               "the model 4"),
+        (ising_model(path_graph(4), 0.4, 0.2), "dual vertex marginals: the record has 3 sites, "
+                                               "the model 4"),
+    ], ids=["edges", "vertices"])
+    def test_record_of_another_graph_names_the_counts(self, model, message):
+        # both models have q = 2; the refusal used to blame the alphabet size
+        record = marginals_dual(dualize(ising_model(ring_graph(3), 0.4, 0.2)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            map_marginals(record, model)
+
     def test_both_directions_match_the_oracle(self, small_model_corpus):
         for p, family in small_model_corpus[:10]:
             om, dm = marginals_primal(p), marginals_dual(dualize(p))

@@ -384,6 +384,19 @@ class TestCli:
         assert exc.value.code == 0
         assert capsys.readouterr().out
 
+    def test_gaussian_chains_on_one_vertex_refused_by_cause(self, tmp_path, capsys):
+        # the exact lines hold; the dual chain has no edge variables to sample
+        spec = write_spec(tmp_path, "g.json", {
+            "family": "gaussian",
+            "topology": {"type": "path", "n": 1},
+            "gaussian": {"s": 1.0, "sigma": 2.0},
+        })
+        assert main(["gaussian", "--spec", spec, "--samples", "10"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.startswith("exact primal variances: min=4 max=4 first=4\n")
+        assert captured.err == ("bad input: the dual chain samples the edge variables, "
+                                "and the graph has no edges\n")
+
     def test_gaussian_unmappable_dual_estimate_is_nan(self, tmp_path, capsys):
         # two retained sweeps of the dual chain estimate sigma^2 var_d >= 1
         spec = write_spec(tmp_path, "g.json", {

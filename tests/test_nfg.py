@@ -333,10 +333,13 @@ class TestNonnegativity:
         assert not is_nonnegative(d)
 
     def test_rounding_is_measured_against_the_table_scale(self):
-        # dualize's rounding grows with q: imaginary parts above 1e-12
-        # against entries up to 65 are rounding, not a complex dual
+        # parts above 1e-12 against entries up to 65 are rounding, not a complex
+        # or signed dual; dualize snaps its own rounding by the same rule
+        edge = [[65.0, 1.0 + 3e-11j], [65.0, -3e-11]]
+        d = DualNFG(path_graph(3), Alphabet(2), edge, [[1.0, 1.0]] * 3)
+        assert is_nonnegative(d)
         d = dualize(potts_model(path_graph(3), 64, 0.9, 0.4))
-        assert np.abs(d.edge_tables.imag).max() > 1e-12
+        assert not d.edge_tables.imag.any() and not d.vertex_tables.imag.any()
         assert is_nonnegative(d)
 
     def test_imaginary_part_above_the_table_scale_is_complex(self):

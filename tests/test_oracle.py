@@ -347,6 +347,16 @@ class TestClosedForms:
             assert np.abs(closed_potts.edge_values - closed_ising.edge_values).max() < 1e-12
             assert np.array_equal(closed_potts.vertex_values, closed_ising.vertex_values)
 
+    @pytest.mark.parametrize("args,name,least", [
+        ((1, 0.5, 4), "q", 2),  # used to return one-state records
+        ((3.0, 0.5, 4), "q", 2),
+        ((3, 0.5, 2), "num_edges", 3),
+        ((3, 0.5, True), "num_edges", 3),
+    ])
+    def test_ring_potts_counts_refused_by_name(self, args, name, least):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least {least}"):
+            ring_potts_marginals(*args)
+
     def test_ring_potts_zero_coupling_uniform(self):
         primal, _ = ring_potts_marginals(3, 0.0, 4)
         assert np.allclose(primal.edge_values.real, 1 / 3, atol=1e-13)

@@ -285,14 +285,22 @@ class TestGibbsDual:
         with pytest.raises(SamplerError, match="non-ergodic"):
             gibbs_dual(d, SamplerConfig(seed=1, samples=10))
 
+    def test_zero_vertex_entry_up_to_rounding_refused(self):
+        # 1e-17 against entries of 2 is a rounding residue of zero, which the
+        # gate used to take for a positive weight
+        d = DualNFG(ring_graph(3), Alphabet(2), [[2.0, 1.0]] * 3, [[2.0, 1e-17]] * 3)
+        assert is_nonnegative(d)
+        with pytest.raises(SamplerError, match="non-ergodic"):
+            gibbs_dual(d, SamplerConfig(seed=1, samples=10))
+
     def test_primal_model_refused(self):
         p = ising_model(path_graph(3), 0.5, 0.3)
         with pytest.raises(SamplerError, match="not a primal"):
             gibbs_dual(p, SamplerConfig(seed=1, samples=50))
 
     def test_large_q_dual_samples(self):
-        # its dual tables carry imaginary rounding of 1.8e-12 against entries
-        # up to 65, which is no reason to refuse the chain
+        # its DFT rounds to imaginary parts of 1.8e-12 against entries up to
+        # 65, which dualize snaps as rounding: no reason to refuse the chain
         d = dualize(potts_model(path_graph(3), 64, 0.9, 0.4))
         exact = marginals_dual(d).edge_values.real
         n = 5_000
@@ -557,6 +565,24 @@ class TestSwp:
         p = ising_model(triangle(), 0.5, 0.3)
         with pytest.raises(ValueError, match="audit_every"):
             swp(p, SamplerConfig(seed=1, samples=10), audit_every=audit_every)
+
+    @pytest.mark.parametrize("steps,seed,name", [
+        (True, 1, "steps"), (-1, 1, "steps"), (2.5, 1, "steps"),
+        (10, -1, "seed"), (10, True, "seed"),
+    ])
+    def test_state_histogram_counts_refused_by_name(self, steps, seed, name):
+        # steps=True used to run one step, and steps=-1 fail with islice's message
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+            swp_state_histogram(ising_model(triangle(), 0.5, 0.3), steps, seed)
+
+    def test_scaled_tables_sample_like_their_unscaled_twin(self):
+        # the scaled dual's DFT rounds to imaginary parts of about 1e-11, which
+        # the sampler used to refuse as "couplings > 0"
+        g = ring_graph(4)
+        scaled = PrimalNFG(g, Alphabet(2), [[1e5, 1e4]] * 4, [[2e4, 1e4]] * 4)
+        twin = PrimalNFG(g, Alphabet(2), [[10.0, 1.0]] * 4, [[2.0, 1.0]] * 4)
+        cfg = SamplerConfig(seed=7, samples=2_000)
+        assert_same(swp(scaled, cfg), swp(twin, cfg))
 
     def test_numpy_integer_audit_every_audits_like_an_int(self, monkeypatch):
         p = ising_model(grid_graph(3, 3, periodic=True), 0.44, 0.15)
