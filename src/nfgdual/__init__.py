@@ -10,8 +10,6 @@ from .graphs import (
     betti,
     build_incidence,
     complete_graph,
-    dual_vertex_config,
-    edge_config,
     grid_graph,
     path_graph,
     ring_graph,

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, build_incidence
+from .graphs import Graph, _incidence_entries, build_incidence
 from .samplers import _BLOCK, SamplerConfig, _run_chain
 
 
@@ -95,13 +95,6 @@ def _gram(group: np.ndarray, index: np.ndarray, sign: np.ndarray, n: int) -> np.
     # bincount returns integers when there are no entries
     return np.bincount(index[first] * n + index[second], weights=sign[first] * sign[second],
                        minlength=n * n).reshape(n, n).astype(np.float64, copy=False)
-
-
-def _incidence_entries(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(edge, vertex, sign) of the nonzeros of M: the tails (+1), then the heads (-1)."""
-    ne = g.num_edges
-    vertex = np.array(g.edges, dtype=np.intp).reshape(ne, 2).T.ravel()
-    return np.tile(np.arange(ne), 2), vertex, np.repeat([1.0, -1.0], ne)
 
 
 def primal_precision(m: GmrfModel) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Finite simple connected graphs, oriented incidence matrices, and mod-q configurations.
+"""Finite simple connected graphs and their signed incidence.
 
 The graph is the shared backbone of the primal model (variables on vertices)
 and its Fourier dual (variables on edges).  Edge orientation is fixed by the
-(tail, head) order of the input edge list; every quantity downstream that is
+(tail, head) order of the input edge list and stated once, by the nonzeros of
+`_incidence_entries`; the factor view (`nfg._factor_view`) states the map it
+induces from values to factor arguments.  Every quantity downstream that is
 meant to be orientation-invariant is tested as such.
 """
 
@@ -66,9 +68,12 @@ class Graph:
 
     def __post_init__(self):
         _check_count("num_vertices", self.num_vertices, 1)
-        object.__setattr__(self, "edges", tuple((int(t), int(h)) for t, h in self.edges))
-        seen = set()
+        seen = {}  # each edge's vertex pair: the edge
         for t, h in self.edges:
+            if (type(t) is not int or type(h) is not int) and any(  # plain ints pass fast
+                    isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (t, h)):
+                raise GraphError(f"edge ({t!r}, {h!r}) has an endpoint that is not an integer")
+            t, h = int(t), int(h)
             if t == h:
                 raise GraphError(f"self-loop at vertex {t}")
             if not (0 <= t < self.num_vertices and 0 <= h < self.num_vertices):
@@ -76,13 +81,12 @@ class Graph:
             key = (min(t, h), max(t, h))
             if key in seen:
                 raise GraphError(f"duplicate edge {key}")
-            seen.add(key)
+            seen[key] = (t, h)
+        object.__setattr__(self, "edges", tuple(seen.values()))
         if not self._connected():
             raise GraphError("graph must be connected")
 
     def _connected(self) -> bool:
-        if self.num_vertices == 1:
-            return True
         parent = list(range(self.num_vertices))
 
         def find(a):
@@ -92,19 +96,19 @@ class Graph:
             return a
 
         for t, h in self.edges:
-            ra, rb = find(t), find(h)
-            if ra != rb:
-                parent[ra] = rb
-        root = find(0)
-        return all(find(v) == root for v in range(self.num_vertices))
+            parent[find(t)] = find(h)
+        return len({find(v) for v in range(self.num_vertices)}) == 1
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def incident_edges(self, v: int) -> list:
-        """Edge indices incident to v, ascending."""
-        return [e for e, (t, h) in enumerate(self.edges) if v in (t, h)]
+
+def _incidence_entries(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edge, vertex, sign) of the nonzeros of M: the tails (+1), then the heads (-1)."""
+    ne = g.num_edges
+    vertex = np.array(g.edges, dtype=np.intp).reshape(ne, 2).T.ravel()
+    return np.tile(np.arange(ne), 2), vertex, np.repeat([1.0, -1.0], ne)
 
 
 def build_incidence(g: Graph) -> np.ndarray:
@@ -113,26 +117,9 @@ def build_incidence(g: Graph) -> np.ndarray:
     Connectedness guarantees rank |V|-1 over the rationals.
     """
     m = np.zeros((g.num_edges, g.num_vertices), dtype=np.int8)
-    for e, (t, h) in enumerate(g.edges):
-        m[e, t] = 1
-        m[e, h] = -1
+    edge, vertex, sign = _incidence_entries(g)
+    m[edge, vertex] = sign
     return m
-
-
-def edge_config(m: np.ndarray, x: np.ndarray, a: Alphabet) -> np.ndarray:
-    """Edge configuration y = M x mod q; y_e = x_tail - x_head mod q."""
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != (m.shape[1],):
-        raise ValueError(f"vertex config has length {x.shape}, expected {m.shape[1]}")
-    return (m.astype(np.int64) @ x) % a.q
-
-
-def dual_vertex_config(m: np.ndarray, y_tilde: np.ndarray, a: Alphabet) -> np.ndarray:
-    """Dual vertex configuration x~ = M^T y~ mod q (signed sum of incident edges)."""
-    y_tilde = np.asarray(y_tilde, dtype=np.int64)
-    if y_tilde.shape != (m.shape[0],):
-        raise ValueError(f"edge config has length {y_tilde.shape}, expected {m.shape[0]}")
-    return (m.astype(np.int64).T @ y_tilde) % a.q
 
 
 def betti(g: Graph) -> int:
@@ -178,17 +165,11 @@ def grid_graph(rows: int, cols: int, periodic: bool = False) -> Graph:
     def vid(r, c):
         return r * cols + c
 
-    edges = []
-    seen = set()
+    edges = {}  # each vertex pair, once, with the orientation it was first added in
 
     def add(u, v):
-        if u == v:
-            return
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            return
-        seen.add(key)
-        edges.append((u, v))
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), (u, v))
 
     for r in range(rows):
         for c in range(cols):
@@ -200,4 +181,4 @@ def grid_graph(rows: int, cols: int, periodic: bool = False) -> Graph:
                 add(vid(r, c), vid(r + 1, c))
             elif periodic:
                 add(vid(r, c), vid(0, c))
-    return Graph(rows * cols, edges)
+    return Graph(rows * cols, list(edges.values()))

@@ -145,17 +145,19 @@ class _BaseNFG:
     def __post_init__(self):
         for kind, count in (("edge", self.graph.num_edges), ("vertex", self.graph.num_vertices)):
             tables = np.array(getattr(self, f"{kind}_tables"), dtype=np.complex128)
-            tables.setflags(write=False)
             shape = (count, self.alphabet.q)
             if tables.shape != shape:
                 raise ValueError(f"{kind} tables have shape {tables.shape}, expected {shape}")
             if not np.isfinite(tables).all():
                 row = np.argmin(np.isfinite(tables).all(axis=1))
                 raise ValueError(f"{kind} {row} table is not finite")
-            if self.domain == PRIMAL and (np.abs(tables.imag) >= _rounding(tables)).any():
-                raise ValueError(f"primal {kind} tables must be real")
-            if self.domain == PRIMAL and tables.real.min(initial=0.0) < 0:
-                raise ValueError(f"primal {kind} tables must be nonnegative")
+            if self.domain == PRIMAL:
+                if (np.abs(tables.imag) >= _rounding(tables)).any():
+                    raise ValueError(f"primal {kind} tables must be real")
+                if tables.real.min(initial=0.0) < 0:
+                    raise ValueError(f"primal {kind} tables must be nonnegative")
+                tables.imag = 0.0  # each imaginary part left is rounding: snap it
+            tables.setflags(write=False)
             object.__setattr__(self, f"{kind}_tables", tables)
 
     def __reduce__(self):

@@ -37,7 +37,7 @@ from itertools import chain, cycle, islice, product
 import numpy as np
 
 from .bp import BpConfig, run_bp
-from .graphs import _check_count, betti, build_incidence, dual_vertex_config
+from .graphs import _check_count, betti
 from .mapping import map_marginals
 from .nfg import (
     DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _factor_view, _rounding, dualize, is_nonnegative,
@@ -349,7 +349,7 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
     couplings and fields > 0), so every state has positive weight and single
     toggles are irreducible.  Only a ratio < 1 draws a uniform, and the
     uniforms are drawn in blocks.  audit_every (None or a positive integer)
-    cross-checks the state's x~ against M^T y~ every so many proposals.
+    recomputes the state from y~ by the factor view's map every so many proposals.
     """
     if audit_every is not None:
         _check_count("audit_every", audit_every, 1)
@@ -358,7 +358,7 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
     num_edges = g.num_edges
     uniform = _block_uniforms(np.random.default_rng(cfg.seed))
     arg = [0] * (num_edges + g.num_vertices)
-    incidence = build_incidence(g) if audit_every else None
+    recompute = _arguments(_factor_view(dualize(p))[0], 2) if audit_every else None
 
     def sweep(s: int) -> bytes:
         rest = sites
@@ -368,8 +368,7 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
                               num_edges + 1, audit_every):
                 _propose(sites[done:stop], ratios, arg, uniform)
                 done = stop
-                if arg[num_edges:] != dual_vertex_config(incidence, arg[:num_edges],
-                                                         p.alphabet).tolist():
+                if arg != recompute(np.array([arg[:num_edges]]))[0].tolist():
                     raise AssertionError("parity bookkeeping diverged from recomputation")
             rest = sites[done:]
         _propose(rest, ratios, arg, uniform)
@@ -384,6 +383,13 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
                      np.stack([1.0 - odd_freq, odd_freq], axis=1), DUAL)
 
 
+def _enumerable(p: PrimalNFG, what: str):
+    """p's graph, refused above 20 edges: `what` (a plural) lists all 2^|E| states."""
+    if p.graph.num_edges > 20:
+        raise SamplerError(f"{what} over all 2^|E| states are exponential in |E|; keep |E| <= 20")
+    return p.graph
+
+
 def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
     """Per-proposal occupancy counts over all 2^|E| subgraph states.
 
@@ -392,9 +398,7 @@ def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
     """
     _check_count("steps", steps, 1)
     _check_count("seed", seed, 0)
-    g = p.graph
-    if g.num_edges > 20:
-        raise SamplerError("state histogram is exponential in |E|; keep |E| <= 20")
+    g = _enumerable(p, "occupancy counts")
     ratios, sites = _toggle_ratios(p)
     uniform = _block_uniforms(np.random.default_rng(seed))
     arg = [0] * (g.num_edges + g.num_vertices)
@@ -413,9 +417,7 @@ def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
 def swp_state_weights(p: PrimalNFG) -> np.ndarray:
     """Unnormalized stationary weights over all 2^|E| states, for small graphs:
     the product of the dual tables at each (bit e of a state's index is y~_e)."""
-    g = p.graph
-    if g.num_edges > 20:
-        raise SamplerError("state weights are exponential in |E|; keep |E| <= 20")
+    _enumerable(p, "stationary weights")
     scopes, num_edges, tables = _positive_dual_view(p)
     y = (np.arange(2 ** num_edges)[:, None] >> np.arange(num_edges)) & 1
     args = _arguments(scopes, 2)(y)

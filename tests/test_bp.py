@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from nfgdual.bp import BpConfig, DegenerateMessageError, _Engine, run_bp
-from nfgdual.graphs import Alphabet, Graph, grid_graph, path_graph, ring_graph
+from nfgdual.graphs import Alphabet, Graph, build_incidence, grid_graph, path_graph, ring_graph
 from nfgdual.mapping import map_dual_to_primal, map_primal_to_dual
 from nfgdual.nfg import (
     DualNFG, Marginals, PrimalNFG, clock_model, dualize, ising_model, potts_model,
 )
 from nfgdual.oracle import marginals_dual, marginals_primal
+
+
+def incident(g, v):
+    """(edges at v ascending, their signs): column v of the incidence matrix."""
+    column = build_incidence(g)[:, v]
+    edges = np.flatnonzero(column)
+    return tuple(edges.tolist()), tuple(column[edges].tolist())
 
 
 def factor_graph_diameter(nfg, domain):
@@ -21,7 +28,7 @@ def factor_graph_diameter(nfg, domain):
     else:
         n_vars = g.num_edges
         groups = [[e] for e in range(g.num_edges)] + [
-            g.incident_edges(v) for v in range(g.num_vertices)
+            incident(g, v)[0] for v in range(g.num_vertices)
         ]
     n = n_vars + len(groups)
     adj = [[] for _ in range(n)]
@@ -55,9 +62,7 @@ def reference_bp(nfg, cfg):
         scopes = [((t, h), (1, -1)) for t, h in g.edges] + [((v,), (1,)) for v in range(g.num_vertices)]
     else:
         scopes = [((e,), (1,)) for e in range(g.num_edges)] + [
-            (tuple(g.incident_edges(v)), tuple(1 if g.edges[e][0] == v else -1
-                                               for e in g.incident_edges(v)))
-            for v in range(g.num_vertices)
+            incident(g, v) for v in range(g.num_vertices)
         ]
     tables = np.concatenate([nfg.edge_tables, nfg.vertex_tables])
     real = np.abs(tables.imag).max() < 1e-12
@@ -202,7 +207,7 @@ class TestAgainstReference:
         g = Graph(8, [(0, 1), (0, 2), (0, 3), (4, 0), (1, 5), (6, 1), (2, 7)])
         p = potts_model(g, 3, [0.7, -0.4, 0.3, 0.9, -0.6, 0.5, 0.2], 0.25)
         d = dualize(p)
-        assert sorted({len(g.incident_edges(v)) for v in range(8)}) == [1, 2, 3, 4]
+        assert sorted({len(incident(g, v)[0]) for v in range(8)}) == [1, 2, 3, 4]
         res = run_bp(d, cfg)
         oracle = marginals_dual(d)
         assert res.converged

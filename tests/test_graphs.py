@@ -1,4 +1,4 @@
-"""Graph backbone: incidence construction, mod-q configurations, topology constants."""
+"""Graph backbone: incidence construction, the signed argument map it induces, topology constants."""
 
 import numpy as np
 import pytest
@@ -12,17 +12,33 @@ from nfgdual.graphs import (
     betti,
     build_incidence,
     complete_graph,
-    dual_vertex_config,
-    edge_config,
     grid_graph,
     path_graph,
     ring_graph,
     scale_factor,
 )
+from nfgdual.nfg import PrimalNFG, _factor_view
+from nfgdual.samplers import _arguments
 
 
 def triangle():
     return Graph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def degree(g, v):
+    return sum(v in edge for edge in g.edges)
+
+
+def edge_config(g, x, q):
+    """y = M x mod q, read off the primal factor view: edge e's argument is x_tail - x_head."""
+    p = PrimalNFG(g, Alphabet(q), np.ones((g.num_edges, q)), np.ones((g.num_vertices, q)))
+    return _arguments(_factor_view(p)[0], q)(np.array([x]))[0, :g.num_edges]
+
+
+def dual_vertex_config(g, y_tilde, q):
+    """x~ = M^T y~ mod q, read off the dual factor view: vertex v's argument."""
+    p = PrimalNFG(g, Alphabet(q), np.ones((g.num_edges, q)), np.ones((g.num_vertices, q)))
+    return _arguments(_factor_view(p.dual)[0], q)(np.array([y_tilde]))[0, g.num_edges:]
 
 
 class TestGraphValidation:
@@ -37,6 +53,20 @@ class TestGraphValidation:
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError, match="connected"):
             Graph(4, [(0, 1), (2, 3)])
+
+    @pytest.mark.parametrize("n,edges", [
+        (3, [(0, 1.7), (1, 2)]),
+        (3, [(0, np.float64(2.9)), (1, 2)]),
+        (2, [(False, True)]),
+    ])
+    def test_endpoints_that_are_not_integers_rejected(self, n, edges):
+        # these used to be truncated by int(): to ((0, 1), (1, 2)), ((0, 2), (1, 2)), ((0, 1),)
+        with pytest.raises(GraphError, match=r"^edge \(.*\) has an endpoint that is not an integer"):
+            Graph(n, edges)
+
+    def test_numpy_integer_endpoints_accepted(self):
+        g = Graph(3, [(np.int64(0), np.int32(1)), (np.uint8(1), 2)])
+        assert g.edges == ((0, 1), (1, 2)) and all(type(v) is int for e in g.edges for v in e)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError, match="out of range"):
@@ -95,7 +125,7 @@ class TestIncidence:
         g = grid_graph(3, 4)
         m = build_incidence(g)
         for v in range(g.num_vertices):
-            assert np.count_nonzero(m[:, v]) == len(g.incident_edges(v))
+            assert np.count_nonzero(m[:, v]) == degree(g, v)
 
     def test_rank_is_vertices_minus_one(self):
         for g in (triangle(), grid_graph(2, 3), complete_graph(4)):
@@ -104,53 +134,46 @@ class TestIncidence:
 
 class TestConfigs:
     def test_three_cycle_mod2(self):
-        m = build_incidence(triangle())
-        y = edge_config(m, [1, 0, 1], Alphabet(2))
-        assert np.array_equal(y, [1, 1, 0])
+        assert np.array_equal(edge_config(triangle(), [1, 0, 1], 2), [1, 1, 0])
 
     def test_path_equal_endpoints(self):
-        m = build_incidence(path_graph(2))
-        assert np.array_equal(edge_config(m, [1, 1], Alphabet(2)), [0])
+        assert np.array_equal(edge_config(path_graph(2), [1, 1], 2), [0])
 
     def test_path_mod3(self):
-        m = build_incidence(path_graph(2))
-        assert np.array_equal(edge_config(m, [0, 2], Alphabet(3)), [1])
+        assert np.array_equal(edge_config(path_graph(2), [0, 2], 3), [1])
 
     def test_triangle_mod4(self):
-        m = build_incidence(triangle())
-        assert np.array_equal(edge_config(m, [1, 3, 2], Alphabet(4)), [2, 1, 1])
+        assert np.array_equal(edge_config(triangle(), [1, 3, 2], 4), [2, 1, 1])
 
     def test_dual_config_zeros(self):
-        m = build_incidence(triangle())
-        assert np.array_equal(dual_vertex_config(m, [0, 0, 0], Alphabet(2)), [0, 0, 0])
+        assert np.array_equal(dual_vertex_config(triangle(), [0, 0, 0], 2), [0, 0, 0])
 
     def test_dual_config_cycle_ones(self):
-        m = build_incidence(triangle())
-        assert np.array_equal(dual_vertex_config(m, [1, 1, 1], Alphabet(2)), [0, 0, 0])
+        assert np.array_equal(dual_vertex_config(triangle(), [1, 1, 1], 2), [0, 0, 0])
 
     def test_dual_config_path_mod3(self):
-        m = build_incidence(path_graph(2))
-        assert np.array_equal(dual_vertex_config(m, [2], Alphabet(3)), [2, 1])
-
-    def test_dimension_mismatch(self):
-        m = build_incidence(triangle())
-        with pytest.raises(ValueError):
-            edge_config(m, [0, 1], Alphabet(2))
-        with pytest.raises(ValueError):
-            dual_vertex_config(m, [0, 1], Alphabet(2))
+        assert np.array_equal(dual_vertex_config(path_graph(2), [2], 3), [2, 1])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 7), st.integers(0, 10 ** 9))
     def test_edge_config_is_linear(self, q, seed):
         g = grid_graph(2, 3)
-        m = build_incidence(g)
-        a = Alphabet(q)
         rng = np.random.default_rng(seed)
         x1 = rng.integers(0, q, g.num_vertices)
         x2 = rng.integers(0, q, g.num_vertices)
-        lhs = edge_config(m, (x1 + x2) % q, a)
-        rhs = (edge_config(m, x1, a) + edge_config(m, x2, a)) % q
+        lhs = edge_config(g, (x1 + x2) % q, q)
+        rhs = (edge_config(g, x1, q) + edge_config(g, x2, q)) % q
         assert np.array_equal(lhs, rhs)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_arguments_are_the_incidence_products(self, q):
+        # the factor view's argument map and build_incidence state one orientation
+        g = grid_graph(3, 3, periodic=True)
+        m = build_incidence(g).astype(np.int64)
+        rng = np.random.default_rng(q)
+        x, y = rng.integers(0, q, g.num_vertices), rng.integers(0, q, g.num_edges)
+        assert np.array_equal(edge_config(g, x, q), m @ x % q)
+        assert np.array_equal(dual_vertex_config(g, y, q), m.T @ y % q)
 
 
 class TestTopologyConstants:
@@ -189,7 +212,7 @@ class TestBuilders:
 
     def test_periodic_grid_degrees(self):
         g = grid_graph(4, 4, periodic=True)
-        assert all(len(g.incident_edges(v)) == 4 for v in range(16))
+        assert all(degree(g, v) == 4 for v in range(16))
 
     def test_complete_graph_edge_count(self):
         assert complete_graph(10).num_edges == 45

@@ -24,7 +24,7 @@ from nfgdual.nfg import (
     potts_edge_table,
     potts_model,
 )
-from nfgdual.oracle import _struck
+from nfgdual.oracle import _struck, marginals_primal
 
 
 def triangle():
@@ -221,6 +221,15 @@ class TestBuilders:
     def test_primal_rejects_complex_tables(self):
         with pytest.raises(ValueError, match="real"):
             PrimalNFG(path_graph(2), Alphabet(2), [[1.0, 0.5 + 1e-9j]], [[1, 1], [1, 1]])
+
+    def test_primal_imaginary_rounding_snapped_when_built(self):
+        # the 1e-13j used to be stored, so the oracle returned Z = 28+2.4e-12j and
+        # edge rows with 3.3e-14j while BP's real engine dropped them
+        p = PrimalNFG(ring_graph(3), Alphabet(2), [[2, 1 + 1e-13j]] * 3, [[1, 1]] * 3)
+        assert not p.edge_tables.imag.any() and not p.vertex_tables.imag.any()
+        exact = marginals_primal(p)
+        assert exact.partition == 28 and not exact.edge_values.imag.any()
+        assert not exact.vertex_values.imag.any()
 
     @pytest.mark.parametrize("build,q", [
         (lambda g: ising_model(g, [], 0.5), 2),

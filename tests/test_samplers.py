@@ -98,6 +98,20 @@ def reference_heat_bath(model, cfg):
     return Marginals(counts[:e] / retained, counts[e:] / retained, model.domain)
 
 
+def count_audits(monkeypatch, arguments=samplers._arguments) -> list:
+    """A list that gains an entry at every call of the map that swp's audit
+    recomputes its state with (the factor view's argument map); `arguments`
+    is bound to the unpatched map, so repeated calls do not nest."""
+    audits = []
+
+    def counted(scopes, q):
+        recompute = arguments(scopes, q)
+        return lambda rows: audits.append(1) or recompute(rows)
+
+    monkeypatch.setattr(samplers, "_arguments", counted)
+    return audits
+
+
 def reference_swp(p, cfg, audit_every=None):
     """Subgraphs-world process one toggle at a time, with the Metropolis ratio
     recomputed at every proposal and one scalar uniform per ratio below 1."""
@@ -506,10 +520,7 @@ class TestAgainstReference:
         p = ising_model(grid_graph(3, 3, periodic=True), 0.44, 0.15)
         cfg = REFERENCE_CONFIGS[config]
         want = reference_swp(p, cfg, audit_every=audit_every)
-        audits = []
-        recompute = samplers.dual_vertex_config
-        monkeypatch.setattr(samplers, "dual_vertex_config",
-                            lambda *args: audits.append(1) or recompute(*args))
+        audits = count_audits(monkeypatch)
         assert_same(swp(p, cfg, audit_every=audit_every), want)
         proposals = (cfg.resolved_burn_in(18) + cfg.samples * cfg.thinning) * 18
         assert len(audits) == proposals // audit_every
@@ -575,6 +586,12 @@ class TestSwp:
         with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
             swp_state_histogram(ising_model(triangle(), 0.5, 0.3), steps, seed)
 
+    @pytest.mark.parametrize("run", ["swp_state_histogram", "swp_state_weights"])
+    def test_state_enumerations_refuse_more_than_20_edges(self, run):
+        p = ising_model(path_graph(22), 0.5, 0.3)  # 21 edges, a positive binary dual
+        with pytest.raises(SamplerError, match=r"exponential in \|E\|; keep \|E\| <= 20"):
+            SWP_ENTRY_POINTS[run](p)
+
     def test_scaled_tables_sample_like_their_unscaled_twin(self):
         # the scaled dual's DFT rounds to imaginary parts of about 1e-11, which
         # the sampler used to refuse as "couplings > 0"
@@ -587,16 +604,22 @@ class TestSwp:
     def test_numpy_integer_audit_every_audits_like_an_int(self, monkeypatch):
         p = ising_model(grid_graph(3, 3, periodic=True), 0.44, 0.15)
         cfg = SamplerConfig(seed=5, samples=20)
-        recompute = samplers.dual_vertex_config
         results = []
         for audit_every in (5, np.int64(5)):
-            audits = []
-            monkeypatch.setattr(samplers, "dual_vertex_config",
-                                lambda *args: audits.append(1) or recompute(*args))
+            audits = count_audits(monkeypatch)
             results.append((swp(p, cfg, audit_every=audit_every), len(audits)))
         (want, want_audits), (got, got_audits) = results
         assert_same(got, want)
         assert got_audits == want_audits == (cfg.resolved_burn_in(18) + cfg.samples) * 18 // 5
+
+    def test_audit_catches_bookkeeping_that_diverges(self, monkeypatch):
+        def edge_only(sites, ratios, arg, uniform):  # toggles no endpoint parity
+            for e, _, _, _ in sites:
+                arg[e] ^= 1
+
+        monkeypatch.setattr(samplers, "_propose", edge_only)
+        with pytest.raises(AssertionError, match="diverged from recomputation"):
+            swp(ising_model(triangle(), 0.5, 0.3), SamplerConfig(seed=1, samples=10), audit_every=1)
 
     @pytest.mark.parametrize("model", sorted(POSITIVE_DUAL_MODELS))
     def test_binary_models_with_a_positive_dual(self, model):
