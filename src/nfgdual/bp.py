@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import _check_count
-from .nfg import Marginals, _factor_view, _rounding
+from .nfg import Marginals, _rounding
 
 
 class DegenerateMessageError(RuntimeError):
@@ -134,8 +134,8 @@ class _Engine:
     def __init__(self, nfg, cfg: BpConfig):
         self.cfg = cfg
         self.q = q = nfg.alphabet.q
-        self.num_edges = nfg.graph.num_edges
-        scopes, num_vars, self.tables = _factor_view(nfg)
+        self.site = nfg.site
+        scopes, num_vars, self.tables = nfg.scopes, nfg.num_vars, nfg.tables
         self.real_mode = bool((np.abs(self.tables.imag) < _rounding(self.tables)).all())
         self.w = nfg.alphabet.dft_matrix()
         self.winv = np.conj(self.w) / q
@@ -167,9 +167,6 @@ class _Engine:
         self.msgs[n_slots] = 1.0
         starts = iter(np.cumsum([0] + [d * len(fis) for d, fis in by_degree.items()]))
         self.groups = [_Group(self, fis, d, next(starts)) for d, fis in by_degree.items()]
-
-    def site(self, fi) -> str:
-        return f"edge {fi}" if fi < self.num_edges else f"vertex {fi - self.num_edges}"
 
     def _incoming(self, grp: _Group) -> np.ndarray:
         """Variable-to-factor messages into the group's slots, sign-reindexed: (d*k, q)."""
@@ -257,8 +254,6 @@ def run_bp(nfg, cfg: BpConfig | None = None) -> Marginals:
         if residual < cfg.tol:
             converged = True
             break
-    beliefs = engine.beliefs()
-    edges = nfg.graph.num_edges
-    return Marginals(beliefs[:edges], beliefs[edges:], nfg.domain, converged=converged,
-                     iterations=iterations, residual=residual)
+    return nfg.record(engine.beliefs(), converged=converged, iterations=iterations,
+                      residual=residual)
 

@@ -3,9 +3,9 @@
 The graph is the shared backbone of the primal model (variables on vertices)
 and its Fourier dual (variables on edges).  Edge orientation is fixed by the
 (tail, head) order of the input edge list and stated once, by the nonzeros of
-`_incidence_entries`; the factor view (`nfg._factor_view`) states the map it
-induces from values to factor arguments.  Every quantity downstream that is
-meant to be orientation-invariant is tested as such.
+`_incidence_entries`; a model's `scopes` group them by edge or by vertex, and
+its `argument_map()` is the map they induce from values to factor arguments.
+Every quantity downstream meant to be orientation-invariant is tested as such.
 """
 
 from __future__ import annotations

@@ -111,23 +111,45 @@ def map_marginals(record: Marginals, p: PrimalNFG) -> Marginals:
 
 
 def fixed_point(primal_table, dual_table) -> np.ndarray:
-    """The marginal vector invariant under the map: pi*(a) = psi(a) psi~(a) / S."""
-    prod = _table(primal_table) * _table(dual_table)
-    return _truncate_imag(prod / prod.sum())
+    """The marginal vector invariant under the map: pi*(a) = psi(a) psi~(a) / S, S the
+    sum of the products; an S that is zero or not finite is refused with a ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = _table(primal_table) * _table(dual_table)
+        total = prod.sum()
+    if total == 0 or not np.isfinite(total):
+        raise ValueError(f"the table products psi psi~ sum to {total}: "
+                         "the fixed point has no normalization")
+    return _truncate_imag(prod / total)
 
 
+def _at_coupling(beta_j: float, primal_table, dual_table) -> np.ndarray:
+    """The real fixed point of the edge tables at coupling bJ, which the family
+    curves below build with numpy's overflow warnings off; a refusal names bJ."""
+    try:
+        return fixed_point(primal_table, dual_table).real
+    except ValueError as err:
+        raise ValueError(f"at coupling bJ = {beta_j}, {err}") from None
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def ising_fixed_point(beta_j: float) -> np.ndarray:
-    """Homogeneous binary fixed point [e^bJ cosh bJ, e^-bJ sinh bJ] / (1 + sinh 2bJ)."""
-    return fixed_point(ising_edge_table(beta_j), ising_dual_edge_table(beta_j)).real
+    """Homogeneous binary fixed point [e^bJ cosh bJ, e^-bJ sinh bJ] / (1 + sinh 2bJ).
+
+    For bJ < 0 the dual table 2 sinh bJ is signed, so the fixed point is a
+    marginal function, with unit sum and a negative entry, not a PMF.
+    """
+    return _at_coupling(beta_j, ising_edge_table(beta_j), ising_dual_edge_table(beta_j))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def potts_fixed_point(q: int, beta_j: float) -> np.ndarray:
-    return fixed_point(potts_edge_table(q, beta_j), potts_dual_edge_table(q, beta_j)).real
+    return _at_coupling(beta_j, potts_edge_table(q, beta_j), potts_dual_edge_table(q, beta_j))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def clock_fixed_point(q: int, beta_j: float) -> np.ndarray:
     t = clock_edge_table(q, beta_j)
-    return fixed_point(t, dft_table(t, Alphabet(q))).real
+    return _at_coupling(beta_j, t, dft_table(t, Alphabet(q)))
 
 
 def ising_lower_bounds(beta_j: float) -> tuple:
@@ -147,7 +169,12 @@ def potts_lower_bounds(q: int, beta_j: float) -> tuple:
     """q-state analogs: (e^bJ/(e^bJ - 1 + q), (e^bJ - 1 + q)/(q e^bJ)); product >= 1/q."""
     if beta_j < 0:
         raise ValueError("bounds hold for ferromagnetic couplings only")
-    ebj = math.exp(beta_j)
+    try:
+        ebj = math.exp(beta_j)
+    except OverflowError:
+        ebj = math.inf
+    if not math.isfinite(q * ebj):
+        raise ValueError(f"coupling bJ = {beta_j} overflows the bounds: q e^bJ is not finite")
     return ebj / (ebj - 1.0 + q), (ebj - 1.0 + q) / (q * ebj)
 
 
@@ -161,10 +188,12 @@ def magnetization_roundtrip(beta_j: float, delta_p=None, delta_d=None) -> tuple:
     """
     if (delta_p is None) == (delta_d is None):
         raise ValueError("provide exactly one of delta_p, delta_d")
-    sh = math.sinh(2.0 * beta_j)
+    try:
+        sh, ch = math.sinh(2.0 * beta_j), math.cosh(2.0 * beta_j)
+    except OverflowError:
+        raise ValueError(f"coupling bJ = {beta_j} overflows sinh 2bJ and cosh 2bJ") from None
     if sh == 0.0:
         raise SingularMapError("magnetization relation is singular at bJ = 0")
-    ch = math.cosh(2.0 * beta_j)
     if delta_d is None:
         delta_d = ch - float(delta_p) * sh
     else:

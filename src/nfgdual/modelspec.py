@@ -14,7 +14,7 @@ from jsonschema import Draft202012Validator
 
 from .gaussian import GmrfModel
 from .graphs import Graph, complete_graph, grid_graph, path_graph, ring_graph
-from .nfg import PrimalNFG, clock_model, ising_model, potts_model
+from .nfg import clock_model, ising_model, potts_model
 
 SCHEMA_VERSION = 1
 

@@ -7,10 +7,10 @@ y_e = x_tail - x_head (mod q) for every edge with a vertex table phi_v
 evaluated at x_v for every vertex.  Dualization replaces every table by its
 unnormalized forward DFT and flips the role of vertex and edge configurations:
 in the dual domain the free variables are the edge values y~ and the vertex
-values are derived as x~ = M^T y~.  `_factor_view` states both domains in the
-one shape that BP, the enumeration oracle and the Gibbs samplers read; a model
-is frozen and checks its tables once, when it is built, and a primal model
-computes its dual once, when it is first asked for.
+values are derived as x~ = M^T y~.  A model's members state both domains in
+the one factor view that BP, the enumeration oracle and the samplers read; a
+model is frozen and checks its tables once, when it is built, and a primal
+model computes its dual once, when it is first asked for.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Alphabet, Graph
+from .graphs import Alphabet, Graph, _incidence_entries
 
 IMAG_TRUNCATION = 1e-12  # rounding, relative to the scale of a table's row (see _rounding)
 
@@ -135,7 +135,8 @@ def idft_table(values: np.ndarray, a: Alphabet) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _BaseNFG:
     """Graph plus one table per edge and per vertex, stored as stacked read-only copies,
-    checked once when built: shape, finite entries, and real nonnegative primal ones."""
+    checked once when built: shape, finite entries, and real nonnegative primal ones.
+    The factor view below is computed on each access: factor e is edge e, |E| + v vertex v."""
 
     graph: Graph
     alphabet: Alphabet
@@ -165,6 +166,52 @@ class _BaseNFG:
         their tables are read-only and checked like the original's."""
         return type(self), (self.graph, self.alphabet, self.edge_tables, self.vertex_tables)
 
+    @property
+    def num_vars(self) -> int:
+        """The free variables: |V| vertex values in the primal, |E| edge values in the dual."""
+        return self.graph.num_vertices if self.domain == PRIMAL else self.graph.num_edges
+
+    @property
+    def tables(self) -> np.ndarray:
+        """Every factor's table, one row each: the edge tables over the vertex tables."""
+        return np.concatenate([self.edge_tables, self.vertex_tables])
+
+    @property
+    def scopes(self) -> list:
+        """Each factor's (variables, signs), tuples of ints: factor f reads tables[f] at
+        s_1 z_1 + ... + s_d z_d mod q.  Primal edge e sees its incidence row, x_tail - x_head,
+        dual vertex v its column, (M^T y~)_v, in edge order; every other factor one variable."""
+        g = self.graph
+        edge, vertex, sign = _incidence_entries(g)
+        primal = self.domain == PRIMAL
+        group, member = (edge, vertex) if primal else (vertex, edge)
+        order = np.lexsort((edge, group))
+        members, signs = member[order].tolist(), sign[order].astype(int).tolist()
+        sizes = np.bincount(group, minlength=g.num_edges if primal else g.num_vertices)
+        ends = np.cumsum(sizes).tolist()
+        shared = [(tuple(members[a:b]), tuple(signs[a:b])) for a, b in zip([0] + ends, ends)]
+        unary = [((i,), (1,)) for i in range(self.num_vars)]
+        return shared + unary if primal else unary + shared
+
+    def site(self, f: int) -> str:
+        """Factor f's name: "edge e" or "vertex v"."""
+        ne = self.graph.num_edges
+        return f"edge {f}" if f < ne else f"vertex {f - ne}"
+
+    def record(self, rows, **diagnostics) -> Marginals:
+        """The Marginals of per-factor rows: the first |E| are the edge values."""
+        return Marginals(*np.split(rows, [self.graph.num_edges]), self.domain, **diagnostics)
+
+    def argument_map(self):
+        """The map from rows of variable values, (n, num_vars), to every factor's arguments."""
+        scopes, q = self.scopes, self.alphabet.q
+        variables = np.zeros((len(scopes), max(len(v) for v, _ in scopes)), dtype=np.int64)
+        signs = np.zeros_like(variables)  # padding reads variable 0 with sign 0
+        for f, (scope, scope_signs) in enumerate(scopes):
+            variables[f, :len(scope)] = scope
+            signs[f, :len(scope_signs)] = scope_signs
+        return lambda rows: (rows[:, variables] * signs).sum(axis=2) % q
+
 
 class PrimalNFG(_BaseNFG):
     """Primal model: pi_p(x) proportional to prod_e psi_e(y_e(x)) * prod_v phi_v(x_v)."""
@@ -192,34 +239,6 @@ class DualNFG(_BaseNFG):
     domain = DUAL
 
 
-def _factor_view(model) -> tuple:
-    """(scopes, variable count, stacked tables) of a model in either domain.
-
-    Both domains are one shape: factor i is tables[i] evaluated at the signed
-    sum of its scope's variables, s_1 z_1 + ... + s_d z_d mod q.  Factor e is
-    edge e and factor |E| + v is vertex v; scopes[i] is (variables, signs).
-    Primal: the variables are the vertex values, edge e sees x_tail - x_head
-    and vertex v sees x_v.  Dual: the variables are the edge values, edge e
-    sees y~_e and vertex v sees (M^T y~)_v, where the tail of an edge sees
-    +y~_e and its head -y~_e.
-    """
-    g = model.graph
-    tables = np.concatenate([model.edge_tables, model.vertex_tables])
-    if isinstance(model, PrimalNFG):
-        scopes = [((t, h), (1, -1)) for t, h in g.edges]
-        scopes += [((v,), (1,)) for v in range(g.num_vertices)]
-        return scopes, g.num_vertices, tables
-    if isinstance(model, DualNFG):
-        incident = [[] for _ in range(g.num_vertices)]
-        for e, (t, h) in enumerate(g.edges):
-            incident[t].append((e, 1))
-            incident[h].append((e, -1))
-        scopes = [((e,), (1,)) for e in range(g.num_edges)]
-        scopes += [(tuple(e for e, _ in inc), tuple(s for _, s in inc)) for inc in incident]
-        return scopes, g.num_edges, tables
-    raise TypeError(f"expected PrimalNFG or DualNFG, got {type(model).__name__}")
-
-
 def dualize(p: PrimalNFG) -> DualNFG:
     """p.dual: every factor table replaced by its forward DFT, computed once per model."""
     if not isinstance(p, PrimalNFG):
@@ -234,7 +253,7 @@ def is_nonnegative(d: DualNFG) -> bool:
     rounding.  This is the gate for interpreting the dual global function as
     a PMF and therefore for Gibbs sampling in the dual domain.
     """
-    tables = np.concatenate([d.edge_tables, d.vertex_tables])
+    tables = d.tables
     tol = _rounding(tables)
     return not ((np.abs(tables.imag) >= tol) | (tables.real < -tol)).any()
 

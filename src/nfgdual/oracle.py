@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphs import Alphabet, Graph, _check_count, scale_factor
 from .nfg import (
-    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _factor_view, dft_table, dualize,
+    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, dft_table, dualize,
 )
 
 DEFAULT_BUDGET = 2 ** 26
@@ -64,7 +64,7 @@ def _enumerate(model):
     """One pass over every configuration of the model's free variables.
 
     Returns (Z, sums), where row i of sums accumulates the weight of each
-    configuration at factor i's argument (factor numbering of _factor_view:
+    configuration at factor i's argument (the model's factor numbering:
     edge rows first, then vertex rows).  Weights whose sums overflow raise
     ValueError naming the domain, without a numpy warning.
 
@@ -75,7 +75,7 @@ def _enumerate(model):
     their index sum_j z_j q**j, and Z adds one pairwise sum per _CHUNK
     states of that order.
     """
-    scopes, num_vars, tables = _factor_view(model)
+    scopes, num_vars, tables = model.scopes, model.num_vars, model.tables
     q = model.alphabet.q
     total = q ** num_vars
     _check_budget(total, f"{model.domain} enumeration")
@@ -144,8 +144,7 @@ def _enumerate(model):
 
 def _marginals(model, norm: float = 1.0) -> Marginals:
     z, sums = _enumerate(model)
-    e = model.graph.num_edges
-    return Marginals(sums[:e] / z, sums[e:] / z, model.domain, partition=z * norm)
+    return model.record(sums / z, partition=z * norm)
 
 
 def _dual_indicator_norm(g: Graph, a: Alphabet) -> float:
@@ -169,12 +168,16 @@ def duality_check(p: PrimalNFG) -> float:
 
 def marginals_primal(p: PrimalNFG) -> Marginals:
     """All primal edge and vertex marginals in a single enumeration pass."""
+    if not isinstance(p, PrimalNFG):
+        raise TypeError(f"marginals_primal takes a PrimalNFG, got {type(p).__name__}")
     return _marginals(p)
 
 
 def marginals_dual(d: DualNFG) -> Marginals:
     """All dual edge and vertex marginals (marginal functions if d is signed); the partition
     carries _dual_indicator_norm's q**(1-|V|), so Z_d = q**betti Z_p for symmetric tables."""
+    if not isinstance(d, DualNFG):
+        raise TypeError(f"marginals_dual takes a DualNFG, got {type(d).__name__}")
     return _marginals(d, _dual_indicator_norm(d.graph, d.alphabet))
 
 
@@ -225,12 +228,20 @@ def _tanh_product(values: np.ndarray) -> float:
     return float(np.prod(t))
 
 
-def _closed_form_records(edge_primal, edge_dual, num_vertices: int, q: int) -> tuple:
-    """(primal, dual) records of a zero-field closed form with the given edge rows.
+def _closed_form_records(edge_primal, edge_dual, couplings, num_vertices: int, q: int) -> tuple:
+    """(primal, dual) records of a zero-field closed form with the given edge rows,
+    each computed from the coupling at its index; a row that is not finite is
+    refused with a ValueError naming that coupling.
 
     Vertex rows are uniform 1/q in the primal by symmetry and a delta at 0 in
     the dual, where the vertex statistic vanishes.
     """
+    finite = np.isfinite(np.hstack([np.reshape(edge_primal, (-1, q)),
+                                    np.reshape(edge_dual, (-1, q))])).all(axis=1)
+    if not finite.all():
+        e = int(np.argmin(finite))
+        raise ValueError(f"coupling bJ = {couplings[e]} of edge {e} overflows the closed form")
+
     def record(edges, vertex, domain):
         return Marginals(np.array(edges, dtype=np.complex128).reshape(-1, q),
                          np.tile(np.array(vertex, dtype=np.complex128), (num_vertices, 1)),
@@ -240,6 +251,7 @@ def _closed_form_records(edge_primal, edge_dual, num_vertices: int, q: int) -> t
             record(edge_dual, np.eye(1, q)[0], DUAL))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def chain_ising_marginals(couplings, boundary: str = "free") -> tuple:
     """Exact zero-field 1D Ising marginals, free or periodic: (primal, dual) pair.
 
@@ -270,9 +282,10 @@ def chain_ising_marginals(couplings, boundary: str = "free") -> tuple:
             p1 = np.exp(-b) / (2 * np.cosh(b)) * (1 - rest) / (1 + full)
             edge_primal.append([p0, p1])
         num_vertices = n
-    return _closed_form_records(edge_primal, edge_dual, num_vertices, 2)
+    return _closed_form_records(edge_primal, edge_dual, bj, num_vertices, 2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ring_potts_marginals(q: int, beta_j: float, num_edges: int) -> tuple:
     """Closed-form homogeneous q-state ring marginals: (primal, dual) pair.
 
@@ -288,4 +301,4 @@ def ring_potts_marginals(q: int, beta_j: float, num_edges: int) -> tuple:
     dual[0] = a ** n / zd
     primal = np.full(q, (a ** (n - 1) - b ** (n - 1)) / zd)
     primal[0] = np.exp(beta_j) * (a ** (n - 1) + (q - 1) * b ** (n - 1)) / zd
-    return _closed_form_records([primal] * n, [dual] * n, n, q)
+    return _closed_form_records([primal] * n, [dual] * n, [beta_j] * n, n, q)

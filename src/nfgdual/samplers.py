@@ -11,17 +11,19 @@ supplies its sweep and tallies a block of retained states.  A sweep returns a
 snapshot that the chain will not mutate (here `bytes` of the configuration,
 two or more bytes a value when q > 256), so `_run_chain` keeps it uncopied
 and a tally reads a block of them with one `np.frombuffer`.  Both kernels here
-walk a factor view.  The Gibbs samplers run one heat bath on the view of their
-domain, and draw a sweep's uniforms at once: one `rng.random(n)` gives the
-same PCG64 stream as n scalar draws.  A site update looks its conditional up
-by the variable's neighbour key (the table offsets of its factors, kept up to
-date as neighbours move; for q = 2, one key bit per factor, toggled when a
-neighbour in that factor flips); each key's conditional is computed once
-while a bounded memo has room, with the float operations of a product loop,
-and a draw bisects its cumulative weights, or for q = 2 is one comparison.  The
-subgraphs-world process is a Metropolis kernel on the dual's view: its state
-lists every dual factor's argument, a toggle's ratio is read from a per-edge
-table of eight entries, and uniforms are drawn in blocks.
+read a model's factor view (its `scopes`, `tables` and `argument_map()`, and
+`record` for the result).  The Gibbs samplers run one heat bath on the model
+of their domain, and draw a sweep's uniforms at once: one `rng.random(n)`
+gives the same PCG64 stream as n scalar draws.  A site update looks its
+conditional up by the variable's neighbour key (the table offsets of its
+factors, kept up to date as neighbours move; for q = 2, one key bit per
+factor, toggled when a neighbour in that factor flips); each key's
+conditional is computed once while a bounded memo has room, with the float
+operations of a product loop, and a draw bisects its cumulative weights, or
+for q = 2 is one comparison.  The subgraphs-world process is a Metropolis
+kernel on the checked positive dual: its state lists every dual factor's
+argument, a toggle's ratio is read from a per-edge table of eight entries,
+and uniforms are drawn in blocks.
 These change no seeded output: every chain returns the same frequencies, bit
 for bit, as a loop that recomputes each conditional and ratio and draws one
 uniform at a time.
@@ -40,13 +42,14 @@ from .bp import BpConfig, run_bp
 from .graphs import _check_count, betti
 from .mapping import map_marginals
 from .nfg import (
-    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _factor_view, _rounding, dualize, is_nonnegative,
+    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _rounding, dualize, is_nonnegative,
 )
 
 
 _BLOCK = 64  # retained states tallied per numpy call (and Gaussian sweeps per draw)
 _MEMO_ENTRIES = 1 << 12  # most table entries (q a key) that one variable's memo holds
 _UNIFORMS = 1024  # uniforms that SWP draws per numpy call
+_STATES = 1 << 12  # states whose weights swp_state_weights fills per numpy call
 
 
 class SamplerError(ValueError):
@@ -104,16 +107,6 @@ def _rows(states: list, dtype, width: int) -> np.ndarray:
     return np.frombuffer(b"".join(states), dtype).reshape(len(states), width)
 
 
-def _arguments(scopes, q: int):
-    """A function from rows of variable values to every factor's argument in each row."""
-    variables = np.zeros((len(scopes), max(len(v) for v, _ in scopes)), dtype=np.int64)
-    signs = np.zeros_like(variables)  # padding reads variable 0 with sign 0
-    for f, (scope, scope_signs) in enumerate(scopes):
-        variables[f, :len(scope)] = scope
-        signs[f, :len(scope_signs)] = scope_signs
-    return lambda rows: (rows[:, variables] * signs).sum(axis=2) % q
-
-
 def _conditional(tables, digits, q: int, kind: str, site: int) -> tuple:
     """(total, cumulative weights below the last weighted value) of one
     variable's heat-bath conditional, given its factors' doubled tables t2
@@ -169,7 +162,7 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
     retained ones, a block at a time, every factor is counted at its argument
     in each: these are the edge and vertex frequencies.
     """
-    scopes, num_vars, tables = _factor_view(model)
+    scopes, num_vars, tables = model.scopes, model.num_vars, model.tables
     q = model.alphabet.q
     kind = "vertex" if model.domain == PRIMAL else "edge"
     real = tables.real.clip(min=0.0)
@@ -187,7 +180,7 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
             moves[j] += [(place[f, i], i, si * sj) for i, si in zip(variables, signs) if i != j]
     key = [0] * num_vars
     memo = [{} for _ in range(num_vars)]
-    arguments = _arguments(scopes, q)
+    arguments = model.argument_map()
     offsets = q * np.arange(len(scopes))
     dtype = np.min_scalar_type(q - 1)
     snapshot = bytes if dtype.itemsize == 1 else lambda z: np.array(z, dtype).tobytes()
@@ -235,9 +228,7 @@ def _heat_bath(model, cfg: SamplerConfig) -> Marginals:
                         key[other] += ((old + mult * d) % q - old) * weight
             return snapshot(z)
 
-    freq = _run_chain(cfg, num_vars, sweep, tally).reshape(len(scopes), q)
-    e = model.graph.num_edges
-    return Marginals(freq[:e], freq[e:], model.domain)
+    return model.record(_run_chain(cfg, num_vars, sweep, tally).reshape(len(scopes), q))
 
 
 def _require_domain(model, domain: str) -> None:
@@ -284,10 +275,11 @@ def gibbs_dual(d: DualNFG, cfg: SamplerConfig) -> Marginals:
     return _heat_bath(d, cfg)
 
 
-def _positive_dual_view(p: PrimalNFG) -> tuple:
-    """The factor view of p's dual, refused unless q = 2 and every dual entry is
-    positive beyond rounding.  The Ising [e^b, e^-b] has the dual [2 cosh b, 2 sinh b],
-    so a non-positive dual edge (vertex) entry is a coupling (field) that is not."""
+def _positive_dual(p: PrimalNFG) -> DualNFG:
+    """p's dual, the model that SWP samples and audits, refused unless q = 2 and
+    every dual entry is positive beyond rounding.  The Ising [e^b, e^-b] has the
+    dual [2 cosh b, 2 sinh b], so a non-positive dual edge (vertex) entry is a
+    coupling (field) that is not."""
     if p.alphabet.q != 2:
         raise SamplerError("the subgraphs-world process is a binary-model sampler")
     d = dualize(p)
@@ -298,22 +290,21 @@ def _positive_dual_view(p: PrimalNFG) -> tuple:
         if bad.size:
             raise SamplerError(f"subgraphs-world sampling needs all {what} > 0: "
                                f"dual {kind} table {bad[0]} has an entry that is not positive")
-    return _factor_view(d)
+    return d
 
 
-def _toggle_ratios(p: PrimalNFG) -> tuple:
-    """(ratios, sites) of single toggles on the factor view of p's dual, whose
+def _toggle_ratios(d: DualNFG) -> tuple:
+    """(ratios, sites) of single toggles on the checked positive dual d, whose
     state is every dual factor's argument: y~_e at e, then x~_v at |E| + v.
 
     Edge variable e = (t, h) is in psi~_e, phi~_t and phi~_h, and a toggle
     flips all three arguments, so its ratio is the product of their table
     ratios, at 8 e + 4 y~_e + 2 x~_t + x~_h.  Its site is (e, |E| + t, |E| + h, 8 e).
     """
-    _, num_edges, tables = _positive_dual_view(p)
-    real = tables.real
+    num_edges, real = d.num_vars, d.tables.real
     flip = (real[:, ::-1] / real).tolist()  # flip[f][a] = table_f[1 - a] / table_f[a]
     ratios, sites = [], []
-    for e, (t, h) in enumerate(p.graph.edges):
+    for e, (t, h) in enumerate(d.graph.edges):
         t, h = num_edges + t, num_edges + h
         ratios += [flip[e][a] * flip[t][b] * flip[h][c] for a, b, c in product((0, 1), repeat=3)]
         sites.append((e, t, h, 8 * e))
@@ -349,16 +340,15 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
     couplings and fields > 0), so every state has positive weight and single
     toggles are irreducible.  Only a ratio < 1 draws a uniform, and the
     uniforms are drawn in blocks.  audit_every (None or a positive integer)
-    recomputes the state from y~ by the factor view's map every so many proposals.
+    recomputes the state from y~ by the dual's argument_map() every so many proposals.
     """
     if audit_every is not None:
         _check_count("audit_every", audit_every, 1)
-    ratios, sites = _toggle_ratios(p)
-    g = p.graph
-    num_edges = g.num_edges
+    d = _positive_dual(p)
+    ratios, sites = _toggle_ratios(d)
+    num_edges, arg = d.num_vars, [0] * len(d.tables)
     uniform = _block_uniforms(np.random.default_rng(cfg.seed))
-    arg = [0] * (num_edges + g.num_vertices)
-    recompute = _arguments(_factor_view(dualize(p))[0], 2) if audit_every else None
+    recompute = d.argument_map() if audit_every else None
 
     def sweep(s: int) -> bytes:
         rest = sites
@@ -378,9 +368,8 @@ def swp(p: PrimalNFG, cfg: SamplerConfig, audit_every: int | None = None) -> Mar
         """Edge memberships and vertex parities summed over the given states."""
         return _rows(states, np.uint8, len(arg)).sum(axis=0)
 
-    in_freq, odd_freq = np.split(_run_chain(cfg, num_edges, sweep, tally), [num_edges])
-    return Marginals(np.stack([1.0 - in_freq, in_freq], axis=1),
-                     np.stack([1.0 - odd_freq, odd_freq], axis=1), DUAL)
+    freq = _run_chain(cfg, num_edges, sweep, tally)
+    return d.record(np.stack([1.0 - freq, freq], axis=1))
 
 
 def _enumerable(p: PrimalNFG, what: str):
@@ -399,7 +388,7 @@ def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
     _check_count("steps", steps, 1)
     _check_count("seed", seed, 0)
     g = _enumerable(p, "occupancy counts")
-    ratios, sites = _toggle_ratios(p)
+    ratios, sites = _toggle_ratios(_positive_dual(p))
     uniform = _block_uniforms(np.random.default_rng(seed))
     arg = [0] * (g.num_edges + g.num_vertices)
     for _ in range(10 * g.num_edges):
@@ -416,12 +405,17 @@ def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
 
 def swp_state_weights(p: PrimalNFG) -> np.ndarray:
     """Unnormalized stationary weights over all 2^|E| states, for small graphs:
-    the product of the dual tables at each (bit e of a state's index is y~_e)."""
+    the product of the dual tables at each (bit e of a state's index is y~_e),
+    filled _STATES states at a time."""
     _enumerable(p, "stationary weights")
-    scopes, num_edges, tables = _positive_dual_view(p)
-    y = (np.arange(2 ** num_edges)[:, None] >> np.arange(num_edges)) & 1
-    args = _arguments(scopes, 2)(y)
-    return tables.real[np.arange(len(scopes)), args].prod(axis=1)
+    d = _positive_dual(p)
+    arguments, tables, n = d.argument_map(), d.tables.real, d.num_vars
+    factors = np.arange(len(tables))
+    weights = np.empty(2 ** n)
+    for lo in range(0, 2 ** n, _STATES):
+        y = (np.arange(lo, min(lo + _STATES, 2 ** n))[:, None] >> np.arange(n)) & 1
+        weights[lo:lo + len(y)] = tables[factors, arguments(y)].prod(axis=1)
+    return weights
 
 
 def estimate_primal_via_dual(

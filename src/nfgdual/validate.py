@@ -19,7 +19,9 @@ from .gaussian import (
     map_variance_dual_to_primal,
     primal_precision,
 )
-from .graphs import Graph, betti, build_incidence, grid_graph, path_graph, ring_graph, scale_factor
+from .graphs import (
+    Alphabet, Graph, betti, build_incidence, grid_graph, path_graph, ring_graph, scale_factor,
+)
 from .mapping import (
     CLOCK4_CRITICAL,
     ISING_CRITICAL,
@@ -120,8 +122,6 @@ def check_dft_roundtrip(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for q in range(2, 9):
-        from .graphs import Alphabet
-
         a = Alphabet(q)
         table = rng.normal(size=q) + 1j * rng.normal(size=q)
         back = idft_table(dft_table(table, a), a)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from nfgdual.bp import BpConfig, run_bp
+from nfgdual.bp import run_bp
 from nfgdual.gaussian import (
     GmrfModel,
     exact_dual_vertex_variances,

@@ -20,7 +20,6 @@ from nfgdual.experiments import (
 )
 from nfgdual.mapping import ISING_CRITICAL, potts_fixed_point
 from nfgdual.validate import check_fixed_point_grid
-from nfgdual.graphs import grid_graph
 
 
 class TestRegistry:

@@ -17,8 +17,7 @@ from nfgdual.graphs import (
     ring_graph,
     scale_factor,
 )
-from nfgdual.nfg import PrimalNFG, _factor_view
-from nfgdual.samplers import _arguments
+from nfgdual.nfg import PrimalNFG
 
 
 def triangle():
@@ -30,15 +29,15 @@ def degree(g, v):
 
 
 def edge_config(g, x, q):
-    """y = M x mod q, read off the primal factor view: edge e's argument is x_tail - x_head."""
+    """y = M x mod q, read off the primal argument map: edge e's argument is x_tail - x_head."""
     p = PrimalNFG(g, Alphabet(q), np.ones((g.num_edges, q)), np.ones((g.num_vertices, q)))
-    return _arguments(_factor_view(p)[0], q)(np.array([x]))[0, :g.num_edges]
+    return p.argument_map()(np.array([x]))[0, :g.num_edges]
 
 
 def dual_vertex_config(g, y_tilde, q):
-    """x~ = M^T y~ mod q, read off the dual factor view: vertex v's argument."""
+    """x~ = M^T y~ mod q, read off the dual argument map: vertex v's argument."""
     p = PrimalNFG(g, Alphabet(q), np.ones((g.num_edges, q)), np.ones((g.num_vertices, q)))
-    return _arguments(_factor_view(p.dual)[0], q)(np.array([y_tilde]))[0, g.num_edges:]
+    return p.dual.argument_map()(np.array([y_tilde]))[0, g.num_edges:]
 
 
 class TestGraphValidation:

@@ -1,5 +1,7 @@
 """Local marginal mappings, fixed points, criticality constants, and bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,9 @@ from nfgdual.nfg import (
     DUAL, PRIMAL, MarginalVector, Marginals, PrimalNFG, clock_model, dft_table, dualize,
     ising_edge_table, ising_model, potts_model,
 )
-from nfgdual.oracle import marginals_dual, marginals_primal
+from nfgdual.oracle import (
+    chain_ising_marginals, marginals_dual, marginals_primal, ring_potts_marginals,
+)
 
 
 def triangle():
@@ -256,6 +260,13 @@ class TestFixedPoints:
         assert abs(got[0] - (1 + 1 / np.sqrt(q)) / 2) < 1e-12
         assert np.abs(got[1:] - (1 - 1 / np.sqrt(q)) / (2 * (q - 1))).max() < 1e-12
 
+    def test_antiferromagnetic_ising_fixed_point_is_a_marginal_function(self):
+        # the dual table 2 sinh bJ is negative for bJ < 0: unit sum, one negative entry
+        got = ising_fixed_point(-1.0)
+        assert got.sum() == pytest.approx(1.0, abs=1e-14)
+        assert got[0] < 0 < got[1]
+        assert got == pytest.approx([-0.2161, 1.2161], abs=1e-4)
+
     def test_potts_q3_plot_point(self):
         assert potts_critical(3) == pytest.approx(1.005, abs=5e-4)
         fp = potts_fixed_point(3, potts_critical(3))
@@ -285,6 +296,28 @@ class TestFixedPoints:
                 assert fp0 < prev  # monotone approach to 1/2 from above
             prev = fp0
         assert abs(prev - 0.5) < 1e-3
+
+
+NOT_FINITE = {
+    "chain-free": lambda: chain_ising_marginals([800, 0.3]),
+    "chain-periodic": lambda: chain_ising_marginals([0.3, 800, 0.3], "periodic"),
+    "ring-potts": lambda: ring_potts_marginals(3, 800.0, 5),
+    "ising-fixed-point": lambda: ising_fixed_point(800.0),
+    "potts-fixed-point": lambda: potts_fixed_point(3, 800.0),
+    "clock-fixed-point": lambda: clock_fixed_point(4, 800.0),
+    "zero-table-sum": lambda: fixed_point([0, 0], [0, 0]),
+    "potts-bounds": lambda: potts_lower_bounds(3, 800.0),
+    "magnetization": lambda: magnetization_roundtrip(800.0, delta_p=0.5),
+}
+
+
+@pytest.mark.parametrize("call", NOT_FINITE)
+def test_a_result_that_is_not_finite_is_refused_without_a_warning(call):
+    # computed as it is, each gives NaN or an OverflowError; the refusal names bJ or the zero sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"bJ = 800\.0|sum to 0j"):
+            NOT_FINITE[call]()
 
 
 class TestBounds:

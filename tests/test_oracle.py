@@ -5,7 +5,7 @@ import pytest
 
 from nfgdual import oracle
 from nfgdual.graphs import Graph, grid_graph, path_graph, ring_graph, scale_factor
-from nfgdual.nfg import PrimalNFG, _factor_view, clock_model, dualize, ising_model, potts_model
+from nfgdual.nfg import PrimalNFG, clock_model, dualize, ising_model, potts_model
 from nfgdual.oracle import (
     EnumerationBudgetError,
     _enumerate,
@@ -33,7 +33,7 @@ def reference_enumerate(model, skip_factor=None):
     pairwise sum per 2^17-state chunk and each factor row accumulates by
     np.add.at in state order.
     """
-    scopes, num_vars, tables = _factor_view(model)
+    scopes, num_vars, tables = model.scopes, model.num_vars, model.tables
     q = model.alphabet.q
     total = q ** num_vars
     chunk = 1 << 17
@@ -160,6 +160,17 @@ class TestPartitionDual:
         p = potts_model(triangle(), 3, 0.0, 0.0)
         zd = marginals_dual(dualize(p)).partition
         assert zd.real == pytest.approx(3 ** 4, rel=1e-12)
+
+
+class TestDomainRefusal:
+    def test_each_oracle_refuses_a_model_of_the_other_domain(self):
+        # enumerated as it is, the other domain's model gives a partition off by
+        # the dual indicators' 2^(|V| - 1): 4.0855 = Z_p 2^-3 and 522.94 = Z_d 2^3 here
+        p = ising_model(ring_graph(4), 0.5, 0.2)
+        with pytest.raises(TypeError, match="marginals_primal takes a PrimalNFG, got DualNFG"):
+            marginals_primal(dualize(p))
+        with pytest.raises(TypeError, match="marginals_dual takes a DualNFG, got PrimalNFG"):
+            marginals_dual(p)
 
 
 class TestDuality:

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from nfgdual.graphs import (
-    Alphabet, Graph, betti, build_incidence, grid_graph, path_graph, ring_graph,
+    Alphabet, Graph, build_incidence, grid_graph, path_graph, ring_graph,
 )
 from nfgdual.mapping import SingularMapError, map_dual_to_primal
 from nfgdual.nfg import (
-    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _factor_view, clock_model, dualize,
+    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, clock_model, dualize,
     is_nonnegative, ising_model, potts_model,
 )
 from nfgdual.oracle import chain_ising_marginals, marginals_dual, marginals_primal
@@ -49,7 +49,7 @@ def reference_heat_bath(model, cfg):
     gibbs_primal and gibbs_dual must reproduce this loop bit for bit: they
     perform the same float operations, looked up from memoized tables.
     """
-    scopes, num_vars, tables = _factor_view(model)
+    scopes, num_vars, tables = model.scopes, model.num_vars, model.tables
     q = model.alphabet.q
     kind = "vertex" if model.domain == PRIMAL else "edge"
     real = tables.real.clip(min=0.0)
@@ -94,21 +94,20 @@ def reference_heat_bath(model, cfg):
         if sweep >= burn and (sweep - burn) % cfg.thinning == 0:
             retained += 1
             counts[np.arange(len(scopes)), arg] += 1
-    e = model.graph.num_edges
-    return Marginals(counts[:e] / retained, counts[e:] / retained, model.domain)
+    return model.record(counts / retained)
 
 
-def count_audits(monkeypatch, arguments=samplers._arguments) -> list:
+def count_audits(monkeypatch, argument_map=DualNFG.argument_map) -> list:
     """A list that gains an entry at every call of the map that swp's audit
-    recomputes its state with (the factor view's argument map); `arguments`
-    is bound to the unpatched map, so repeated calls do not nest."""
+    recomputes its state with (the dual's argument map); `argument_map` is
+    bound to the unpatched method, so repeated calls do not nest."""
     audits = []
 
-    def counted(scopes, q):
-        recompute = arguments(scopes, q)
+    def counted(model):
+        recompute = argument_map(model)
         return lambda rows: audits.append(1) or recompute(rows)
 
-    monkeypatch.setattr(samplers, "_arguments", counted)
+    monkeypatch.setattr(DualNFG, "argument_map", counted)
     return audits
 
 
@@ -677,6 +676,28 @@ class TestSwp:
         for values, want in ((y, dm.edge_values), (parity, dm.vertex_values)):
             got = np.stack([probs @ (1 - values), probs @ values], axis=1)
             assert np.abs(got - want.real).max() < 1e-12
+
+    @pytest.mark.parametrize("block", [None, 100])
+    def test_state_weights_equal_the_unblocked_product(self, block, monkeypatch):
+        if block:  # blocks that do not divide the 2^12 states
+            monkeypatch.setattr(samplers, "_STATES", block)
+        p = ising_model(grid_graph(3, 3), 0.4, 0.3)
+        d = dualize(p)
+        y = (np.arange(2 ** d.num_vars)[:, None] >> np.arange(d.num_vars)) & 1
+        want = d.tables.real[np.arange(len(d.tables)), d.argument_map()(y)].prod(axis=1)
+        assert np.array_equal(swp_state_weights(p), want)
+
+    def test_state_weights_memory_is_bounded(self):
+        # 2^17 states on the 17-edge 3x4 grid: all at once, the argument arrays need 250 MB
+        p = ising_model(grid_graph(3, 4), 0.4, 0.3)
+        tracemalloc.start()
+        try:
+            weights = swp_state_weights(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert weights.shape == (2 ** 17,) and (weights > 0).all()
+        assert peak < 32 * 2 ** 20
 
     def test_state_weights_closed_form(self):
         # w(U) / w(empty) = prod_{e in U} tanh bJ_e * prod_{v odd in U} tanh bH_v
