@@ -270,16 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bp = add("bp", cmd_bp, "loopy sum-product in either domain")
     p_bp.add_argument("--domain", choices=["primal", "dual"], default="primal")
-    p_bp.add_argument("--damping", type=float, default=0.5)
-    p_bp.add_argument("--tol", type=float, default=1e-9)
-    p_bp.add_argument("--max-iters", type=int, default=10_000)
+    p_bp.add_argument("--damping", type=float, default=BpConfig.damping)
+    p_bp.add_argument("--tol", type=float, default=BpConfig.tol)
+    p_bp.add_argument("--max-iters", type=int, default=BpConfig.max_iters)
 
     p_gibbs = add("gibbs", cmd_gibbs, "heat-bath Gibbs estimates in either domain", seed=True)
     p_gibbs.add_argument("--domain", choices=["primal", "dual"], default="primal")
-    p_gibbs.add_argument("--samples", type=int, default=10_000)
+    p_gibbs.add_argument("--samples", type=int, default=SamplerConfig.samples)
 
     p_swp = add("swp", cmd_swp, "subgraphs-world estimates (dual domain)", seed=True)
-    p_swp.add_argument("--samples", type=int, default=10_000)
+    p_swp.add_argument("--samples", type=int, default=SamplerConfig.samples)
     p_swp.add_argument("--map", action="store_true",
                        help="map the dual estimates to the primal domain")
 

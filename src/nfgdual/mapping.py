@@ -17,9 +17,9 @@ import numpy as np
 
 from .graphs import Alphabet
 from .nfg import (DUAL, PRIMAL, Marginals, MarginalVector, PrimalNFG, SingularMapError,
-                  _SINGULAR_CAUSE, _rounding, _truncate_imag, clock_edge_table, dft_table, dualize,
-                  ising_dual_edge_table, ising_edge_table, potts_dual_edge_table,
-                  potts_edge_table)
+                  _SINGULAR_CAUSE, _potts_edge, _rounding, _truncate_imag, clock_edge_table,
+                  dft_table, dualize, ising_dual_edge_table, ising_edge_table,
+                  potts_dual_edge_table, potts_edge_table)
 
 ISING_CRITICAL = math.log(1.0 + math.sqrt(2.0)) / 2.0
 CLOCK4_CRITICAL = math.log(1.0 + math.sqrt(2.0))
@@ -153,29 +153,23 @@ def clock_fixed_point(q: int, beta_j: float) -> np.ndarray:
 
 
 def ising_lower_bounds(beta_j: float) -> tuple:
-    """Ferromagnetic binary lower bounds (on pi_p,e(0), on pi_d,e(0)).
+    """Ferromagnetic binary lower bounds (on pi_p,e(0), on pi_d,e(0)), the q = 2
+    case of potts_lower_bounds at 2 bJ: (1 / (1 + e^-2bJ), (1 + e^-2bJ) / 2).
 
     Valid for any ferromagnetic model in a nonnegative field, independent of
     size and topology; their product is at least 1/2 and they intersect at
     the critical coupling ln(1 + sqrt(2)) / 2.
     """
-    if beta_j < 0:
-        raise ValueError("bounds hold for ferromagnetic couplings only")
-    e2 = math.exp(-2.0 * beta_j)
-    return 1.0 / (1.0 + e2), (1.0 + e2) / 2.0
+    return potts_lower_bounds(2, 2.0 * float(beta_j))
 
 
 def potts_lower_bounds(q: int, beta_j: float) -> tuple:
-    """q-state analogs: (e^bJ/(e^bJ - 1 + q), (e^bJ - 1 + q)/(q e^bJ)); product >= 1/q."""
+    """q-state analogs (p0, 1 / (q p0)) of a lone edge's p0 = e^bJ / (e^bJ + q - 1)
+    (nfg._potts_edge), defined at every finite bJ >= 0; product 1/q."""
     if beta_j < 0:
         raise ValueError("bounds hold for ferromagnetic couplings only")
-    try:
-        ebj = math.exp(beta_j)
-    except OverflowError:
-        ebj = math.inf
-    if not math.isfinite(q * ebj):
-        raise ValueError(f"coupling bJ = {beta_j} overflows the bounds: q e^bJ is not finite")
-    return ebj / (ebj - 1.0 + q), (ebj - 1.0 + q) / (q * ebj)
+    p0, _, _, z = _potts_edge(q, beta_j)
+    return p0, z / q  # z = 1 / p0 at bJ >= 0, and z / q rounds once
 
 
 def magnetization_roundtrip(beta_j: float, delta_p=None, delta_d=None) -> tuple:

@@ -15,6 +15,7 @@ model computes its dual once, when it is first asked for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -136,7 +137,7 @@ def idft_table(values: np.ndarray, a: Alphabet) -> np.ndarray:
 class _BaseNFG:
     """Graph plus one table per edge and per vertex, stored as stacked read-only copies,
     checked once when built: shape, finite entries, and real nonnegative primal ones.
-    The factor view below is computed on each access: factor e is edge e, |E| + v vertex v."""
+    The factor view reads the scopes, built once: factor e is edge e, |E| + v vertex v."""
 
     graph: Graph
     alphabet: Alphabet
@@ -176,7 +177,7 @@ class _BaseNFG:
         """Every factor's table, one row each: the edge tables over the vertex tables."""
         return np.concatenate([self.edge_tables, self.vertex_tables])
 
-    @property
+    @cached_property
     def scopes(self) -> list:
         """Each factor's (variables, signs), tuples of ints: factor f reads tables[f] at
         s_1 z_1 + ... + s_d z_d mod q.  Primal edge e sees its incidence row, x_tail - x_head,
@@ -269,6 +270,20 @@ def potts_edge_table(q: int, beta_j: float) -> np.ndarray:
     t = np.ones(q, dtype=np.complex128)
     t[0] = np.exp(beta_j)
     return t
+
+
+def _potts_edge(q: int, beta_j: float) -> tuple:
+    """(p0, p_other, r, z) of a lone q-state Potts edge at coupling bJ: its marginal
+    e^bJ / (e^bJ + q - 1) at 0 and 1 / (e^bJ + q - 1) at each other value, its
+    transmissivity r = p0 - p_other (tanh(bJ / 2) when q = 2) and its weight sum
+    z = (e^bJ + q - 1) / max(1, e^bJ), all from u = e^-|bJ|, so nothing overflows
+    and |r| <= 1.  A coupling that is not finite is refused by name."""
+    if not math.isfinite(beta_j):
+        raise ValueError(f"coupling bJ = {beta_j} is not finite")
+    u = math.exp(-abs(beta_j))
+    w0, w_other = (1.0, u) if beta_j >= 0 else (u, 1.0)  # the weights over max(1, e^bJ)
+    z = w0 + (q - 1) * w_other
+    return w0 / z, w_other / z, math.copysign(-math.expm1(-abs(beta_j)), beta_j) / z, z
 
 
 def clock_edge_table(q: int, beta_j: float) -> np.ndarray:

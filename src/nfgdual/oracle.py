@@ -5,8 +5,8 @@ are computed by summing over the full configuration space in either domain,
 with a hard state-count budget instead of any approximation.  The sum walks
 blocks of the low variables' digits, each factor reading its table rotated
 by the high digits (see _enumerate), with the floats of a state-by-state
-walk in index order.  The chain/ring closed forms provide an
-enumeration-free cross-check for 1D models.
+walk in index order.  The chain/ring closed forms, one formula over each lone
+edge (nfg._potts_edge), cross-check 1D models at any finite coupling.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphs import Alphabet, Graph, _check_count, scale_factor
 from .nfg import (
-    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, dft_table, dualize,
+    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _potts_edge, dft_table, dualize,
 )
 
 DEFAULT_BUDGET = 2 ** 26
@@ -218,87 +218,58 @@ def intermediate_dual_partition(p: PrimalNFG, e: int) -> np.ndarray:
 # -- Closed forms for 1D models --------------------------------------------------
 
 
-def _tanh_product(values: np.ndarray) -> float:
-    """prod tanh(bJ_e), in log space when every factor is positive."""
-    t = np.tanh(np.asarray(values, dtype=np.float64))
-    if np.all(t > 0):
-        return float(np.exp(np.log(t).sum()))
-    if len(t) > 64:
-        raise ValueError("signed closed-form products are capped at 64 edges")
-    return float(np.prod(t))
+def _ring_records(q: int, couplings, periodic: bool, num_vertices: int) -> tuple:
+    """(primal, dual) records of a zero-field q-state Potts ring, or free chain, at
+    couplings bJ_e, from each lone edge's p0_e, p_other_e and r_e (nfg._potts_edge).
 
-
-def _closed_form_records(edge_primal, edge_dual, couplings, num_vertices: int, q: int) -> tuple:
-    """(primal, dual) records of a zero-field closed form with the given edge rows,
-    each computed from the coupling at its index; a row that is not finite is
-    refused with a ValueError naming that coupling.
-
-    Vertex rows are uniform 1/q in the primal by symmetry and a delta at 0 in
-    the dual, where the vertex statistic vanishes.
+    With R = prod_e r_e, R_-e its product over the other edges and D = 1 + (q - 1) R,
+    a ring's dual edge rows are [1, R, ..., R] / D and primal edge e's row is
+    p0_e (1 + (q - 1) R_-e) / D at 0 and p_other_e (1 - R_-e) / D elsewhere (a free
+    chain has R = R_-e = 0).  Those factors are q times positive sums, the rows at 0
+    and elsewhere of prefix and suffix convolutions of the lone edges' rows, so nothing
+    cancels; a D that underflows, whose dual rows are not finite, is refused.  Vertex
+    rows are uniform 1/q in the primal and a delta at 0 in the dual.
     """
-    finite = np.isfinite(np.hstack([np.reshape(edge_primal, (-1, q)),
-                                    np.reshape(edge_dual, (-1, q))])).all(axis=1)
-    if not finite.all():
-        e = int(np.argmin(finite))
-        raise ValueError(f"coupling bJ = {couplings[e]} of edge {e} overflows the closed form")
+    p0, other, r, _ = np.array([_potts_edge(q, b) for b in couplings]).reshape(-1, 4).T
 
-    def record(edges, vertex, domain):
-        return Marginals(np.array(edges, dtype=np.complex128).reshape(-1, q),
-                         np.tile(np.array(vertex, dtype=np.complex128), (num_vertices, 1)),
-                         domain)
+    def convolve(x, y):  # of Potts-symmetric rows: (value at 0, value at each other value)
+        return (x[0] * y[0] + (q - 1) * x[1] * y[1],
+                x[0] * y[1] + x[1] * y[0] + (q - 2) * x[1] * y[1])
 
-    return (record(edge_primal, np.full(q, 1.0 / q), PRIMAL),
-            record(edge_dual, np.eye(1, q)[0], DUAL))
+    rest, d = (1.0, 1.0), 1.0
+    if periodic:
+        prefix, suffix = (np.array(list(itertools.accumulate(rows, convolve, initial=(1.0, 0.0))))
+                          for rows in (zip(p0, other), zip(p0[::-1], other[::-1])))
+        rest, d = convolve(prefix[:-1].T, suffix[-2::-1].T), q * prefix[-1, 0]
+        if d < np.finfo(np.float64).tiny:
+            raise ValueError(f"the ring's dual rows [1, R, ..., R] / D are not finite: D = {d:.3g}")
+    primal = np.stack([p0 * rest[0], other * rest[1]], axis=1)
+    primal /= (primal @ [1.0, q - 1.0])[:, None]
+    dual = np.tile([1.0, np.prod(r) * periodic], (len(p0), 1)) / d
+    vertex = np.full((num_vertices, q), 1.0 / q), np.eye(1, q).repeat(num_vertices, axis=0)
+    return tuple(Marginals(np.repeat(rows, [1, q - 1], axis=1).astype(np.complex128),
+                           v.astype(np.complex128), domain)
+                 for rows, v, domain in zip((primal, dual), vertex, (PRIMAL, DUAL)))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def chain_ising_marginals(couplings, boundary: str = "free") -> tuple:
-    """Exact zero-field 1D Ising marginals, free or periodic: (primal, dual) pair.
-
-    Free boundary: the dual has a single valid configuration, so
-    pi_d,e = [1, 0] and pi_p,e(0) = e^bJ / (2 cosh bJ).  Periodic boundary
-    keeps two valid dual configurations, weighted by the tanh product.
-    """
+    """Exact zero-field 1D Ising marginals, free or periodic: (primal, dual) pair, the
+    q = 2 Potts chain or ring at couplings 2 bJ (see _ring_records).  A free chain's dual
+    has one valid configuration, so pi_d,e = [1, 0] and pi_p,e(0) = e^bJ / (2 cosh bJ);
+    a ring's has two, weighted by the tanh product."""
     bj = np.asarray(couplings, dtype=np.float64)
-    n = len(bj)
     if boundary not in ("free", "periodic"):
         raise ValueError(f"boundary must be 'free' or 'periodic', got {boundary!r}")
-    if boundary == "periodic" and n < 3:
+    periodic = boundary == "periodic"
+    if periodic and len(bj) < 3:
         raise ValueError("a simple ring needs at least 3 edges")
-    edge_primal, edge_dual = [], []
-    if boundary == "free":
-        for b in bj:
-            p0 = np.exp(b) / (2 * np.cosh(b))
-            edge_primal.append([p0, 1 - p0])
-            edge_dual.append([1.0, 0.0])
-        num_vertices = n + 1
-    else:
-        full = _tanh_product(bj)
-        for e, b in enumerate(bj):
-            rest = _tanh_product(np.delete(bj, e))
-            d0 = 1.0 / (1.0 + full)
-            edge_dual.append([d0, 1 - d0])
-            p0 = np.exp(b) / (2 * np.cosh(b)) * (1 + rest) / (1 + full)
-            p1 = np.exp(-b) / (2 * np.cosh(b)) * (1 - rest) / (1 + full)
-            edge_primal.append([p0, p1])
-        num_vertices = n
-    return _closed_form_records(edge_primal, edge_dual, bj, num_vertices, 2)
+    return _ring_records(2, [2.0 * b for b in bj.tolist()], periodic, len(bj) + (not periodic))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def ring_potts_marginals(q: int, beta_j: float, num_edges: int) -> tuple:
-    """Closed-form homogeneous q-state ring marginals: (primal, dual) pair.
-
-    In the dual there are exactly q valid configurations; the all-zeros one
-    contributes (e^bJ + q - 1)^n and each of the remaining q-1 contributes
-    (e^bJ - 1)^n.  Every edge has the same row.
-    """
+    """Closed-form homogeneous q-state ring marginals: (primal, dual) pair, one row for
+    every edge.  The q valid dual configurations weigh (e^bJ + q - 1)^n at all zeros and
+    (e^bJ - 1)^n at each other (see _ring_records)."""
     _check_count("q", q, 2)
     n = _check_count("num_edges", num_edges, 3)
-    a, b = np.exp(beta_j) + q - 1.0, np.exp(beta_j) - 1.0
-    zd = a ** n + (q - 1) * b ** n
-    dual = np.full(q, b ** n / zd)
-    dual[0] = a ** n / zd
-    primal = np.full(q, (a ** (n - 1) - b ** (n - 1)) / zd)
-    primal[0] = np.exp(beta_j) * (a ** (n - 1) + (q - 1) * b ** (n - 1)) / zd
-    return _closed_form_records([primal] * n, [dual] * n, [beta_j] * n, n, q)
+    return _ring_records(q, [beta_j] * n, True, n)

@@ -297,15 +297,14 @@ def _toggle_ratios(d: DualNFG) -> tuple:
     """(ratios, sites) of single toggles on the checked positive dual d, whose
     state is every dual factor's argument: y~_e at e, then x~_v at |E| + v.
 
-    Edge variable e = (t, h) is in psi~_e, phi~_t and phi~_h, and a toggle
-    flips all three arguments, so its ratio is the product of their table
-    ratios, at 8 e + 4 y~_e + 2 x~_t + x~_h.  Its site is (e, |E| + t, |E| + h, 8 e).
+    Edge variable e = (t, h) is in three scopes, which sort by (sign descending, factor)
+    as e, |E| + t, |E| + h.  A toggle flips all three arguments, so its ratio is the product
+    of their table ratios, at 8 e + 4 y~_e + 2 x~_t + x~_h; its site is (e, |E| + t, |E| + h, 8 e).
     """
-    num_edges, real = d.num_vars, d.tables.real
-    flip = (real[:, ::-1] / real).tolist()  # flip[f][a] = table_f[1 - a] / table_f[a]
+    flip = (d.tables.real[:, ::-1] / d.tables.real).tolist()  # table_f[1 - a] / table_f[a]
+    held = sorted((v, -s, f) for f, (vs, ss) in enumerate(d.scopes) for v, s in zip(vs, ss))
     ratios, sites = [], []
-    for e, (t, h) in enumerate(d.graph.edges):
-        t, h = num_edges + t, num_edges + h
+    for (_, _, e), (_, _, t), (_, _, h) in zip(held[0::3], held[1::3], held[2::3]):
         ratios += [flip[e][a] * flip[t][b] * flip[h][c] for a, b, c in product((0, 1), repeat=3)]
         sites.append((e, t, h, 8 * e))
     return ratios, sites
@@ -382,19 +381,19 @@ def _enumerable(p: PrimalNFG, what: str):
 def swp_state_histogram(p: PrimalNFG, steps: int, seed: int) -> np.ndarray:
     """Per-proposal occupancy counts over all 2^|E| subgraph states.
 
-    The recorded chain includes every step after a 10*|E|-sweep burn-in;
-    intended for detailed-balance checks on very small graphs.
+    The recorded chain includes every step after SamplerConfig's default burn-in,
+    10 sweeps per edge; intended for detailed-balance checks on very small graphs.
     """
     _check_count("steps", steps, 1)
-    _check_count("seed", seed, 0)
-    g = _enumerable(p, "occupancy counts")
-    ratios, sites = _toggle_ratios(_positive_dual(p))
+    burn_in = SamplerConfig(seed).resolved_burn_in(_enumerable(p, "occupancy counts").num_edges)
+    d = _positive_dual(p)
+    ratios, sites = _toggle_ratios(d)
     uniform = _block_uniforms(np.random.default_rng(seed))
-    arg = [0] * (g.num_edges + g.num_vertices)
-    for _ in range(10 * g.num_edges):
+    n, arg = d.num_vars, [0] * len(d.tables)
+    for _ in range(burn_in):
         _propose(sites, ratios, arg, uniform)
-    counts = [0] * 2 ** g.num_edges
-    mask = sum(1 << e for e in range(g.num_edges) if arg[e])
+    counts = [0] * 2 ** n
+    mask = sum(1 << e for e in range(n) if arg[e])
     for site in islice(cycle(sites), steps):
         e, before = site[0], arg[site[0]]
         _propose((site,), ratios, arg, uniform)

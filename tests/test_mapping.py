@@ -299,14 +299,10 @@ class TestFixedPoints:
 
 
 NOT_FINITE = {
-    "chain-free": lambda: chain_ising_marginals([800, 0.3]),
-    "chain-periodic": lambda: chain_ising_marginals([0.3, 800, 0.3], "periodic"),
-    "ring-potts": lambda: ring_potts_marginals(3, 800.0, 5),
     "ising-fixed-point": lambda: ising_fixed_point(800.0),
     "potts-fixed-point": lambda: potts_fixed_point(3, 800.0),
     "clock-fixed-point": lambda: clock_fixed_point(4, 800.0),
     "zero-table-sum": lambda: fixed_point([0, 0], [0, 0]),
-    "potts-bounds": lambda: potts_lower_bounds(3, 800.0),
     "magnetization": lambda: magnetization_roundtrip(800.0, delta_p=0.5),
 }
 
@@ -318,6 +314,49 @@ def test_a_result_that_is_not_finite_is_refused_without_a_warning(call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"bJ = 800\.0|sum to 0j"):
             NOT_FINITE[call]()
+
+
+def _edge_rows(pair, e):
+    return [record.edge_values[e] for record in pair]
+
+
+FINITE_LIMITS = {  # each the exact limit of its e^-bJ-small terms, to double precision
+    "chain-free": (lambda: _edge_rows(chain_ising_marginals([800, 0.3]), 0),
+                   [[1, 0], [1, 0]]),
+    "chain-periodic": (lambda: _edge_rows(chain_ising_marginals([0.3, 800, 0.3], "periodic"), 1),
+                       [[1, 0], [1 / (1 + np.tanh(0.3) ** 2), 1 - 1 / (1 + np.tanh(0.3) ** 2)]]),
+    "ring-potts": (lambda: _edge_rows(ring_potts_marginals(3, 800.0, 5), 2),
+                   [[1, 0, 0], [1 / 3, 1 / 3, 1 / 3]]),
+    "potts-bounds": (lambda: potts_lower_bounds(3, 800.0), (1, 1 / 3)),
+}
+
+
+@pytest.mark.parametrize("call", FINITE_LIMITS)
+def test_a_finite_limit_is_computed_without_a_warning(call):
+    # the edge rows (primal, dual) or the bounds at bJ = 800, where e^bJ overflows
+    compute, limit = FINITE_LIMITS[call]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = compute()
+    assert np.abs(np.asarray(got) - np.asarray(limit)).max() < 1e-15
+
+
+NON_FINITE_COUPLING = {
+    "chain-free": lambda bj: chain_ising_marginals([0.3, bj]),
+    "chain-periodic": lambda bj: chain_ising_marginals([0.3, bj, 0.3], "periodic"),
+    "ring-potts": lambda bj: ring_potts_marginals(3, bj, 5),
+    "ising-bounds": ising_lower_bounds,
+    "potts-bounds": lambda bj: potts_lower_bounds(3, bj),
+}
+
+
+@pytest.mark.parametrize("bj", [np.inf, np.nan])
+@pytest.mark.parametrize("call", NON_FINITE_COUPLING)
+def test_a_coupling_that_is_not_finite_is_refused_by_name(call, bj):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^coupling bJ = {bj} is not finite$"):
+            NON_FINITE_COUPLING[call](bj)
 
 
 class TestBounds:

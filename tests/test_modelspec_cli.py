@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nfgdual import cli, oracle
-from nfgdual.bp import DegenerateMessageError
+from nfgdual.bp import BpConfig, DegenerateMessageError
 from nfgdual.cli import main
 from nfgdual.gaussian import GmrfModel
 from nfgdual.modelspec import (
@@ -21,6 +21,7 @@ from nfgdual.modelspec import (
 )
 from nfgdual.graphs import ring_graph
 from nfgdual.nfg import PrimalNFG, clock_model, ising_model
+from nfgdual.samplers import SamplerConfig
 
 
 def write_spec(tmp_path, name, spec):
@@ -182,6 +183,15 @@ class TestBuildModel:
 
 
 class TestCli:
+    def test_option_defaults_are_the_config_defaults(self):
+        parser = cli.build_parser()
+        bp, config = parser.parse_args(["bp", "--spec", "m.json"]), BpConfig()
+        assert (bp.damping, bp.tol, bp.max_iters) == (config.damping, config.tol,
+                                                       config.max_iters)
+        for command in ("gibbs", "swp"):
+            args = parser.parse_args([command, "--spec", "m.json"])
+            assert args.samples == SamplerConfig(seed=args.seed).samples
+
     def test_model_command(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "m.json", TRIANGLE_SPEC)
         assert main(["model", "--spec", spec]) == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfgdual import oracle
 from nfgdual.graphs import Graph, grid_graph, path_graph, ring_graph, scale_factor
@@ -378,3 +380,60 @@ class TestClosedForms:
         p = ising_model(ring_graph(3), bjs)
         dm = marginals_dual(dualize(p))
         assert np.abs(closed_d.edge_values - dm.edge_values).max() < 1e-12
+
+
+# a coupling of either sign, log-uniform in magnitude from 1e-300 to 1e3, or 0
+COUPLING = st.one_of(st.just(0.0), st.builds(lambda sign, power: sign * 10.0 ** power,
+                                              st.sampled_from([-1.0, 1.0]), st.floats(-300, 3)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(q=st.integers(2, 8), periodic=st.booleans(), data=st.data())
+def test_closed_form_rows_are_finite_and_sum_to_one(q, periodic, data):
+    bjs = data.draw(st.lists(COUPLING, min_size=3 if periodic else 1, max_size=200))
+    primal, dual = oracle._ring_records(q, bjs, periodic, len(bjs) + (not periodic))
+    for record in (primal, dual):
+        assert np.isfinite(record.edge_values).all() and np.isfinite(record.vertex_values).all()
+        assert not record.edge_values.imag.any()
+    rows = primal.edge_values.real
+    assert rows.min() >= 0 and rows.max() <= 1
+    assert np.abs(rows.sum(axis=1) - 1).max() < 1e-12
+    # a frustrated ring's dual rows hold entries far above 1, summed to that entry's rounding
+    rows = dual.edge_values.real
+    scale = np.maximum(1.0, np.abs(rows).max(axis=1))
+    assert (np.abs(rows.sum(axis=1) - 1) < 1e-12 * scale).all()
+
+
+def _transfer_matrix_rows(bjs) -> np.ndarray:
+    """Primal edge rows of the zero-field Ising ring, tr(T_<e A_e T_>e) / tr(T_1 ... T_n)
+    with A_e the aligned or the anti-aligned part of T_e, each T_e scaled by e^-|bJ_e|."""
+    parts = [(np.exp(b - abs(b)) * np.eye(2), np.exp(-b - abs(b)) * (1 - np.eye(2))) for b in bjs]
+    before, after = [np.eye(2)], [np.eye(2)]
+    for (aligned, anti), (last_aligned, last_anti) in zip(parts, parts[::-1]):
+        before.append(before[-1] @ (aligned + anti))
+        after.append((last_aligned + last_anti) @ after[-1])
+    n = len(parts)
+    rows = np.array([[np.trace(before[e] @ part @ after[n - 1 - e]) for part in parts[e]]
+                     for e in range(n)])
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def test_long_signed_ring_matches_transfer_matrices():
+    # 150 edges of either sign: past the 64-edge cap that the signed tanh product once had
+    bjs = np.random.default_rng(27).uniform(-2.0, 2.0, 150)
+    assert (bjs < 0).any() and (bjs > 0).any()
+    primal, dual = chain_ising_marginals(bjs, "periodic")
+    assert np.abs(primal.edge_values - _transfer_matrix_rows(bjs)).max() < 1e-12
+    tanh_product = np.prod(np.tanh(bjs))
+    expected = np.array([1.0, tanh_product]) / (1 + tanh_product)
+    assert np.abs(dual.edge_values - expected).max() < 1e-12
+
+
+def test_strongly_frustrated_ring_is_exact_and_overflow_is_refused():
+    # three antiferromagnetic edges of an odd ring: one edge is aligned, each with
+    # probability 1/3, while the dual rows are 1 / (1 + tanh(bJ)^3) ~ e^2|bJ| / 6 and its negative
+    primal, dual = chain_ising_marginals([-30.0] * 3, "periodic")
+    assert np.abs(primal.edge_values - [1 / 3, 2 / 3]).max() < 1e-15
+    assert dual.edge_values[0, 0].real == pytest.approx(np.exp(60.0) / 6, rel=1e-12)
+    with pytest.raises(ValueError, match=r"^the ring.s dual rows .* are not finite"):
+        chain_ising_marginals([-400.0] * 3, "periodic")

@@ -19,7 +19,7 @@ from nfgdual.nfg import (
     is_nonnegative, ising_model, potts_model,
 )
 from nfgdual.oracle import chain_ising_marginals, marginals_dual, marginals_primal
-from nfgdual import samplers
+from nfgdual import nfg, samplers
 from nfgdual.samplers import (
     SamplerConfig,
     SamplerError,
@@ -31,7 +31,7 @@ from nfgdual.samplers import (
     swp_state_histogram,
     swp_state_weights,
 )
-from nfgdual.validate import random_model
+from nfgdual.validate import random_connected_graph, random_model
 
 
 def triangle():
@@ -550,6 +550,24 @@ POSITIVE_DUAL_MODELS = {
 
 
 class TestSwp:
+    def test_toggle_sites_are_each_edge_and_its_endpoints(self):
+        rng = np.random.default_rng(27)
+        graphs = [grid_graph(3, 3, periodic=True)] + [random_connected_graph(rng) for _ in range(8)]
+        for g in graphs:
+            _, sites = samplers._toggle_ratios(dualize(ising_model(g, 0.4, 0.2)))
+            ne = g.num_edges
+            assert sites == [(e, ne + t, ne + h, 8 * e) for e, (t, h) in enumerate(g.edges)]
+
+    def test_heat_bath_and_swp_build_each_models_scopes_once(self, monkeypatch):
+        built = []
+        entries = nfg._incidence_entries
+        monkeypatch.setattr(nfg, "_incidence_entries", lambda g: built.append(g) or entries(g))
+        p = ising_model(ring_graph(4), 0.4, 0.2)
+        gibbs_primal(p, SamplerConfig(seed=1, samples=5))
+        swp(p, SamplerConfig(seed=1, samples=5), audit_every=3)
+        swp_state_histogram(p, 10, 1)
+        assert len(built) == 2  # p's scopes, then its dual's
+
     def test_dual_model_refused(self):
         d = dualize(ising_model(ring_graph(4), 0.5, 0.2))
         with pytest.raises(TypeError, match="DualNFG"):

@@ -25,6 +25,10 @@ def model(request):
     return p if domain == PRIMAL else p.dual
 
 
+def test_scopes_are_built_once_per_model(model):
+    assert model.scopes is model.scopes
+
+
 def test_shared_scopes_are_the_incidence_rows_or_columns(model):
     g, scopes = model.graph, model.scopes
     m = build_incidence(g).astype(int)
