@@ -19,8 +19,13 @@ row range of the message store, the group's (d*k, q) rows position-major.
 Real tables have real messages, stored as float64; only their Fourier-domain
 products are complex.  Every DFT is one 2-D matmul in real arithmetic, on the
 float64 view of the rows.  The gather of the variable-to-factor messages
-applies each slot's sign permutation, and the exclusive products of the
-transforms are slice multiplies in cumprod's order.
+applies each slot's sign permutation; its index array is C-ordered, so the
+gathered rows, their product and every matmul after it read contiguous
+memory.  The exclusive products of the transforms are slice multiplies in
+cumprod's order, which for two positions is the transforms reversed.  New
+messages land in one scratch array per engine; the rows of unary factors,
+which send their table whatever comes in, are written there once, so a
+sweep recomputes only the factors of degree 2 or more.
 """
 
 from __future__ import annotations
@@ -62,28 +67,6 @@ class BpConfig:
         _check_count("max_iters", self.max_iters, 1)
 
 
-def _normalize(msgs: np.ndarray, name, real_mode: bool) -> np.ndarray:
-    """Row-wise L1-of-abs normalization, plus gauge fixing; name(i) names row i.
-
-    Messages carry a multiplicative gauge freedom (m and c*m are equivalent);
-    left unfixed, perturbations along it grow even when the projective
-    dynamics contract.  The magnitude is pinned by the norm; the phase is
-    pinned by projecting real-table models onto the real axis (their exact
-    messages are real) and by rotating the leading entry of genuinely complex
-    messages onto the positive real axis.
-    """
-    norms = np.abs(msgs) @ np.ones(msgs.shape[1])
-    if not (norms.min(initial=np.inf) > 0.0 and norms.max(initial=0.0) < np.inf):
-        i = int(np.argmax(~(norms > 0.0) | ~np.isfinite(norms)))
-        cause = "cancelled to zero" if norms[i] == 0.0 else "is not finite"
-        raise DegenerateMessageError(f"message at {name(i)} {cause}")
-    msgs = msgs / norms[:, None]
-    if real_mode:
-        return msgs.real
-    lead = msgs[np.arange(len(msgs)), np.argmax(np.abs(msgs), axis=1)]
-    return msgs * np.conj(lead / np.abs(lead))[:, None]
-
-
 def _real_form(m: np.ndarray, real_in: bool, real_out: bool) -> np.ndarray:
     """Real R with x @ m == (x.view(float64) @ R).view(complex128), x complex.
 
@@ -106,18 +89,16 @@ class _Group:
         k, q = len(factors), engine.q
         self.shape = (d, k, q)
         self.rows = slice(lo, lo + d * k)
-        # flat msgs indices of the inputs: [c, j] is row others[j, c] at s*t mod q
-        self.gather = engine.others[self.rows].T[:, :, None] * q + engine.slot_perm[self.rows]
+        # flat msgs indices of the inputs: [c, j] is row others[j, c] at s*t mod q;
+        # C order, which the transpose alone would not give, makes the gather contiguous
+        self.gather = np.ascontiguousarray(
+            engine.others[self.rows].T[:, :, None] * q + engine.slot_perm[self.rows])
         # flat index of s*t mod q in row j of a (d*k, q) array: the sign reindex
         self.sign_index = (np.arange(d * k)[:, None] * q + engine.slot_perm[self.rows]).ravel()
-        table = engine.tables[self.factors]
         # the correlation's DFT is f^(k) C^(-k); summing over -k instead of k
         # puts the index on the table and the inverse DFT, both fixed
-        self.table_hat_neg = (table @ engine.w.T)[:, engine.neg]
-        self.const = None
-        if d == 1:  # unary factors send their sign-reindexed table, whatever comes in
-            self.const = _normalize(table.ravel()[self.sign_index].reshape(k, q),
-                                    lambda i: engine.site(factors[i]), engine.real_mode)
+        self.table_hat_neg = np.ascontiguousarray(
+            (engine.tables[self.factors] @ engine.w.T)[:, engine.neg])
 
 
 class _Engine:
@@ -129,6 +110,7 @@ class _Engine:
     The last row is all ones; it pads `others[s]`, the other slots of s's
     variable in factor order, to one less than the largest variable degree,
     and the product of their rows is the variable-to-factor message into s.
+    `new` holds a sweep's messages before damping; its unary rows are fixed.
     """
 
     def __init__(self, nfg, cfg: BpConfig):
@@ -137,6 +119,7 @@ class _Engine:
         self.site = nfg.site
         scopes, num_vars, self.tables = nfg.scopes, nfg.num_vars, nfg.tables
         self.real_mode = bool((np.abs(self.tables.imag) < _rounding(self.tables)).all())
+        self.ones = np.ones(q)
         self.w = nfg.alphabet.dft_matrix()
         self.winv = np.conj(self.w) / q
         self.neg = (-np.arange(q)) % q
@@ -167,29 +150,54 @@ class _Engine:
         self.msgs[n_slots] = 1.0
         starts = iter(np.cumsum([0] + [d * len(fis) for d, fis in by_degree.items()]))
         self.groups = [_Group(self, fis, d, next(starts)) for d, fis in by_degree.items()]
+        self.new = np.empty_like(self.msgs[:-1])
+        for grp in self.groups:
+            if grp.shape[0] == 1:  # unary factors send their sign-reindexed table, whatever comes in
+                table = self.tables[grp.factors].ravel()[grp.sign_index].reshape(-1, q)
+                self.new[grp.rows] = self._normalize(table, lambda i: self.site(grp.factors[i]))
+        self.sweep_groups = [grp for grp in self.groups if grp.shape[0] > 1]
+
+    def _normalize(self, msgs: np.ndarray, name) -> np.ndarray:
+        """Row-wise L1-of-abs normalization, plus gauge fixing; name(i) names row i.
+
+        Messages carry a multiplicative gauge freedom (m and c*m are equivalent);
+        left unfixed, perturbations along it grow even when the projective
+        dynamics contract.  The magnitude is pinned by the norm; the phase is
+        pinned by projecting real-table models onto the real axis (their exact
+        messages are real) and by rotating the leading entry of genuinely complex
+        messages onto the positive real axis.
+        """
+        norms = np.abs(msgs) @ self.ones
+        if not (np.minimum.reduce(norms, initial=np.inf) > 0.0
+                and np.maximum.reduce(norms, initial=0.0) < np.inf):
+            i = int(np.argmax(~(norms > 0.0) | ~np.isfinite(norms)))
+            cause = "cancelled to zero" if norms[i] == 0.0 else "is not finite"
+            raise DegenerateMessageError(f"message at {name(i)} {cause}")
+        msgs = msgs / norms[:, None]
+        if self.real_mode:
+            return msgs.real
+        lead = msgs[np.arange(len(msgs)), np.argmax(np.abs(msgs), axis=1)]
+        return msgs * np.conj(lead / np.abs(lead))[:, None]
 
     def _incoming(self, grp: _Group) -> np.ndarray:
         """Variable-to-factor messages into the group's slots, sign-reindexed: (d*k, q)."""
-        gathered = self.msgs.reshape(-1)[grp.gather]
-        inc = gathered[0]
-        for column in gathered[1:]:
-            inc *= column
-        return _normalize(inc, lambda i: f"variable {self.slot_var[grp.rows][i]}", self.real_mode)
+        inc = np.multiply.reduce(self.msgs.reshape(-1)[grp.gather], axis=0)
+        return self._normalize(inc, lambda i: f"variable {self.slot_var[grp.rows][i]}")
 
     def _dft(self, msgs: np.ndarray) -> np.ndarray:
         """Row-wise DFT of a (rows, q) real or complex message array, one real matmul."""
         return (msgs.view(np.float64) @ self.dft_form).view(np.complex128)
 
     def _outgoing(self, grp: _Group) -> np.ndarray:
-        """New messages out of the group's slots, (d*k, q), via DFT convolution."""
-        if grp.const is not None:
-            return grp.const
+        """New messages out of a group of degree 2 or more, (d*k, q), via DFT convolution."""
         d, _, q = grp.shape
         hats = self._dft(self._incoming(grp)).reshape(grp.shape)
         # exclusive products in cumprod's order, prefix left to right times
         # suffix right to left, leaving out the exact products by one
-        excl = np.empty_like(hats)
-        if d > 1:
+        if d == 2:
+            excl = hats[::-1]
+        else:
+            excl = np.empty_like(hats)
             excl[1] = hats[0]
             for j in range(2, d):
                 np.multiply(excl[j - 1], hats[j - 1], out=excl[j])
@@ -201,19 +209,18 @@ class _Engine:
         # g(u) = sum_w f(u + w) C(w) has DFT f^(k) * C^(-k)
         corr_hat = (grp.table_hat_neg * excl).reshape(-1, q)
         msgs = (corr_hat.view(np.float64) @ self.idft_form).view(self.msgs.dtype).reshape(-1)
-        return _normalize(msgs[grp.sign_index].reshape(-1, q),
-                          lambda i: self.site(self.slot_factor[grp.rows][i]), self.real_mode)
+        return self._normalize(msgs[grp.sign_index].reshape(-1, q),
+                               lambda i: self.site(self.slot_factor[grp.rows][i]))
 
     def iterate(self) -> float:
         """One flooding sweep: every new message is computed from the previous sweep's."""
-        keep = self.cfg.damping
-        new = np.empty_like(self.msgs[:-1])
-        for grp in self.groups:
+        keep, new = self.cfg.damping, self.new
+        for grp in self.sweep_groups:
             new[grp.rows] = self._outgoing(grp)
         old = self.msgs[:-1]  # a view: the residual is taken before the write-back
-        blended = _normalize((1 - keep) * new + keep * old,
-                             lambda i: self.site(self.slot_factor[i]), self.real_mode)
-        residual = float(np.abs(blended - old).max(initial=0.0))
+        blended = self._normalize((1 - keep) * new + keep * old,
+                                  lambda i: self.site(self.slot_factor[i]))
+        residual = float(np.maximum.reduce(np.abs(blended - old), axis=None, initial=0.0))
         self.msgs[:-1] = blended
         return residual
 

@@ -17,9 +17,8 @@ import numpy as np
 
 from .graphs import Alphabet
 from .nfg import (DUAL, PRIMAL, Marginals, MarginalVector, PrimalNFG, SingularMapError,
-                  _SINGULAR_CAUSE, _potts_edge, _rounding, _truncate_imag, clock_edge_table,
-                  dft_table, dualize, ising_dual_edge_table, ising_edge_table,
-                  potts_dual_edge_table, potts_edge_table)
+                  _SINGULAR_CAUSE, _coupling, _potts_edge, _potts_weights, _rounding,
+                  _truncate_imag, dft_table, dualize)
 
 ISING_CRITICAL = math.log(1.0 + math.sqrt(2.0)) / 2.0
 CLOCK4_CRITICAL = math.log(1.0 + math.sqrt(2.0))
@@ -110,11 +109,18 @@ def map_marginals(record: Marginals, p: PrimalNFG) -> Marginals:
                      dual_estimates=None if inverse else record)
 
 
+def _unit_scale(table: np.ndarray) -> np.ndarray:
+    """table over its largest magnitude; an all-zero table as it is."""
+    scale = np.abs(table).max(initial=0.0)
+    return table / scale if scale > 0 else table
+
+
 def fixed_point(primal_table, dual_table) -> np.ndarray:
     """The marginal vector invariant under the map: pi*(a) = psi(a) psi~(a) / S, S the
-    sum of the products; an S that is zero or not finite is refused with a ValueError."""
+    sum of the products, each table scaled by its largest magnitude first, which leaves
+    pi* as it is; an S that is zero or not finite is refused with a ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = _table(primal_table) * _table(dual_table)
+        prod = _unit_scale(_table(primal_table)) * _unit_scale(_table(dual_table))
         total = prod.sum()
     if total == 0 or not np.isfinite(total):
         raise ValueError(f"the table products psi psi~ sum to {total}: "
@@ -123,32 +129,45 @@ def fixed_point(primal_table, dual_table) -> np.ndarray:
 
 
 def _at_coupling(beta_j: float, primal_table, dual_table) -> np.ndarray:
-    """The real fixed point of the edge tables at coupling bJ, which the family
-    curves below build with numpy's overflow warnings off; a refusal names bJ."""
+    """The real fixed point of the edge tables at coupling bJ; a refusal names bJ."""
     try:
         return fixed_point(primal_table, dual_table).real
     except ValueError as err:
         raise ValueError(f"at coupling bJ = {beta_j}, {err}") from None
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _potts_tables(q: int, b: float) -> tuple:
+    """A Potts edge's table and its DFT at coupling b, over max(1, e^b)
+    (nfg._potts_weights), so they are finite at every b."""
+    w0, w_other, m = _potts_weights(b)
+    primal, dual = np.full(q, w_other), np.full(q, m)
+    primal[0], dual[0] = w0, m + q * w_other
+    return primal, dual
+
+
 def ising_fixed_point(beta_j: float) -> np.ndarray:
-    """Homogeneous binary fixed point [e^bJ cosh bJ, e^-bJ sinh bJ] / (1 + sinh 2bJ).
+    """Homogeneous binary fixed point [e^bJ cosh bJ, e^-bJ sinh bJ] / (1 + sinh 2bJ),
+    the q = 2 Potts fixed point at 2 bJ, from t = e^-2|bJ|.
 
     For bJ < 0 the dual table 2 sinh bJ is signed, so the fixed point is a
     marginal function, with unit sum and a negative entry, not a PMF.
     """
-    return _at_coupling(beta_j, ising_edge_table(beta_j), ising_dual_edge_table(beta_j))
+    beta_j = _coupling(beta_j)
+    return _at_coupling(beta_j, *_potts_tables(2, 2.0 * beta_j))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def potts_fixed_point(q: int, beta_j: float) -> np.ndarray:
-    return _at_coupling(beta_j, potts_edge_table(q, beta_j), potts_dual_edge_table(q, beta_j))
+    beta_j = _coupling(beta_j)
+    return _at_coupling(beta_j, *_potts_tables(q, beta_j))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore")
 def clock_fixed_point(q: int, beta_j: float) -> np.ndarray:
-    t = clock_edge_table(q, beta_j)
+    """The fixed point of the table exp(bJ cos(2 pi y / q)) over its largest entry,
+    exp(bJ (cos(2 pi y / q) - c)) with c the cosine that bJ cos weighs most."""
+    beta_j = _coupling(beta_j)
+    cos = np.cos(2 * np.pi * np.arange(q) / q)
+    t = np.exp(beta_j * (cos - (cos.max() if beta_j >= 0 else cos.min()))).astype(np.complex128)
     return _at_coupling(beta_j, t, dft_table(t, Alphabet(q)))
 
 
@@ -160,16 +179,20 @@ def ising_lower_bounds(beta_j: float) -> tuple:
     size and topology; their product is at least 1/2 and they intersect at
     the critical coupling ln(1 + sqrt(2)) / 2.
     """
-    return potts_lower_bounds(2, 2.0 * float(beta_j))
+    return _edge_bounds(2, 2.0 * _coupling(beta_j))
 
 
 def potts_lower_bounds(q: int, beta_j: float) -> tuple:
     """q-state analogs (p0, 1 / (q p0)) of a lone edge's p0 = e^bJ / (e^bJ + q - 1)
     (nfg._potts_edge), defined at every finite bJ >= 0; product 1/q."""
-    if beta_j < 0:
+    return _edge_bounds(q, _coupling(beta_j))
+
+
+def _edge_bounds(q: int, b: float) -> tuple:
+    if b < 0:
         raise ValueError("bounds hold for ferromagnetic couplings only")
-    p0, _, _, z = _potts_edge(q, beta_j)
-    return p0, z / q  # z = 1 / p0 at bJ >= 0, and z / q rounds once
+    p0, _, _, z = _potts_edge(q, b)
+    return p0, z / q  # z = 1 / p0 at b >= 0, and z / q rounds once
 
 
 def magnetization_roundtrip(beta_j: float, delta_p=None, delta_d=None) -> tuple:
@@ -178,18 +201,27 @@ def magnetization_roundtrip(beta_j: float, delta_p=None, delta_d=None) -> tuple:
 
     Delta_p = (cosh 2bJ - Delta_d) / sinh 2bJ, equivalently
     pi_p,e(0) = (e^{2bJ} - Delta_d) / (2 sinh 2bJ); consistent with mapping
-    the vector [(1 + Delta_d)/2, (1 - Delta_d)/2] edge-locally.
+    the vector [(1 + Delta_d)/2, (1 - Delta_d)/2] edge-locally.  Delta_p is taken
+    as sign(bJ) (1 + t^2 - 2 Delta_d t) / (1 - t^2) with t = e^-2|bJ|, finite at
+    every finite bJ != 0; Delta_d = cosh 2bJ - Delta_p sinh 2bJ is refused, naming
+    bJ, where it is not finite.
     """
     if (delta_p is None) == (delta_d is None):
         raise ValueError("provide exactly one of delta_p, delta_d")
-    try:
-        sh, ch = math.sinh(2.0 * beta_j), math.cosh(2.0 * beta_j)
-    except OverflowError:
-        raise ValueError(f"coupling bJ = {beta_j} overflows sinh 2bJ and cosh 2bJ") from None
-    if sh == 0.0:
+    beta_j = _coupling(beta_j)
+    if beta_j == 0.0:
         raise SingularMapError("magnetization relation is singular at bJ = 0")
-    if delta_d is None:
-        delta_d = ch - float(delta_p) * sh
-    else:
-        delta_p = (ch - float(delta_d)) / sh
-    return float(delta_p), float(delta_d)
+    if delta_p is None:
+        t, one_minus_t = math.exp(-2.0 * abs(beta_j)), -math.expm1(-2.0 * abs(beta_j))
+        # 1 + t^2 - 2 Delta_d t as (1 - t)^2 + 2 t (1 - Delta_d): no cancellation at |Delta_d| <= 1
+        delta_p = (one_minus_t * one_minus_t + 2.0 * t * (1.0 - float(delta_d))) \
+            / math.copysign(-math.expm1(-4.0 * abs(beta_j)), beta_j)
+        return delta_p, float(delta_d)
+    try:
+        delta_d = math.cosh(2.0 * beta_j) - float(delta_p) * math.sinh(2.0 * beta_j)
+    except OverflowError:
+        delta_d = math.inf
+    if not math.isfinite(delta_d):
+        raise ValueError(f"at coupling bJ = {beta_j}, Delta_d = cosh 2bJ - Delta_p sinh 2bJ "
+                         "is not finite")
+    return float(delta_p), delta_d

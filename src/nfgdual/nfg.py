@@ -272,18 +272,33 @@ def potts_edge_table(q: int, beta_j: float) -> np.ndarray:
     return t
 
 
-def _potts_edge(q: int, beta_j: float) -> tuple:
-    """(p0, p_other, r, z) of a lone q-state Potts edge at coupling bJ: its marginal
-    e^bJ / (e^bJ + q - 1) at 0 and 1 / (e^bJ + q - 1) at each other value, its
-    transmissivity r = p0 - p_other (tanh(bJ / 2) when q = 2) and its weight sum
-    z = (e^bJ + q - 1) / max(1, e^bJ), all from u = e^-|bJ|, so nothing overflows
-    and |r| <= 1.  A coupling that is not finite is refused by name."""
+def _coupling(beta_j) -> float:
+    """bJ as a float, refused by its own value if it is not finite."""
+    beta_j = float(beta_j)
     if not math.isfinite(beta_j):
         raise ValueError(f"coupling bJ = {beta_j} is not finite")
-    u = math.exp(-abs(beta_j))
-    w0, w_other = (1.0, u) if beta_j >= 0 else (u, 1.0)  # the weights over max(1, e^bJ)
+    return beta_j
+
+
+def _potts_weights(b: float) -> tuple:
+    """(w0, w_other, m): a lone Potts edge's table [e^b, 1, ..., 1] and the entry
+    e^b - 1 of its DFT away from 0, all over max(1, e^b), from u = e^-|b| (1 - u as
+    -expm1(-|b|)), so nothing overflows.  The DFT at 0 is m + q w_other.  b may be
+    infinite, the limit of a finite coupling doubled; callers refuse the coupling
+    they were given with _coupling."""
+    u = math.exp(-abs(b))
+    w0, w_other = (1.0, u) if b >= 0 else (u, 1.0)
+    return w0, w_other, math.copysign(-math.expm1(-abs(b)), b)
+
+
+def _potts_edge(q: int, b: float) -> tuple:
+    """(p0, p_other, r, z) of a lone q-state Potts edge at coupling b: its marginal
+    e^b / (e^b + q - 1) at 0 and 1 / (e^b + q - 1) at each other value, its
+    transmissivity r = p0 - p_other (tanh(b / 2) when q = 2) and its weight sum
+    z = (e^b + q - 1) / max(1, e^b), all from _potts_weights, so |r| <= 1."""
+    w0, w_other, m = _potts_weights(b)
     z = w0 + (q - 1) * w_other
-    return w0 / z, w_other / z, math.copysign(-math.expm1(-abs(beta_j)), beta_j) / z, z
+    return w0 / z, w_other / z, m / z, z
 
 
 def clock_edge_table(q: int, beta_j: float) -> np.ndarray:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .graphs import Alphabet, Graph, _check_count, scale_factor
 from .nfg import (
-    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _potts_edge, dft_table, dualize,
+    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _coupling, _potts_edge, dft_table,
+    dualize,
 )
 
 DEFAULT_BUDGET = 2 ** 26
@@ -256,14 +257,16 @@ def chain_ising_marginals(couplings, boundary: str = "free") -> tuple:
     """Exact zero-field 1D Ising marginals, free or periodic: (primal, dual) pair, the
     q = 2 Potts chain or ring at couplings 2 bJ (see _ring_records).  A free chain's dual
     has one valid configuration, so pi_d,e = [1, 0] and pi_p,e(0) = e^bJ / (2 cosh bJ);
-    a ring's has two, weighted by the tanh product."""
+    a ring's has two, weighted by the tanh product.  Each bJ is checked to be finite
+    before it is doubled."""
     bj = np.asarray(couplings, dtype=np.float64)
     if boundary not in ("free", "periodic"):
         raise ValueError(f"boundary must be 'free' or 'periodic', got {boundary!r}")
     periodic = boundary == "periodic"
     if periodic and len(bj) < 3:
         raise ValueError("a simple ring needs at least 3 edges")
-    return _ring_records(2, [2.0 * b for b in bj.tolist()], periodic, len(bj) + (not periodic))
+    return _ring_records(2, [2.0 * _coupling(b) for b in bj.tolist()], periodic,
+                         len(bj) + (not periodic))
 
 
 def ring_potts_marginals(q: int, beta_j: float, num_edges: int) -> tuple:
@@ -272,4 +275,4 @@ def ring_potts_marginals(q: int, beta_j: float, num_edges: int) -> tuple:
     (e^bJ - 1)^n at each other (see _ring_records)."""
     _check_count("q", q, 2)
     n = _check_count("num_edges", num_edges, 3)
-    return _ring_records(q, [beta_j] * n, True, n)
+    return _ring_records(q, [_coupling(beta_j)] * n, True, n)

@@ -215,6 +215,24 @@ class TestAgainstReference:
         assert np.abs(res.vertex_values - oracle.vertex_values).max() < 1e-10
 
 
+class TestLayout:
+    @pytest.mark.parametrize("make", [
+        lambda: ising_model(grid_graph(6, 6, periodic=True), 0.25, 0.15),
+        lambda: dualize(ising_model(grid_graph(6, 6, periodic=True), 0.25, 0.15)),
+        lambda: dualize(potts_model(Graph(8, [(0, 1), (0, 2), (0, 3), (4, 0), (1, 5), (6, 1), (2, 7)]),
+                                    3, 0.4, 0.25)),
+        lambda: DualNFG(Graph(3, [(0, 1), (1, 2), (2, 0)]), Alphabet(3),
+                        [[1, 0.5j, -0.2], [0.7, 1j, 0.3], [1 + 1j, 0.2, 0.4]],
+                        np.exp(1j * np.arange(9).reshape(3, 3))),
+    ], ids=["primal-torus", "dual-torus", "dual-tree-degrees-1-to-4", "complex-dual"])
+    def test_group_index_and_table_arrays_are_c_contiguous(self, make):
+        # the sweep reads gathered rows, sign-reindexed rows and table
+        # transforms row by row, and numpy's indexing keeps a strided layout
+        for grp in _Engine(make(), BpConfig()).groups:
+            for name in ("gather", "sign_index", "table_hat_neg"):
+                assert getattr(grp, name).flags.c_contiguous, (grp.shape, name)
+
+
 class TestLoopyBehavior:
     def test_beliefs_normalized_every_location(self):
         p = ising_model(grid_graph(3, 3, periodic=True), 0.4, 0.15)

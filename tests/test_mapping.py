@@ -299,9 +299,6 @@ class TestFixedPoints:
 
 
 NOT_FINITE = {
-    "ising-fixed-point": lambda: ising_fixed_point(800.0),
-    "potts-fixed-point": lambda: potts_fixed_point(3, 800.0),
-    "clock-fixed-point": lambda: clock_fixed_point(4, 800.0),
     "zero-table-sum": lambda: fixed_point([0, 0], [0, 0]),
     "magnetization": lambda: magnetization_roundtrip(800.0, delta_p=0.5),
 }
@@ -309,7 +306,7 @@ NOT_FINITE = {
 
 @pytest.mark.parametrize("call", NOT_FINITE)
 def test_a_result_that_is_not_finite_is_refused_without_a_warning(call):
-    # computed as it is, each gives NaN or an OverflowError; the refusal names bJ or the zero sum
+    # Delta_d = cosh 2bJ - Delta_p sinh 2bJ overflows at bJ = 800; the refusal names bJ or the zero sum
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"bJ = 800\.0|sum to 0j"):
@@ -328,6 +325,9 @@ FINITE_LIMITS = {  # each the exact limit of its e^-bJ-small terms, to double pr
     "ring-potts": (lambda: _edge_rows(ring_potts_marginals(3, 800.0, 5), 2),
                    [[1, 0, 0], [1 / 3, 1 / 3, 1 / 3]]),
     "potts-bounds": (lambda: potts_lower_bounds(3, 800.0), (1, 1 / 3)),
+    # bJ = 1e308 is finite, though 2 bJ is not
+    "chain-free-1e308": (lambda: _edge_rows(chain_ising_marginals([1e308, 0.3]), 0),
+                         [[1, 0], [1, 0]]),
 }
 
 
@@ -341,12 +341,43 @@ def test_a_finite_limit_is_computed_without_a_warning(call):
     assert np.abs(np.asarray(got) - np.asarray(limit)).max() < 1e-15
 
 
+FIXED_POINT_LIMITS = {  # where e^bJ overflows, the limit of the tables' e^-bJ-small terms
+    "ising-fixed-point": (ising_fixed_point, [1, 0]),
+    "potts-fixed-point": (lambda bj: potts_fixed_point(3, bj), [1, 0, 0]),
+    "clock-fixed-point": (lambda bj: clock_fixed_point(4, bj), [1, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("bj", [800.0, 1e4])
+@pytest.mark.parametrize("call", FIXED_POINT_LIMITS)
+def test_a_fixed_point_limit_is_computed_without_a_warning(call, bj):
+    compute, limit = FIXED_POINT_LIMITS[call]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = compute(bj)
+    assert np.abs(got - limit).max() < 1e-15
+
+
+def test_limits_at_couplings_whose_double_overflows():
+    # e^-2|bJ| is 0 at |bJ| = 1e308, as it is at 800: the limits, exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ising_lower_bounds(1e308) == (1.0, 0.5)
+        assert magnetization_roundtrip(400.0, delta_d=0.5) == (1.0, 0.5)
+        assert magnetization_roundtrip(-1e308, delta_d=0.5) == (-1.0, 0.5)
+        assert np.array_equal(ising_fixed_point(1e308), [1.0, 0.0])
+
+
 NON_FINITE_COUPLING = {
     "chain-free": lambda bj: chain_ising_marginals([0.3, bj]),
     "chain-periodic": lambda bj: chain_ising_marginals([0.3, bj, 0.3], "periodic"),
     "ring-potts": lambda bj: ring_potts_marginals(3, bj, 5),
     "ising-bounds": ising_lower_bounds,
     "potts-bounds": lambda bj: potts_lower_bounds(3, bj),
+    "ising-fixed-point": ising_fixed_point,
+    "potts-fixed-point": lambda bj: potts_fixed_point(3, bj),
+    "clock-fixed-point": lambda bj: clock_fixed_point(4, bj),
+    "magnetization": lambda bj: magnetization_roundtrip(bj, delta_d=0.5),
 }
 
 
@@ -431,6 +462,12 @@ class TestMagnetization:
         bj = 0.9
         delta_p, _ = magnetization_roundtrip(bj, delta_d=1.0)
         assert (1 + delta_p) / 2 == pytest.approx(np.exp(bj) / (2 * np.cosh(bj)), rel=1e-13)
+
+    @pytest.mark.parametrize("bj", [1e-3, 0.05, -0.2, 2.0])
+    def test_free_chain_limit_to_rounding(self, bj):
+        # (cosh 2bJ - 1) / sinh 2bJ = tanh bJ, which cosh 2bJ - 1 loses at weak coupling
+        delta_p, _ = magnetization_roundtrip(bj, delta_d=1.0)
+        assert delta_p == pytest.approx(np.tanh(bj), rel=1e-15, abs=0)
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(9)
