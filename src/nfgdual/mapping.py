@@ -164,11 +164,15 @@ def potts_fixed_point(q: int, beta_j: float) -> np.ndarray:
 @np.errstate(over="ignore")
 def clock_fixed_point(q: int, beta_j: float) -> np.ndarray:
     """The fixed point of the table exp(bJ cos(2 pi y / q)) over its largest entry,
-    exp(bJ (cos(2 pi y / q) - c)) with c the cosine that bJ cos weighs most."""
+    m + 1 with m = expm1(bJ (cos(2 pi y / q) - c)) and c the cosine that bJ cos weighs
+    most.  The DFT of the constant 1 is q at 0 and vanishes elsewhere, so the table's
+    DFT is that of m plus q at 0, and a weak coupling's small entries do not cancel."""
     beta_j = _coupling(beta_j)
     cos = np.cos(2 * np.pi * np.arange(q) / q)
-    t = np.exp(beta_j * (cos - (cos.max() if beta_j >= 0 else cos.min()))).astype(np.complex128)
-    return _at_coupling(beta_j, t, dft_table(t, Alphabet(q)))
+    m = np.expm1(beta_j * (cos - (cos.max() if beta_j >= 0 else cos.min())))
+    dual = dft_table(m, Alphabet(q))
+    dual[0] += q
+    return _at_coupling(beta_j, m + 1.0, dual)
 
 
 def ising_lower_bounds(beta_j: float) -> tuple:

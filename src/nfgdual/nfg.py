@@ -306,18 +306,6 @@ def clock_edge_table(q: int, beta_j: float) -> np.ndarray:
     return np.exp(beta_j * np.cos(2 * np.pi * y / q)).astype(np.complex128)
 
 
-def ising_dual_edge_table(beta_j: float) -> np.ndarray:
-    """Closed form of the binary edge-table DFT: [2 cosh bJ, 2 sinh bJ]."""
-    return np.array([2 * np.cosh(beta_j), 2 * np.sinh(beta_j)], dtype=np.complex128)
-
-
-def potts_dual_edge_table(q: int, beta_j: float) -> np.ndarray:
-    """Closed form of the q-state edge-table DFT: e^bJ - 1 + q at 0, else e^bJ - 1."""
-    t = np.full(q, np.exp(beta_j) - 1.0, dtype=np.complex128)
-    t[0] += q
-    return t
-
-
 def _per_item(values, count: int, item: str) -> np.ndarray:
     """values broadcast to one float per edge or vertex (item names which)."""
     arr = np.asarray(values, dtype=np.float64)

@@ -5,24 +5,21 @@ are computed by summing over the full configuration space in either domain,
 with a hard state-count budget instead of any approximation.  The sum walks
 blocks of the low variables' digits, each factor reading its table rotated
 by the high digits (see _enumerate), with the floats of a state-by-state
-walk in index order.  The chain/ring closed forms, one formula over each lone
-edge (nfg._potts_edge), cross-check 1D models at any finite coupling.
+walk in index order.  Sums that overflow, and a partition function of 0 (an
+unsatisfiable model, whose marginals are undefined), are refused by name.
+The chain/ring closed forms, one formula over each lone edge
+(nfg._potts_edge), cross-check 1D models at any finite coupling.
 """
 
 from __future__ import annotations
 
 import itertools
-import numbers
 import os
-from dataclasses import replace
 
 import numpy as np
 
 from .graphs import Alphabet, Graph, _check_count, scale_factor
-from .nfg import (
-    DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _coupling, _potts_edge, dft_table,
-    dualize,
-)
+from .nfg import DUAL, PRIMAL, DualNFG, Marginals, PrimalNFG, _coupling, _potts_edge, dualize
 
 DEFAULT_BUDGET = 2 ** 26
 BUDGET_ENV_VAR = "NFG_DUAL_BUDGET"
@@ -145,6 +142,9 @@ def _enumerate(model):
 
 def _marginals(model, norm: float = 1.0) -> Marginals:
     z, sums = _enumerate(model)
+    if z == 0:
+        raise ValueError(f"{model.domain} partition function is Z = 0: the model is "
+                         "unsatisfiable, so its marginals are undefined")
     return model.record(sums / z, partition=z * norm)
 
 
@@ -180,40 +180,6 @@ def marginals_dual(d: DualNFG) -> Marginals:
     if not isinstance(d, DualNFG):
         raise TypeError(f"marginals_dual takes a DualNFG, got {type(d).__name__}")
     return _marginals(d, _dual_indicator_norm(d.graph, d.alphabet))
-
-
-def _struck(model, e: int):
-    """A copy of model with edge e's table set to ones, which multiply every
-    configuration's weight exactly as leaving the table out would."""
-    ne = model.graph.num_edges
-    if isinstance(e, bool) or not isinstance(e, numbers.Integral) or not 0 <= e < ne:
-        raise ValueError(f"edge {e!r} is not in [0, {ne}): the model has {ne} edges")
-    struck = np.arange(ne)[:, None] == e
-    return replace(model, edge_tables=np.where(struck, 1.0, model.edge_tables))
-
-
-def extrinsic_vector(p: PrimalNFG, e: int) -> np.ndarray:
-    """S_e(a): enumeration with psi_e struck out, summed over configs with y_e = a.
-
-    The sum-product rule Z_p = sum_a S_e(a) psi_e(a) holds at every edge.
-    An e outside [0, |E|), or a bool, is refused with a ValueError.
-    """
-    return _enumerate(_struck(p, e))[1][e]
-
-
-def intermediate_dual_partition(p: PrimalNFG, e: int) -> np.ndarray:
-    """Z_d^I(a): dual partition with psi~_e replaced by the DFT of delta(y - a).
-
-    Satisfies Z_d^I(a) = alpha * S_e(a) for every a.  Z_d^I is linear in the
-    replaced table, so one dual enumeration with psi~_e struck out gives the
-    weight at each value of edge e's argument, and every Z_d^I(a) is that
-    row's dot product with the DFT of delta(y - a).
-    """
-    a = p.alphabet
-    d = dualize(p)
-    row = _enumerate(_struck(d, e))[1][e]
-    norm = _dual_indicator_norm(d.graph, a)
-    return np.array([norm * (row @ dft_table(delta, a)) for delta in np.eye(a.q)])
 
 
 # -- Closed forms for 1D models --------------------------------------------------

@@ -278,6 +278,17 @@ class TestFixedPoints:
         expected = [(3 + 2 * np.sqrt(2)) / 8, 1 / 8, (3 - 2 * np.sqrt(2)) / 8, 1 / 8]
         assert np.abs(got - expected).max() < 1e-12
 
+    def test_clock4_closed_form_on_the_curve_grid(self):
+        # the q = 4 clock model is two decoupled Ising models at bJ/2: its table is
+        # [e^b, 1, e^-b, 1] and its DFT [2 cosh b + 2, 2 sinh b, 4 sinh^2(b/2), 2 sinh b],
+        # a reference with no cancellation at weak coupling
+        for b in np.round(np.arange(0.01, 3.0001, 0.01), 10):
+            table = np.array([np.exp(b), 1.0, np.exp(-b), 1.0])
+            dual = np.array([2 * np.cosh(b) + 2, 2 * np.sinh(b), 4 * np.sinh(b / 2) ** 2,
+                             2 * np.sinh(b)])
+            want = table * dual / (table @ dual)
+            assert (np.abs(clock_fixed_point(4, b) - want) / want).max() < 5e-14
+
     def test_potts_critical_consistency(self):
         assert potts_critical(2) == pytest.approx(2 * ISING_CRITICAL, rel=1e-14)
         assert CLOCK4_CRITICAL == pytest.approx(2 * ISING_CRITICAL, rel=1e-14)

@@ -321,6 +321,16 @@ class TestCli:
         assert main(["exact", "--spec", spec]) == 4
         assert "edge 0 table is not finite" in capsys.readouterr().err
 
+    def test_exact_unsatisfiable_exit_code(self, tmp_path, capsys):
+        # e^-800 underflows to 0, so no configuration of the odd ring has weight
+        spec = write_spec(tmp_path, "m.json", {
+            "family": "potts", "q": 2, "topology": {"type": "ring", "n": 3}, "couplings": -800,
+        })
+        assert main(["exact", "--spec", spec]) == 4
+        captured = capsys.readouterr()
+        assert "bad input: primal partition function is Z = 0" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command,code,cause", [
         (["exact"], 4, "bad input: primal enumeration overflows"),
         (["gibbs", "--samples", "2000"], 4, "bad input: the conditional of vertex 1 overflows"),

@@ -1,21 +1,21 @@
 """Enumeration oracles: partition functions, duality, marginals, closed forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfgdual import oracle
-from nfgdual.graphs import Graph, grid_graph, path_graph, ring_graph, scale_factor
-from nfgdual.nfg import PrimalNFG, clock_model, dualize, ising_model, potts_model
+from nfgdual.graphs import Alphabet, Graph, grid_graph, path_graph, ring_graph, scale_factor
+from nfgdual.nfg import PrimalNFG, clock_model, dft_table, dualize, ising_model, potts_model
 from nfgdual.oracle import (
     EnumerationBudgetError,
     _enumerate,
     chain_ising_marginals,
     duality_check,
     enumeration_budget,
-    extrinsic_vector,
-    intermediate_dual_partition,
     marginals_dual,
     marginals_primal,
     ring_potts_marginals,
@@ -25,6 +25,13 @@ from nfgdual.validate import random_connected_graph, random_model
 
 def triangle():
     return Graph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def struck(model, e: int):
+    """A copy of model with edge e's table set to ones, which multiply every
+    configuration's weight exactly as leaving the table out would."""
+    rows = np.arange(model.graph.num_edges)[:, None] == e
+    return replace(model, edge_tables=np.where(rows, 1.0, model.edge_tables))
 
 
 def reference_enumerate(model, skip_factor=None):
@@ -94,8 +101,8 @@ class TestEnumerateMatchesReference:
     (four blocks of 4^6 states in the dual), models of a few
     states, a one-edge graph and the dual of a one-vertex, zero-edge graph.
     Each runs as it is, with edge 0 struck and with the last edge struck: the
-    struck edge's table set to ones, as extrinsic_vector does it, against
-    the reference that leaves the table out of the product.
+    struck edge's table set to ones (struck), against the reference that
+    leaves the table out of the product.
     """
 
     @pytest.mark.parametrize("model", REFERENCE_CORPUS,
@@ -104,7 +111,7 @@ class TestEnumerateMatchesReference:
     def test_bit_identical(self, model):
         ne = model.graph.num_edges
         for skip in dict.fromkeys([None, 0, ne - 1] if ne else [None]):
-            z, sums = _enumerate(model if skip is None else oracle._struck(model, skip))
+            z, sums = _enumerate(model if skip is None else struck(model, skip))
             z_ref, sums_ref = reference_enumerate(model, skip_factor=skip)
             assert z == z_ref
             assert np.array_equal(sums, sums_ref)
@@ -226,6 +233,20 @@ class TestMarginals:
         with pytest.raises(ValueError, match=f"^{domain} enumeration overflows"):
             marginals(p)
 
+    @pytest.mark.parametrize("check,domain", [
+        (marginals_primal, "primal"),
+        (lambda p: marginals_dual(dualize(p)), "dual"),
+        (duality_check, "primal"),
+    ], ids=["primal", "dual", "duality-check"])
+    @pytest.mark.parametrize("build", [
+        lambda: PrimalNFG(ring_graph(3), Alphabet(2), [[0, 1]] * 3, [[1, 1]] * 3),
+        lambda: potts_model(ring_graph(3), 2, -800.0),  # e^-800 underflows to 0
+    ], ids=["zero-table", "underflow"])
+    def test_unsatisfiable_model_refused(self, check, domain, build):
+        # no configuration of an odd ring has all neighbours unequal, so Z = 0
+        with pytest.raises(ValueError, match=f"^{domain} partition function is Z = 0"):
+            check(build())
+
     def test_non_finite_vertex_table_refused(self):
         p = ising_model(ring_graph(3), 0.3, 0.1)
         vertex_tables = p.vertex_tables.copy()
@@ -275,12 +296,29 @@ class TestMarginals:
 
 
 class TestSumProductDecomposition:
+    """The lemma behind the local map (Forney & Vontobel, ITA 2011), from enumerations
+    of struck copies: S_e(a) sums the primal weights with psi_e struck out over the
+    configurations with y_e = a, and Z_d^I(a), the dual partition with psi~_e replaced
+    by the DFT of delta(y - a), is linear in that table, so one dual enumeration with
+    psi~_e struck out gives it as a dot product per a."""
+
+    @staticmethod
+    def extrinsic(p, e):
+        return _enumerate(struck(p, e))[1][e]
+
+    @staticmethod
+    def intermediate_dual_partition(p, e):
+        a = p.alphabet
+        row = _enumerate(struck(dualize(p), e))[1][e]
+        norm = oracle._dual_indicator_norm(p.graph, a)
+        return np.array([norm * (row @ dft_table(delta, a)) for delta in np.eye(a.q)])
+
     def test_sum_product_rule_every_edge(self):
         rng = np.random.default_rng(3)
         p = potts_model(triangle(), 3, rng.uniform(-1, 1, 3), rng.uniform(0, 1, 3))
         zp = marginals_primal(p).partition
         for e in range(p.graph.num_edges):
-            s = extrinsic_vector(p, e)
+            s = self.extrinsic(p, e)
             assert abs(np.dot(s, p.edge_tables[e]) - zp) / abs(zp) < 1e-10
 
     def test_intermediate_dual_identity(self):
@@ -288,31 +326,9 @@ class TestSumProductDecomposition:
         p = ising_model(ring_graph(4), rng.uniform(-1, 1, 4), rng.uniform(0, 1, 4))
         alpha = scale_factor(p.graph, p.alphabet)
         for e in (0, 2):
-            zi = intermediate_dual_partition(p, e)
-            s = extrinsic_vector(p, e)
+            zi = self.intermediate_dual_partition(p, e)
+            s = self.extrinsic(p, e)
             assert np.abs(zi - alpha * s).max() / np.abs(s).max() < 1e-10
-
-    def test_intermediate_dual_partition_enumerates_once(self, monkeypatch):
-        calls = []
-        enumerate_ = oracle._enumerate
-
-        def counted(model, *args, **kwargs):
-            calls.append(model)
-            return enumerate_(model, *args, **kwargs)
-
-        monkeypatch.setattr(oracle, "_enumerate", counted)
-        p = potts_model(triangle(), 3, [0.4, -0.2, 0.7], 0.3)
-        zi = intermediate_dual_partition(p, 1)
-        assert [m.domain for m in calls] == ["dual"]
-        assert np.array_equal(calls[0].edge_tables[1], np.ones(3))
-        assert zi.shape == (3,)
-
-    @pytest.mark.parametrize("e", [-1, 3, True, 1.0])
-    def test_edge_index_out_of_range_refused(self, e):
-        p = ising_model(triangle(), 0.3, 0.1)
-        for strike in (extrinsic_vector, intermediate_dual_partition):
-            with pytest.raises(ValueError, match=r"not in \[0, 3\): the model has 3 edges"):
-                strike(p, e)
 
 
 class TestClosedForms:
