@@ -34,11 +34,7 @@ from .graphs import betti, scale_factor
 from .mapping import SingularMapError, map_dual_to_primal, map_primal_to_dual
 from .modelspec import SpecError, model_from_file
 from .nfg import DUAL, PRIMAL, MarginalVector, PrimalNFG, dualize, is_nonnegative
-from .oracle import (
-    EnumerationBudgetError,
-    marginals_dual,
-    marginals_primal,
-)
+from .oracle import EnumerationBudgetError, _duality_residual, marginals_dual, marginals_primal
 from .samplers import (
     SamplerConfig,
     SamplerError,
@@ -113,10 +109,9 @@ def cmd_model(args) -> int:
 
 def cmd_exact(args) -> int:
     model = _load_primal(args.spec)
-    om = marginals_primal(model)
-    dm = marginals_dual(dualize(model))
-    alpha = scale_factor(model.graph, model.alphabet)
-    residual = abs(dm.partition - alpha * om.partition) / abs(om.partition)
+    om, dm = marginals_primal(model), marginals_dual(dualize(model))
+    residual = _duality_residual(om.partition, dm.partition,
+                                 scale_factor(model.graph, model.alphabet))
     print(f"Z_p = {_fmt(om.partition)}")
     print(f"duality residual |Z_d - alpha Z_p| / |Z_p| = {residual:.3e}")
     _print_marginals(om, "marginals")
@@ -157,24 +152,22 @@ def cmd_swp(args) -> int:
 
 def cmd_map(args) -> int:
     model = _load_primal(args.spec)
-    d = dualize(model)
     kind, _, index = args.location.partition(":")
-    idx = int(index)
-    values = np.array([complex(v) for v in args.marginal.split(",")])
-    if kind == "edge":
-        primal, dual = model.edge_tables, d.edge_tables
-    elif kind == "vertex":
-        primal, dual = model.vertex_tables, d.vertex_tables
-    else:
+    if kind not in ("edge", "vertex"):
         raise SpecError("--location must look like edge:3 or vertex:0")
+    try:
+        idx = int(index)
+    except ValueError:
+        raise SpecError(f"--location {args.location}: the index {index!r} is not an "
+                        "integer") from None
+    values = np.array([complex(v) for v in args.marginal.split(",")])
+    primal, dual = (getattr(m, f"{kind}_tables") for m in (model, dualize(model)))
     if not 0 <= idx < len(primal):
         raise SpecError(f"--location {args.location}: the model has {len(primal)} "
                         f"{kind}s, numbered 0 to {len(primal) - 1}")
-    tables = (primal[idx], dual[idx])
-    if args.direction == "dual-to-primal":
-        out = map_dual_to_primal(MarginalVector(values, (kind, idx), DUAL), *tables)
-    else:
-        out = map_primal_to_dual(MarginalVector(values, (kind, idx), PRIMAL), *tables)
+    source, fn = ((DUAL, map_dual_to_primal) if args.direction == "dual-to-primal"
+                  else (PRIMAL, map_primal_to_dual))
+    out = fn(MarginalVector(values, (kind, idx), source), primal[idx], dual[idx])
     print("  ".join(_fmt(v) for v in out.values))
     return EXIT_OK
 
@@ -191,9 +184,8 @@ def cmd_gaussian(args) -> int:
     print(f"exact dual vertex variances mapped to primal: first={mapped[0]:.6g} "
           f"(max |gap| {np.abs(mapped - var_p).max():.3e})")
     if args.samples:
-        cfg = SamplerConfig(seed=args.seed, samples=args.samples)
-        res_p = gmrf_primal_gibbs(model, cfg)
-        res_d = gmrf_dual_gibbs(model, cfg)
+        res_p = gmrf_primal_gibbs(model, _sampler_config(args))
+        res_d = gmrf_dual_gibbs(model, _sampler_config(args))
         var_d = res_d.derived_variances.mean()
         print(f"gibbs primal estimate (site-averaged): {res_p.variances.mean():.6g}")
         # a short dual chain can estimate sigma^2 var_d >= 1, which maps to no

@@ -197,7 +197,7 @@ class GaussianGibbsResult:
     The model is zero-mean, so variances are estimated as plain second
     moments.  `trajectory` holds the site-averaged running estimate after
     each retained sweep; `derived_*` fields are present when a linear
-    statistic T @ state was tracked alongside the chain.
+    statistic x @ T (that is, T^T x) was tracked alongside the chain.
     """
 
     variances: np.ndarray
@@ -234,9 +234,12 @@ def gibbs_gaussian(
     Each update draws coordinate i from its exact conditional
     N(-sum_j P_ij x_j / P_ii, 1 / P_ii), in the order 0, 1, ..., n-1.  A
     sweep is computed as one stochastic Gauss-Seidel step (see the module
-    docstring).  With derived_transform T, the second moments of T @ x are
-    tracked as well (the dual chains use T = M^T to estimate Var(x~_v)).
-    Refuses a precision that is not symmetric positive definite.
+    docstring).  With derived_transform T, n x k (a length-n vector is one
+    column), the second moments of the k entries of x @ T = T^T x are tracked
+    as well: the dual chain passes the |E| x |V| incidence M, so that x @ M is
+    the vertex statistic x~ = M^T y~.
+    Refuses a precision that is not symmetric positive definite, and a
+    derived_transform that is not finite or whose row count is not n.
     """
     # the Cholesky factor is zero above its diagonal, so its memory can hold (D + L)^-1
     precision, lower_inv = _validate_spd(precision)
@@ -252,6 +255,9 @@ def gibbs_gaussian(
     if track:
         t_mat = np.asarray(derived_transform, dtype=np.float64)
         t_mat = t_mat[:, None] if t_mat.ndim == 1 else t_mat
+        if t_mat.ndim != 2 or len(t_mat) != n or not np.isfinite(t_mat).all():
+            raise ValueError(f"derived_transform must be finite with one row per variable "
+                             f"({n}), got shape {t_mat.shape}")
     x, noise = np.zeros(n), None
     averages = []  # site-averaged squares of each block's states, then of their statistic
 
@@ -264,7 +270,7 @@ def gibbs_gaussian(
         return x
 
     def tally(states: list) -> np.ndarray:
-        """Summed squares of the states and of their statistic T @ x."""
+        """Summed squares of the states and of their statistic x @ T."""
         block = np.array(states).reshape(len(states), n)
         squares = [block ** 2, (block @ t_mat) ** 2] if track else [block ** 2]
         averages.append([sq.mean(axis=1) for sq in squares])

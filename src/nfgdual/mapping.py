@@ -15,7 +15,7 @@ from contextlib import suppress
 
 import numpy as np
 
-from .graphs import Alphabet
+from .graphs import Alphabet, _check_count
 from .nfg import (DUAL, PRIMAL, Marginals, MarginalVector, PrimalNFG, SingularMapError,
                   _SINGULAR_CAUSE, _coupling, _potts_edge, _potts_weights, _rounding,
                   _truncate_imag, dft_table, dualize)
@@ -26,7 +26,7 @@ CLOCK4_CRITICAL = math.log(1.0 + math.sqrt(2.0))
 
 def potts_critical(q: int) -> float:
     """Phase-transition coupling ln(1 + sqrt(q)) of the 2D homogeneous q-state model."""
-    return math.log(1.0 + math.sqrt(q))
+    return math.log(1.0 + math.sqrt(_check_count("q", q, 2)))
 
 
 def _table(obj) -> np.ndarray:
@@ -118,9 +118,14 @@ def _unit_scale(table: np.ndarray) -> np.ndarray:
 def fixed_point(primal_table, dual_table) -> np.ndarray:
     """The marginal vector invariant under the map: pi*(a) = psi(a) psi~(a) / S, S the
     sum of the products, each table scaled by its largest magnitude first, which leaves
-    pi* as it is; an S that is zero or not finite is refused with a ValueError."""
+    pi* as it is; tables of different lengths, and an S that is zero or not finite, are
+    refused with a ValueError."""
+    psi, psit = _table(primal_table), _table(dual_table)
+    if psi.shape != psit.shape:
+        raise ValueError(f"the primal table has length {psi.size} and the dual table "
+                         f"length {psit.size}: a fixed point needs one entry per letter in both")
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = _unit_scale(_table(primal_table)) * _unit_scale(_table(dual_table))
+        prod = _unit_scale(psi) * _unit_scale(psit)
         total = prod.sum()
     if total == 0 or not np.isfinite(total):
         raise ValueError(f"the table products psi psi~ sum to {total}: "
@@ -138,9 +143,9 @@ def _at_coupling(beta_j: float, primal_table, dual_table) -> np.ndarray:
 
 def _potts_tables(q: int, b: float) -> tuple:
     """A Potts edge's table and its DFT at coupling b, over max(1, e^b)
-    (nfg._potts_weights), so they are finite at every b."""
+    (nfg._potts_weights), so they are finite at every b; q is an integer of at least 2."""
     w0, w_other, m = _potts_weights(b)
-    primal, dual = np.full(q, w_other), np.full(q, m)
+    primal, dual = np.full(_check_count("q", q, 2), w_other), np.full(q, m)
     primal[0], dual[0] = w0, m + q * w_other
     return primal, dual
 
@@ -168,7 +173,7 @@ def clock_fixed_point(q: int, beta_j: float) -> np.ndarray:
     most.  The DFT of the constant 1 is q at 0 and vanishes elsewhere, so the table's
     DFT is that of m plus q at 0, and a weak coupling's small entries do not cancel."""
     beta_j = _coupling(beta_j)
-    cos = np.cos(2 * np.pi * np.arange(q) / q)
+    cos = np.cos(2 * np.pi * np.arange(_check_count("q", q, 2)) / q)
     m = np.expm1(beta_j * (cos - (cos.max() if beta_j >= 0 else cos.min())))
     dual = dft_table(m, Alphabet(q))
     dual[0] += q
@@ -195,7 +200,7 @@ def potts_lower_bounds(q: int, beta_j: float) -> tuple:
 def _edge_bounds(q: int, b: float) -> tuple:
     if b < 0:
         raise ValueError("bounds hold for ferromagnetic couplings only")
-    p0, _, _, z = _potts_edge(q, b)
+    p0, _, _, z = _potts_edge(_check_count("q", q, 2), b)
     return p0, z / q  # z = 1 / p0 at b >= 0, and z / q rounds once
 
 

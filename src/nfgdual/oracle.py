@@ -159,12 +159,15 @@ def _dual_indicator_norm(g: Graph, a: Alphabet) -> float:
     return float(a.q) ** (1 - g.num_vertices)
 
 
+def _duality_residual(zp: complex, zd: complex, alpha: float) -> float:
+    """|Z_d - alpha * Z_p| / |Z_p|, the relative residual of Z_d = alpha Z_p."""
+    return abs(zd - alpha * zp) / abs(zp)
+
+
 def duality_check(p: PrimalNFG) -> float:
     """Relative residual |Z_d - alpha * Z_p| / |Z_p| of the duality theorem."""
-    zp = marginals_primal(p).partition
-    zd = marginals_dual(dualize(p)).partition
-    alpha = scale_factor(p.graph, p.alphabet)
-    return abs(zd - alpha * zp) / abs(zp)
+    zp, zd = marginals_primal(p).partition, marginals_dual(dualize(p)).partition
+    return _duality_residual(zp, zd, scale_factor(p.graph, p.alphabet))
 
 
 def marginals_primal(p: PrimalNFG) -> Marginals:

@@ -433,7 +433,7 @@ def estimate_primal_via_dual(
     elif method == "gibbs_dual":
         dual_est = gibbs_dual(dualize(p), cfg)
     elif method == "bp_dual":
-        dual_est = run_bp(dualize(p), bp_config or BpConfig())
+        dual_est = run_bp(dualize(p), bp_config)
     else:
         raise ValueError(f"unknown method {method!r}")
     return map_marginals(dual_est, p)

@@ -34,6 +34,7 @@ from .mapping import (
 )
 from .nfg import clock_model, dft_table, dualize, idft_table, ising_model, potts_model
 from .oracle import (
+    _duality_residual,
     chain_ising_marginals,
     duality_check,
     marginals_dual,
@@ -139,10 +140,9 @@ def check_duality_random(seed):
 
 def check_duality_negative_control(seed):
     p = ising_model(ring_graph(4), 0.7, 0.2)
-    zp = marginals_primal(p).partition
-    zd = marginals_dual(dualize(p)).partition
     wrong_alpha = scale_factor(p.graph, p.alphabet) * p.alphabet.q  # deliberately wrong
-    residual = abs(zd - wrong_alpha * zp) / abs(zp)
+    residual = _duality_residual(marginals_primal(p).partition,
+                                 marginals_dual(dualize(p)).partition, wrong_alpha)
     return residual > 0.5, f"corrupted scale factor produces residual {residual:.2f}"
 
 

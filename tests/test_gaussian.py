@@ -350,6 +350,33 @@ class TestGibbs:
         with pytest.raises(ValueError, match=problem):
             gibbs_gaussian(np.array(precision), SamplerConfig(seed=1, samples=10))
 
+    @pytest.mark.parametrize("transform", [
+        np.ones((4, 2)),  # rows are not the chain's 9 variables
+        np.ones(4),  # a vector is one column, of 4 rows
+        np.ones((2, 9)),  # the transpose of a 9 x 2 transform
+        np.ones((9, 2, 1)),
+        np.where(np.eye(9, 2) > 0, np.nan, 0.0),
+        np.full((9, 2), np.inf),
+    ], ids=["rows", "vector", "transposed", "3d", "nan", "inf"])
+    def test_refuses_a_derived_transform_of_the_wrong_shape_or_not_finite(self, transform):
+        # a wrong shape used to fail at the first tally, after the burn-in, with
+        # numpy's matmul mismatch; a non-finite one gave NaN variances
+        precision = primal_precision(GmrfModel(grid_graph(3, 3, periodic=True), 1.0, 2.0))
+        with pytest.raises(ValueError, match="^derived_transform must be finite with one "
+                                             r"row per variable \(9\)"):
+            gibbs_gaussian(precision, SamplerConfig(seed=1, samples=10), transform)
+
+    def test_derived_statistic_is_x_at_t(self):
+        # column j of the cyclic shift T is the one-hot e_(j-1), so x @ T tracks
+        # x_(j-1) at j; T @ x would track x_(j+1).  The squares are the states'
+        # own, summed in the same order, so the match is exact.
+        precision = primal_precision(GmrfModel(path_graph(9), 1.5, 2.0))
+        shift = np.roll(np.eye(9), 1, axis=1)
+        assert np.array_equal(shift[:, 1], np.eye(9)[0])
+        res = gibbs_gaussian(precision, SamplerConfig(seed=31, samples=300), shift)
+        assert res.derived_variances[1] == res.variances[0]
+        assert np.array_equal(res.derived_variances, np.roll(res.variances, 1))
+
     def test_memory_does_not_grow_with_samples(self):
         # the default 10,000 retained sweeps; keeping every retained state
         # (and its derived statistic) would take 8.6 MB here

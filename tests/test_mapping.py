@@ -401,6 +401,38 @@ def test_a_coupling_that_is_not_finite_is_refused_by_name(call, bj):
             NON_FINITE_COUPLING[call](bj)
 
 
+Q_CURVES = {
+    "potts-lower-bounds": lambda q: potts_lower_bounds(q, 0.5),
+    "potts-fixed-point": lambda q: potts_fixed_point(q, 0.5),
+    "clock-fixed-point": lambda q: clock_fixed_point(q, 0.5),
+    "potts-critical": potts_critical,
+}
+
+
+@pytest.mark.parametrize("q", [0, 1, -1, 2.5, 3.0, True, "3"])
+@pytest.mark.parametrize("call", Q_CURVES)
+def test_a_q_that_is_not_an_integer_of_at_least_2_is_refused_by_name(call, q):
+    # these raised ZeroDivisionError, IndexError, TypeError or a math domain
+    # error, or returned a number for the one-letter alphabet q = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^q must be an integer of at least 2, got "):
+            Q_CURVES[call](q)
+
+
+@pytest.mark.parametrize("call", Q_CURVES)
+def test_a_numpy_integer_q_gives_the_value_of_its_int(call):
+    assert np.array_equal(Q_CURVES[call](np.int64(3)), Q_CURVES[call](3))
+
+
+@pytest.mark.parametrize("tables", [([1, 2], [1, 2, 3]), ([1, 2, 3], [3, 1])])
+def test_fixed_point_refuses_tables_of_different_lengths(tables):
+    lengths = [len(t) for t in tables]
+    with pytest.raises(ValueError, match=f"^the primal table has length {lengths[0]} and "
+                                         f"the dual table length {lengths[1]}"):
+        fixed_point(*tables)
+
+
 class TestBounds:
     def test_boundary_values(self):
         assert ising_lower_bounds(0.0) == pytest.approx((0.5, 1.0))

@@ -280,6 +280,25 @@ class TestCli:
         ]) == 4
         assert "numbered 0 to 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("location, message", [
+        ("edge:", "--location edge:: the index '' is not an integer"),
+        ("edge:x", "--location edge:x: the index 'x' is not an integer"),
+        ("edge:1.5", "--location edge:1.5: the index '1.5' is not an integer"),
+        ("vertex:0:1", "--location vertex:0:1: the index '0:1' is not an integer"),
+        ("face:0", "--location must look like edge:3 or vertex:0"),
+        ("face:x", "--location must look like edge:3 or vertex:0"),
+        ("edge0", "--location must look like edge:3 or vertex:0"),
+        (":1", "--location must look like edge:3 or vertex:0"),
+    ])
+    def test_map_location_that_cannot_be_read(self, tmp_path, capsys, location, message):
+        # an index that is missing or not an integer, with or without a known
+        # kind, exited 4 with int()'s "invalid literal for int() with base 10"
+        spec = write_spec(tmp_path, "m.json", TRIANGLE_SPEC)
+        assert main([
+            "map", "--spec", spec, "--location", location, "--marginal", "0.9,0.1",
+        ]) == 4
+        assert capsys.readouterr().err == f"bad input: {message}\n"
+
     def test_gaussian_command(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "g.json", {
             "family": "gaussian",
